@@ -6,6 +6,8 @@ reflection, rotation, hyperbolic rotation, shear, non-uniform scale,
 translation, cotranslation, perspective, and pseudo-perspective.
 """
 
+from types import ModuleType as _ModuleType
+
 from .blades import SQUARES, blade_geometric_product, blade_name, grade
 from .errors import (
     ConvergenceError,
@@ -46,11 +48,10 @@ from .euclid import (
     extract_paravector,
     g,
     normalize_point,
-    paravector_sub,
     sector_vector,
     star_conjugate,
 )
-from .hodge import hodge_star, hodge_star_inverse, volume_dual
+from .hodge import hodge_star, volume_dual
 from .versors import (
     Composed,
     HodgeSandwich,
@@ -71,6 +72,7 @@ from .versors import (
     identity_versor,
     perspective_project,
     pseudo_perspective,
+    pseudo_perspective_map,
     reflection_versor,
     rotation_versor,
     scale_versor,
@@ -91,6 +93,7 @@ from .analysis import (
     paravector_conditions,
     probe_points,
     projective_matrix_probe,
+    worst_residuals,
 )
 from .pipeline import (
     Pipeline,
@@ -102,5 +105,6 @@ from .pipeline import (
     parse_points,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

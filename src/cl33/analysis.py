@@ -37,6 +37,10 @@ from .versors import Transform
 ACCEPT_FACTOR = 1e-12
 REJECT_FACTOR = 1e-6
 
+#: Names of the preservation residuals, in the order of
+#: ConditionReport.residuals.
+RESIDUALS = ("cond1", "cond2", "cond3", "cond4", "covector", "grade45")
+
 
 def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
     """The seven homogeneous parts of psi; their sum reconstructs psi."""
@@ -83,10 +87,14 @@ class ConditionReport:
     direct4: Multivector
     direct5: Multivector
 
+    def residuals(self) -> tuple:
+        """Largest coefficient of each residual, named as in RESIDUALS."""
+        return (self.r1.max_abs(), self.r2.max_abs(), self.r3.max_abs(),
+                self.r4.max_abs(), self.covector_residual.max_abs(),
+                max(self.direct4.max_abs(), self.direct5.max_abs()))
+
     def max_residual(self) -> float:
-        return max(m.max_abs() for m in
-                   (self.r1, self.r2, self.r3, self.r4,
-                    self.covector_residual, self.direct4, self.direct5))
+        return max(self.residuals())
 
 
 def paravector_conditions(psi: Multivector, p) -> ConditionReport:
@@ -123,6 +131,13 @@ def probe_points(extra=8, seed=51966):
     return pts
 
 
+def worst_residuals(psi: Multivector) -> dict:
+    """Worst value of each preservation residual of Psi over probe_points(),
+    keyed by the names in RESIDUALS."""
+    rows = [paravector_conditions(psi, p).residuals() for p in probe_points()]
+    return dict(zip(RESIDUALS, map(max, zip(*rows))))
+
+
 ACCEPT = "accept"
 REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
@@ -149,16 +164,11 @@ def classify_infinitesimal(k: int, psi: Multivector, eps: float = 1e-2) -> Class
         raise ValueError(f"psi must be homogeneous of grade {k}")
     phi = 1.0 + eps * psi
     scale = max(1.0, phi.max_abs())
-    worst = 0.0
-    identity = True
-    for p in probe_points():
-        rep = paravector_conditions(phi, p)
-        worst = max(worst, rep.max_residual())
-        image = phi * embed_paravector(Paravector(1.0, p)) * reversion(phi)
-        delta = image - embed_paravector(Paravector(1.0, p))
-        if delta.max_abs() > tolerance(scale ** 2):
-            identity = False
+    worst = max(worst_residuals(phi).values())
     if worst <= ACCEPT_FACTOR * scale:
+        points = (embed_paravector(Paravector(1.0, p)) for p in probe_points())
+        identity = all((phi * m * reversion(phi) - m).max_abs() <= tolerance(scale ** 2)
+                       for m in points)
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:
         return Classification(REJECT, worst, False)
@@ -277,7 +287,6 @@ def composed_family_report(eps_values=(0.1, 0.01), draws=3, seed=60221) -> list:
     rounding level (1e-12 times the scale).
     """
     rng = np.random.default_rng(seed)
-    probes = probe_points()
     results = []
     for eps in eps_values:
         for eta in eps_values:
@@ -290,8 +299,7 @@ def composed_family_report(eps_values=(0.1, 0.01), draws=3, seed=60221) -> list:
                 ]
                 for name, psi in fams:
                     scale = (1.0 + psi.max_abs()) ** 2 * 2.0
-                    worst = max(paravector_conditions(psi, p).max_residual()
-                                for p in probes)
+                    worst = max(worst_residuals(psi).values())
                     results.append(FamilyResult(name, eps, eta, worst,
                                                 ACCEPT_FACTOR * scale))
     return results

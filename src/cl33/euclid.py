@@ -108,10 +108,6 @@ class Paravector:
         return f"Paravector(w={self.weight:g}, p=({x:g}, {y:g}, {z:g}))"
 
 
-def paravector_sub(p: Paravector, q: Paravector) -> Paravector:
-    return p - q
-
-
 def embed_paravector(p: Paravector) -> Multivector:
     """w + embedded vector."""
     return p.weight + embed_vector(p.vector)

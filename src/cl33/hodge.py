@@ -40,6 +40,9 @@ _ABOVE_3 = GRADES > 3
 def hodge_star(a: Multivector) -> Multivector:
     """Euclidean Hodge star, defined on grades 0..3.
 
+    The star is its own inverse there ((-1)^(k(3-k)) = 1 for k = 0..3), so
+    it is also the star^-1 of the star-sandwich.
+
     Raises DomainError when the input carries grade > 3 components above
     tolerance.
     """
@@ -49,12 +52,6 @@ def hodge_star(a: Multivector) -> Multivector:
         raise DomainError(
             f"hodge star is defined on grades 0..3; grade > 3 residue {worst:.3e}")
     return Multivector._raw(_STAR @ a.coeffs)
-
-
-def hodge_star_inverse(a: Multivector) -> Multivector:
-    """Inverse star; identical to the star here, since (-1)^(k(3-k)) = 1 for
-    k = 0..3."""
-    return hodge_star(a)
 
 
 def volume_dual(a: Multivector) -> Multivector:

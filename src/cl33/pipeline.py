@@ -7,6 +7,7 @@ hold one ``w x y z`` quadruple per line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -15,19 +16,18 @@ import numpy as np
 from .errors import DomainError, PipelineError
 from .euclid import Paravector
 from .versors import (
-    HodgeSandwich,
     PerspectiveMap,
     Sandwich,
     Transform,
-    cotranslation_versor,
+    compose,
+    cotranslation,
     hyperbolic_versor,
+    pseudo_perspective_map,
     reflection_versor,
     rotation_versor,
     scale_versor,
     shear_versor,
     translation_versor,
-    _check_unit,
-    compose,
 )
 
 _FLOAT = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -89,9 +89,9 @@ _STEP_BUILDERS = {
     "shear": lambda p: Sandwich(shear_versor(p["u"], p["v"], p["t"])),
     "scale": lambda p: Sandwich(scale_versor(p["u"], p["t"])),
     "translate": lambda p: Sandwich(translation_versor(p["v"])),
-    "cotranslate": lambda p: HodgeSandwich(cotranslation_versor(p["v"])),
+    "cotranslate": lambda p: cotranslation(p["v"]),
     "perspective": lambda p: PerspectiveMap(Paravector(1.0, p["eye"]), p["n"], p["c"]),
-    "pseudo": lambda p: HodgeSandwich(cotranslation_versor(_check_unit("n", p["n"]))),
+    "pseudo": lambda p: pseudo_perspective_map(p["n"]),
 }
 
 
@@ -128,6 +128,8 @@ def _parse_step(raw: str, lineno: int) -> PipelineStep:
             params[key] = float(val)
         else:
             raise PipelineError(f"operation {op!r} takes no parameter {key!r}", lineno, col)
+        if not np.all(np.isfinite(params[key])):
+            raise PipelineError(f"parameter {key!r} must be finite, got {val!r}", lineno, col)
     missing = [k for k in (*vec_keys, *num_keys) if k not in params]
     if missing:
         raise PipelineError(f"operation {op!r} missing parameter(s) {missing}", lineno, col)
@@ -206,6 +208,8 @@ def parse_points(text: str) -> list:
             vals = [float(f) for f in fields]
         except ValueError as exc:
             raise PipelineError(f"bad number: {exc}", lineno) from exc
+        if not all(map(math.isfinite, vals)):
+            raise PipelineError(f"non-finite value in {body.strip()!r}", lineno)
         points.append(Paravector(vals[0], vals[1:]))
     return points
 

@@ -49,13 +49,15 @@ from .versors import (
 )
 
 
-def _rand_unit(rng):
+def rand_unit(rng):
+    """A random unit 3-vector."""
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
 
 
-def _rand_orthonormal(rng):
-    a = _rand_unit(rng)
+def rand_orthonormal(rng):
+    """A random orthonormal pair of 3-vectors."""
+    a = rand_unit(rng)
     b = rng.normal(size=3)
     b -= (b @ a) * a
     return a, b / np.linalg.norm(b)
@@ -67,7 +69,10 @@ def _rel_dev(got: Paravector, want_w, want_p) -> float:
     return num / scale
 
 
-def _naive_blade_product(a, b, squares):
+def naive_blade_product(a, b, squares=SQUARES):
+    """Sorted-list oracle for blade products: concatenate the factor lists,
+    bubble-sort counting swaps, collapse equal adjacent factors into their
+    squares.  Returns (sign, mask)."""
     factors = [i for i in range(6) if a >> i & 1] + [i for i in range(6) if b >> i & 1]
     sign = 1
     changed = True
@@ -98,7 +103,7 @@ def check_algebra_axioms(squares=SQUARES, triples=1000, seed=11):
     relations, associativity, and the derived embedded-basis relations."""
     for a in range(BLADE_COUNT):
         for b in range(BLADE_COUNT):
-            if blade_geometric_product(a, b) != _naive_blade_product(a, b, squares):
+            if blade_geometric_product(a, b) != naive_blade_product(a, b, squares):
                 return False, f"blade product mismatch at masks ({a}, {b})"
     gens = [Multivector.blade(1 << i) for i in range(6)]
     for i in range(6):
@@ -138,10 +143,10 @@ def check_transform_formulas(count=1000, seed=12):
     for _ in range(count):
         p = rng.uniform(-2, 2, 3)
         P = Paravector(1.0, p)
-        n = _rand_unit(rng)
+        n = rand_unit(rng)
         out = apply_sandwich(reflection_versor(n), P)
         worst = max(worst, _rel_dev(out, 1.0, p - 2 * (p @ n) * n))
-        u, v = _rand_orthonormal(rng)
+        u, v = rand_orthonormal(rng)
         th = rng.uniform(-np.pi, np.pi)
         series = exponential(rotation_generator(u, v, th))
         out = apply_sandwich(rotation_versor(u, v, th), P)
@@ -207,7 +212,7 @@ def check_perspective(count=100, seed=14):
     done = 0
     while done < count:
         e = rng.uniform(-2, 2, 3)
-        n = _rand_unit(rng)
+        n = rand_unit(rng)
         c = rng.uniform(-2, 2)
         a = c - n @ e
         if abs(a) < 0.1:
@@ -236,7 +241,7 @@ def check_perspective(count=100, seed=14):
     if not (eye_image.is_at_infinity and np.allclose(eye_image.vector, -n, atol=1e-15)):
         return False, "pseudo-perspective does not send the eye to infinity"
     for _ in range(count):
-        n = _rand_unit(rng)
+        n = rand_unit(rng)
         p = rng.uniform(-2, 2, 3)
         out = pseudo_perspective(n, Paravector(1.0, p))
         m = np.eye(4)
@@ -256,9 +261,9 @@ def check_hodge_equivalence(count=100, seed=15):
     """
     rng = np.random.default_rng(seed)
     t = 0.9
-    u, v = _rand_orthonormal(rng)
+    u, v = rand_orthonormal(rng)
     rows = [
-        ("reflection", reflection_versor(_rand_unit(rng)), 1.0),
+        ("reflection", reflection_versor(rand_unit(rng)), 1.0),
         ("rotation", rotation_versor(u, v, 1.2), 1.0),
         ("hyperbolic", hyperbolic_versor(u, v, -0.8), 1.0),
         ("shear", shear_versor(u, v, 1.5), 1.0),
@@ -357,13 +362,13 @@ def check_projective_matrices(count=100, points=1000, seed=18):
                         float(np.max(np.abs(directc.vector - wantc[1:]))))
     if worst > 1e-6:
         return False, f"first-order matrix deviation {worst:.3e} exceeds 1e-6"
-    u, w2 = _rand_orthonormal(rng)
+    u, w2 = rand_orthonormal(rng)
     pipelines = [
         compose([Sandwich(translation_versor([1, 2, 3]))]),
         compose([Sandwich(rotation_versor(u, w2, 0.8)),
                  Sandwich(scale_versor(u, 0.5)),
                  HodgeSandwich(cotranslation_versor([0.3, -0.2, 0.7]))]),
-        compose([Sandwich(reflection_versor(_rand_unit(rng))),
+        compose([Sandwich(reflection_versor(rand_unit(rng))),
                  Sandwich(shear_versor(u, w2, 1.1))]),
     ]
     n_each = -(-points // len(pipelines))
@@ -382,8 +387,8 @@ def check_sector_behavior(seed=19):
     """Reflection and rotation preserve the sector subspaces; hyperbolic,
     shear, scale, and translation leak across with visible coefficients."""
     rng = np.random.default_rng(seed)
-    u, v = _rand_orthonormal(rng)
-    keep = [reflection_versor(_rand_unit(rng)), rotation_versor(u, v, 1.3)]
+    u, v = rand_orthonormal(rng)
+    keep = [reflection_versor(rand_unit(rng)), rotation_versor(u, v, 1.3)]
     for versor in keep:
         rep = sector_image(versor)
         if not (rep.preserves_plus and rep.preserves_minus):

@@ -9,7 +9,7 @@ weight and is the building block of perspective and pseudo-perspective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .euclid import (
     sector_vector,
     star_conjugate,
 )
-from .hodge import hodge_star, hodge_star_inverse
+from .hodge import hodge_star
 from .multivector import Multivector, reversion, tolerance
 
 #: Tolerance for unit-length / orthogonality preconditions.
@@ -185,16 +185,6 @@ def apply_sandwich(versor: Versor, p: Paravector, atol=None, rtol=None) -> Parav
     return extract_paravector(out, **kwargs)
 
 
-def apply_cotranslation(v, p: Paravector) -> Paravector:
-    """star^-1[T (star P) (reversed T)] with T the translation versor of v.
-
-    Adds g(p, v) to the weight and leaves the vector part unchanged.
-    """
-    t = translation_versor(v)
-    inner = t.U * hodge_star(embed_paravector(p)) * reversion(t.U)
-    return extract_paravector(hodge_star_inverse(inner))
-
-
 # -- Hodge-conjugate form ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -240,55 +230,15 @@ def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
 def apply_hodge_sandwich(h: HodgeVersor, p: Paravector) -> Paravector:
     """star^-1[U' (star P) (reversed U')] extracted back to a point."""
     inner = h.uprime * hodge_star(embed_paravector(p)) * reversion(h.uprime)
-    return extract_paravector(hodge_star_inverse(inner))
+    return extract_paravector(hodge_star(inner))
 
 
-# -- projections ------------------------------------------------------------
+def apply_cotranslation(v, p: Paravector) -> Paravector:
+    """star^-1[T (star P) (reversed T)] with T the translation versor of v.
 
-def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
-    """Perspective projection of p from the eye onto the plane x . n = c.
-
-    Implemented as translate-to-eye, cotranslate by n/a, translate back,
-    applied to p - w_p * eye, with a = c - g(n, e).  The result is a weighted
-    point on the plane whose weight is g(p - e, n)/a for affine p; points
-    behind the eye come back with negative weight and are conjugated
-    (vector part negated) so that their represented location is still the
-    intersection with the plane.
-
-    Raises DegenerateConfigurationError when the eye lies on the plane
-    (a = 0).
+    Adds g(p, v) to the weight and leaves the vector part unchanged.
     """
-    n = np.asarray(n, dtype=np.float64).reshape(3)
-    e = np.asarray(eye.vector, dtype=np.float64)
-    if abs(eye.weight - 1.0) > PRECONDITION_TOL:
-        raise DomainError(f"eye must be an affine point, weight = {eye.weight:g}")
-    a = float(c) - g(n, e)
-    if abs(a) <= tolerance(max(abs(c), float(np.max(np.abs(n))), float(np.max(np.abs(e))))):
-        raise DegenerateConfigurationError(
-            f"eye lies on the projection plane (c - n.e = {a:.3e})")
-    out = _perspective_linear(eye, n, a, p)
-    if out.weight < 0.0:
-        return Paravector(out.weight, -out.vector)
-    return out
-
-
-def _perspective_linear(eye: Paravector, n, a, p: Paravector) -> Paravector:
-    """The linear (un-conjugated) perspective map on weighted points."""
-    e = eye.vector
-    q = Paravector(p.weight - p.weight * eye.weight, p.vector - p.weight * e)
-    q = apply_sandwich(translation_versor(-e), q)
-    q = apply_cotranslation(n / a, q)
-    return apply_sandwich(translation_versor(e), q)
-
-
-def pseudo_perspective(n, p: Paravector) -> Paravector:
-    """Cotranslation by the unit view direction n.
-
-    Sends the eye point (weight 1, position -n) to the point at infinity in
-    direction -n and maps a view frustum to a box.
-    """
-    n = _check_unit("n", n)
-    return apply_cotranslation(n, p)
+    return apply_hodge_sandwich(cotranslation_versor(v), p)
 
 
 # -- composition ------------------------------------------------------------
@@ -320,31 +270,74 @@ def cotranslation(v) -> HodgeSandwich:
     return HodgeSandwich(cotranslation_versor(v))
 
 
+# -- projections ------------------------------------------------------------
+
+def pseudo_perspective_map(n) -> HodgeSandwich:
+    """Pseudo-perspective as a pipeline stage: cotranslation by the unit view
+    direction n.  Raises DomainError when n is not a unit vector."""
+    return cotranslation(_check_unit("n", n))
+
+
+def pseudo_perspective(n, p: Paravector) -> Paravector:
+    """Cotranslation by the unit view direction n.
+
+    Sends the eye point (weight 1, position -n) to the point at infinity in
+    direction -n and maps a view frustum to a box.
+    """
+    return pseudo_perspective_map(n).apply(p)
+
+
 @dataclass(frozen=True)
 class PerspectiveMap(Transform):
-    """Perspective as a pipeline stage: the linear map, no orientation
-    conjugation, so that the action has a well-defined 4x4 matrix."""
+    """Perspective from the eye onto the plane x . n = c as a pipeline stage.
+
+    Translate-to-eye, cotranslate by n/a, translate back, applied to
+    p - w_p * eye, with a = c - g(n, e).  This is the linear map, with no
+    orientation conjugation, so that the action has a well-defined 4x4
+    matrix.  Raises DomainError when the eye is not an affine point and
+    DegenerateConfigurationError when it lies on the plane (a = 0).
+    """
 
     eye: Paravector
     n: np.ndarray
     c: float
+    a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", float(self.c))
-
-    @property
-    def a(self) -> float:
-        return self.c - g(self.n, self.eye.vector)
-
-    def apply(self, p: Paravector) -> Paravector:
-        a = self.a
-        if abs(a) <= tolerance(max(abs(self.c), float(np.max(np.abs(self.n))),
-                                   float(np.max(np.abs(self.eye.vector))))):
+        c = float(self.c)
+        e = self.eye.vector
+        if abs(self.eye.weight - 1.0) > PRECONDITION_TOL:
+            raise DomainError(f"eye must be an affine point, weight = {self.eye.weight:g}")
+        a = c - g(n, e)
+        if abs(a) <= tolerance(max(abs(c), float(np.max(np.abs(n))), float(np.max(np.abs(e))))):
             raise DegenerateConfigurationError(
                 f"eye lies on the projection plane (c - n.e = {a:.3e})")
-        return _perspective_linear(self.eye, self.n, a, p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", a)
+
+    def apply(self, p: Paravector) -> Paravector:
+        e = self.eye.vector
+        q = Paravector(p.weight - p.weight * self.eye.weight, p.vector - p.weight * e)
+        q = apply_sandwich(translation_versor(-e), q)
+        q = apply_cotranslation(self.n / self.a, q)
+        return apply_sandwich(translation_versor(e), q)
+
+
+def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
+    """Perspective projection of p from the eye onto the plane x . n = c.
+
+    The result is a weighted point on the plane whose weight is
+    g(p - e, n)/a for affine p; points behind the eye come back with negative
+    weight and are conjugated (vector part negated) so that their represented
+    location is still the intersection with the plane.  Raises as
+    PerspectiveMap does.
+    """
+    out = PerspectiveMap(eye, n, c).apply(p)
+    if out.weight < 0.0:
+        return Paravector(out.weight, -out.vector)
+    return out
 
 
 @dataclass(frozen=True)

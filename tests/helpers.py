@@ -3,35 +3,8 @@ paths they check."""
 
 import numpy as np
 
-from cl33.blades import BLADE_COUNT, SQUARES
-
-
-def naive_blade_product(a, b, squares=SQUARES):
-    """Sorted-list oracle: concatenate factor lists, bubble-sort counting
-    swaps, collapse equal adjacent factors into their squares."""
-    factors = [i for i in range(6) if a >> i & 1] + [i for i in range(6) if b >> i & 1]
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            if factors[i] > factors[i + 1]:
-                factors[i], factors[i + 1] = factors[i + 1], factors[i]
-                sign = -sign
-                changed = True
-    reduced = []
-    i = 0
-    while i < len(factors):
-        if i + 1 < len(factors) and factors[i] == factors[i + 1]:
-            sign *= squares[factors[i]]
-            i += 2
-        else:
-            reduced.append(factors[i])
-            i += 1
-    mask = 0
-    for f in reduced:
-        mask |= 1 << f
-    return sign, mask
+from cl33.blades import BLADE_COUNT
+from cl33.selftest import naive_blade_product
 
 
 def naive_geometric_product(x, y):
@@ -46,18 +19,6 @@ def naive_geometric_product(x, y):
             sign, mask = naive_blade_product(a, b)
             out[mask] += sign * x[a] * y[b]
     return out
-
-
-def rand_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def rand_orthonormal(rng):
-    a = rand_unit(rng)
-    b = rng.normal(size=3)
-    b -= (b @ a) * a
-    return a, b / np.linalg.norm(b)
 
 
 def householder(n):

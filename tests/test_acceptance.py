@@ -1,94 +1,29 @@
-"""Acceptance suite: one test per criterion, each printing its PASS line.
+"""Acceptance suite: one test per entry of ``selftest.ACCEPTANCE_CHECKS``,
+each printing its PASS line.
 
-The same checks back the ``cl33 selftest`` command; the full run stays well
-inside a one-minute budget.
+The tests are generated from that list, numbered in its order and named
+after the check function, so the list is the only place the criteria are
+enumerated.  The same checks back the ``cl33 selftest`` command; the full run
+stays well inside a one-minute budget.
 """
 
 import pytest
 
-from cl33.selftest import (
-    check_algebra_axioms,
-    check_classification,
-    check_cli_round_trip,
-    check_hodge_equivalence,
-    check_hodge_star,
-    check_perspective,
-    check_projective_matrices,
-    check_sector_behavior,
-    check_transform_formulas,
-    check_translation_incompatibility,
-)
+from cl33.selftest import ACCEPTANCE_CHECKS, check_algebra_axioms
 
 
-def _assert_check(name, fn, **kwargs):
-    ok, detail = fn(**kwargs)
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    assert ok, f"{name}: {detail}"
+def _criterion_test(name, check):
+    def test():
+        ok, detail = check()
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        assert ok, f"{name}: {detail}"
+
+    return test
 
 
-def test_criterion_1_algebra_axioms():
-    # defining relations exact; associativity and derived embedded relations
-    # on 1000 random triples at per-coefficient tolerance 1e-12 + 1e-9 scale
-    _assert_check("algebra-axioms", check_algebra_axioms, triples=1000)
-
-
-def test_criterion_2_transform_formulas():
-    # 1000 random inputs per transform against the closed-form right-hand
-    # sides (Householder, series rotor, hyperbolic/shear/scale/translation/
-    # cotranslation formulas), relative tolerance 1e-9
-    _assert_check("transform-formulas", check_transform_formulas, count=1000)
-
-
-def test_criterion_3_hodge_star():
-    # star twice is the identity on 1000 random Euclidean exterior elements;
-    # the three fixed star values hold exactly
-    _assert_check("hodge-star", check_hodge_star, count=1000)
-
-
-def test_criterion_4_perspective():
-    # 100 random perspective configurations against the intersection oracle;
-    # eye-on-plane rejected; pseudo-perspective sends the eye to infinity and
-    # matches its homogeneous matrix on 100 points
-    _assert_check("perspective", check_perspective, count=100)
-
-
-def test_criterion_5_hodge_equivalence():
-    # all five compatible kinds: sandwich equals star-sandwich on 100 random
-    # points per kind at 1e-9, with scale factors (1, 1, 1, 1, e^(t/2)); the
-    # scale-row prefactor follows from the volume-scaling condition
-    _assert_check("hodge-equivalence", check_hodge_equivalence, count=100)
-
-
-def test_criterion_6_translation_incompatibility():
-    # the volume-scaling condition fails for translations with residual
-    # above 1e-6
-    _assert_check("translation-incompatibility", check_translation_incompatibility)
-
-
-def test_criterion_7_classification():
-    # composed families at rounding level for eps, eta in {0.1, 0.01};
-    # grades 3..6 and covector bivectors rejected above 1e-6; grades 0, 1 and
-    # rank-1 mixed bivectors accepted
-    _assert_check("infinitesimal-classification", check_classification)
-
-
-def test_criterion_8_projective_matrices():
-    # first-order matrices within 1e-6 of direct evaluation at eps = 1e-4;
-    # probe matrices reproduce pipeline actions on ~1000 points at 1e-9
-    _assert_check("projective-matrices", check_projective_matrices,
-                  count=100, points=1000)
-
-
-def test_criterion_9_sector_behavior():
-    # reflection/rotation keep each sector (leakage <= 1e-12); hyperbolic,
-    # shear, scale, translation leak above 1e-6
-    _assert_check("sector-behavior", check_sector_behavior)
-
-
-def test_criterion_10_cli():
-    # pipeline + inverse round trip at 1e-9; matrix agrees with apply at
-    # 1e-9; exit codes 2, 3, 4, 5 exercised through fixture files
-    _assert_check("cli-round-trip", check_cli_round_trip)
+for _number, (_name, _check) in enumerate(ACCEPTANCE_CHECKS, start=1):
+    _test_name = f"test_criterion_{_number}_{_check.__name__.removeprefix('check_')}"
+    globals()[_test_name] = _criterion_test(_name, _check)
 
 
 def test_selftest_budget():

@@ -44,8 +44,9 @@ from cl33.analysis import (
     family_vector_mixed,
 )
 from cl33.blades import GRADES
+from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import PerspectiveMap
-from helpers import perspective_oracle_matrix, rand_orthonormal, rand_unit
+from helpers import perspective_oracle_matrix
 
 W = outer_product
 

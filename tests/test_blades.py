@@ -11,7 +11,7 @@ from cl33.blades import (
     blade_name,
     grade,
 )
-from helpers import naive_blade_product
+from cl33.selftest import naive_blade_product
 
 
 def test_blade_product_matches_sorted_list_oracle_exhaustively():

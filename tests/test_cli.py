@@ -157,6 +157,20 @@ def test_exit_code_degenerate_geometry(tmp_path):
     pts = write(tmp_path, "x.txt", "1 0 0 0\n")
     assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)[0] == 3
     assert run(tmp_path, "matrix", "--pipeline", pipe)[0] == 3
+    assert run(tmp_path, "check", "--pipeline", pipe)[0] == 3
+
+
+def test_exit_code_non_finite_input(tmp_path):
+    pts = write(tmp_path, "x.txt", "1 0 0 0\n")
+    for src in ("rotate u=(1,0,0) v=(0,1,0) theta=1e400\n", "translate v=(1e400,0,0)\n"):
+        pipe = write(tmp_path, "p.txt", src)
+        assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)[0] == 2
+        assert run(tmp_path, "check", "--pipeline", pipe)[0] == 2
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    for row in ("1 nan 0 0", "1 1e400 0 0"):
+        bad = write(tmp_path, "bad.txt", row + "\n")
+        code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", bad)
+        assert code == 2 and "line 1" in lines[-1]
 
 
 def test_exit_code_residue(tmp_path):
@@ -181,6 +195,10 @@ def test_bad_perturb_spec(tmp_path):
     pts = write(tmp_path, "x.txt", "1 0 0 0\n")
     assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts,
                "--perturb", "nope")[0] == 2
+    for spec in ("99:1", "-1:1", "7:inf"):
+        assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts,
+                   "--perturb", spec)[0] == 2
+        assert run(tmp_path, "check", "--pipeline", pipe, "--perturb", spec)[0] == 2
 
 
 def test_usage_error_exits_2(tmp_path):

@@ -18,7 +18,6 @@ from cl33 import (
     embed_vector,
     extract_paravector,
     normalize_point,
-    paravector_sub,
     sector_vector,
     star_conjugate,
 )
@@ -114,7 +113,7 @@ def test_location_semantics():
 
 def test_paravector_sub():
     p, e = np.array([1.0, 2, 3]), np.array([0.5, 0, -1])
-    d = paravector_sub(Paravector(1, p), Paravector(1, e))
+    d = Paravector(1, p) - Paravector(1, e)
     assert d.weight == 0.0 and np.allclose(d.vector, p - e)
     z = Paravector(1, [1, 2, 3]) - Paravector(1, [1, 2, 3])
     assert z.weight == 0.0 and np.allclose(z.vector, 0)

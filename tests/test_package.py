@@ -1,0 +1,25 @@
+import ast
+import types
+from pathlib import Path
+
+import cl33
+
+SRC = Path(cl33.__file__).resolve().parent
+
+
+def test_all_exports_no_modules():
+    modules = [n for n in cl33.__all__ if isinstance(getattr(cl33, n), types.ModuleType)]
+    assert modules == []
+
+
+def test_no_private_imports_across_modules():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level > 0 or (node.module or "").split(".")[0] == "cl33"):
+                continue
+            offenders += [f"{path.name}: {node.module}.{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert offenders == []

@@ -136,6 +136,19 @@ def test_points_errors():
     assert info.value.line == 2
 
 
+def test_non_finite_values_rejected():
+    for src, column in (("translate v=(0,0,0)\nrotate u=(1,0,0) v=(0,1,0) theta=1e400\n", 28),
+                        ("reflect n=(0,0,1)\ntranslate v=(1e400,0,0)\n", 11)):
+        with pytest.raises(PipelineError) as info:
+            parse_pipeline(src)
+        assert (info.value.line, info.value.column) == (2, column)
+        assert "finite" in str(info.value)
+    for row in ("1 nan 0 0", "1 1e400 0 0"):
+        with pytest.raises(PipelineError) as info:
+            parse_points("1 0 0 0\n" + row + "\n")
+        assert info.value.line == 2
+
+
 def test_composed_pipeline_fuses_adjacent_sandwiches():
     pipe = parse_pipeline("translate v=(1,0,0)\ntranslate v=(0,1,0)\nscale u=(0,0,1) t=1\n")
     comp = pipe.composed()

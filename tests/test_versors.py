@@ -37,6 +37,7 @@ from cl33 import (
     shear_versor,
     translation_versor,
 )
+from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import (
     hyperbolic_generator,
     rotation_generator,
@@ -44,7 +45,7 @@ from cl33.versors import (
     shear_generator,
     translation_generator,
 )
-from helpers import householder, perspective_oracle_matrix, rand_orthonormal, rand_unit
+from helpers import householder, perspective_oracle_matrix
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
