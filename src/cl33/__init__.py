@@ -42,6 +42,7 @@ from .euclid import (
     I_PLUS,
     OMEGA_V,
     Paravector,
+    at_infinity,
     embed_covector,
     embed_paravector,
     embed_vector,
@@ -103,6 +104,7 @@ from .pipeline import (
     inverse_pipeline,
     parse_pipeline,
     parse_points,
+    point_line,
 )
 
 __all__ = [name for name, value in globals().items()

@@ -10,7 +10,7 @@ residual multivectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,19 +206,11 @@ def cotranslation_matrix(v, a, b, eps) -> np.ndarray:
 
 def projective_matrix_probe(transform: Transform, check_points=10, seed=7151,
                             rtol=1e-9) -> np.ndarray:
-    """Extract the 4x4 matrix of a transform by probing the basis of
-    (weight, vector) space, then verify it against the transform on random
-    weighted points.  Raises NotLinearError on mismatch.
+    """The 4x4 matrix of a transform, ``transform.matrix`` (read off the
+    basis of (weight, vector) space), verified against ``transform.apply``
+    on random weighted points.  Raises NotLinearError on mismatch.
     """
-    probes = [Paravector(1.0, np.zeros(3)),
-              Paravector(0.0, [1, 0, 0]),
-              Paravector(0.0, [0, 1, 0]),
-              Paravector(0.0, [0, 0, 1])]
-    m = np.empty((4, 4))
-    for j, pr in enumerate(probes):
-        out = transform.apply(pr)
-        m[0, j] = out.weight
-        m[1:, j] = out.vector
+    m = transform.matrix
     rng = np.random.default_rng(seed)
     for _ in range(check_points):
         p = Paravector(rng.uniform(-1, 1), rng.uniform(-1, 1, 3))
@@ -234,9 +226,12 @@ def projective_matrix_probe(transform: Transform, check_points=10, seed=7151,
 
 @dataclass(frozen=True)
 class MatrixTransform(Transform):
-    """A plain 4x4 matrix acting on (weight, vector), wrapped as a transform."""
+    """A plain 4x4 matrix acting on (weight, vector), wrapped as a transform.
+    The field is the transform's ``matrix``, in place of the probed one."""
 
-    matrix: np.ndarray
+    # field() keeps it required: a bare annotation would take the inherited
+    # Transform.matrix as its default
+    matrix: np.ndarray = field()
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",

@@ -8,9 +8,15 @@ Commands::
     cl33 selftest
 
 Exit codes: 0 ok, 2 parse or semantic error (non-finite numbers included),
-3 degenerate geometry, 4 residue error (result left the point subspace),
-5 preservation-condition failure.  ``check`` exits 3 on degenerate geometry
-and 2 on non-finite input, as ``apply`` and ``matrix`` do.
+3 degenerate geometry, 4 residue error (result left the point subspace) or
+finite input whose arithmetic overflows (a stage matrix, an output point or
+the scale ``check`` holds a stage to), 5 preservation-condition failure.
+``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
+``apply`` and ``matrix`` do.
+
+``apply`` compiles the pipeline to one 4x4 matrix (each stage's matrix is
+read off its versor action on the basis points, with every residue check)
+and applies it to all points as one array product.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+
+import numpy as np
 
 from . import analysis, pipeline
 from .blades import BLADE_COUNT
@@ -28,7 +36,7 @@ from .errors import (
     NonParavectorResidue,
     PipelineError,
 )
-from .euclid import Paravector
+from .euclid import at_infinity
 from .multivector import Multivector, tolerance
 from .versors import Composed, Sandwich, Versor
 
@@ -113,14 +121,18 @@ def _perturbed_stages(pipe, perturbations) -> Composed:
 
 def _cmd_apply(args, emit):
     pipe = pipeline.parse_pipeline(_read(args.pipeline))
-    points = pipeline.parse_points(_read(args.points))
-    transform = _perturbed_stages(pipe, _parse_perturbations(args.perturb))
-    out = []
-    for p in points:
-        p = transform.apply(p)
-        if args.normalize and not p.is_at_infinity:
-            p = Paravector(1.0, p.vector / p.weight)
-        out.append(p)
+    text = _read(args.points)
+    rows = pipeline.parse_points(text)
+    matrix = _perturbed_stages(pipe, _parse_perturbations(args.perturb)).matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows @ matrix.T
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise DomainError(f"line {pipeline.point_line(text, bad[0])} of the point file: "
+                          "the transformed point is not finite: the arithmetic overflowed")
+    if args.normalize:
+        finite = ~at_infinity(out[:, 0], out[:, 1:])
+        out[finite] /= out[finite, :1]
     for line in pipeline.format_points(out).splitlines():
         emit(line)
     return EXIT_OK
@@ -145,7 +157,11 @@ def _cmd_check(args, emit):
             continue
         checked += 1
         psi = stage.versor.U
-        tol = tolerance(max(1.0, psi.max_abs()) ** 2 * 2.0)
+        scale = max(1.0, psi.max_abs())
+        tol = tolerance(2.0 * scale * scale)
+        if not (math.isfinite(tol) and np.isfinite(psi.coeffs).all()):
+            raise DomainError(f"stage {idx} (sandwich): the scale of its versor is not "
+                              "finite: the arithmetic overflowed")
         verdicts = []
         for name, worst in analysis.worst_residuals(psi).items():
             ok = worst <= tol
@@ -193,8 +209,11 @@ def main(argv=None, _capture=None) -> int:
     except DegenerateConfigurationError as exc:
         fail(f"error: degenerate geometry: {exc}")
         return EXIT_DEGENERATE
-    except (NonParavectorResidue, CovectorResidue, DomainError) as exc:
+    except (NonParavectorResidue, CovectorResidue) as exc:
         fail(f"error: residue: {exc}")
+        return EXIT_RESIDUE
+    except DomainError as exc:
+        fail(f"error: {exc}")
         return EXIT_RESIDUE
 
 

@@ -90,7 +90,7 @@ class Paravector:
 
     @property
     def is_at_infinity(self) -> bool:
-        return abs(self.weight) <= tolerance(float(np.max(np.abs(self.vector), initial=0.0)))
+        return bool(at_infinity(self.weight, self.vector))
 
     def location(self) -> np.ndarray:
         """Represented position: p/w for w > 0, p/|w| for w < 0."""
@@ -106,6 +106,16 @@ class Paravector:
     def __repr__(self):
         x, y, z = self.vector
         return f"Paravector(w={self.weight:g}, p=({x:g}, {y:g}, {z:g}))"
+
+
+def at_infinity(weight, vector):
+    """Whether weighted points lie at infinity: |w| <= tolerance(max |p_i|).
+
+    ``weight`` has shape (...) and ``vector`` shape (..., 3); the result is a
+    boolean of the weight's shape, so one call tests a whole (N, 4) array as
+    ``at_infinity(rows[:, 0], rows[:, 1:])``.
+    """
+    return np.abs(weight) <= tolerance(np.max(np.abs(vector), axis=-1, initial=0.0))
 
 
 def embed_paravector(p: Paravector) -> Multivector:

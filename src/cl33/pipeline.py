@@ -2,14 +2,16 @@
 
 One step per non-empty line; ``#`` starts a comment.  Vectors are written
 ``key=(x,y,z)`` with no interior spaces, scalars ``key=value``.  Point files
-hold one ``w x y z`` quadruple per line.
+hold one ``w x y z`` quadruple per line and are read into (N, 4) arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +56,9 @@ class PipelineStep:
     params: dict
     line: int
 
+    @cached_property
     def transform(self) -> Transform:
+        """The step's transform, built on first use and kept."""
         return _STEP_BUILDERS[self.op](self.params)
 
 
@@ -63,7 +67,7 @@ class Pipeline:
     steps: tuple
 
     def transforms(self) -> list:
-        return [s.transform() for s in self.steps]
+        return [s.transform for s in self.steps]
 
     def composed(self):
         return compose(self.transforms())
@@ -98,6 +102,14 @@ _STEP_BUILDERS = {
 def _strip_comment(line: str) -> str:
     idx = line.find("#")
     return line if idx < 0 else line[:idx]
+
+
+def _data_lines(text: str):
+    """(line number, body) of each line holding more than a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = _strip_comment(line)
+        if body.strip():
+            yield lineno, body
 
 
 def _parse_step(raw: str, lineno: int) -> PipelineStep:
@@ -135,7 +147,7 @@ def _parse_step(raw: str, lineno: int) -> PipelineStep:
         raise PipelineError(f"operation {op!r} missing parameter(s) {missing}", lineno, col)
     step = PipelineStep(op, params, lineno)
     try:
-        step.transform()  # semantic validation (unit length, orthogonality)
+        step.transform  # built now: semantic validation (unit length, orthogonality)
     except DomainError as exc:
         raise PipelineError(str(exc), lineno) from exc
     return step
@@ -144,13 +156,7 @@ def _parse_step(raw: str, lineno: int) -> PipelineStep:
 def parse_pipeline(text: str) -> Pipeline:
     """Parse pipeline source; raises PipelineError with line/column on
     syntax errors and line on semantic (precondition) errors."""
-    steps = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(line)
-        if not body.strip():
-            continue
-        steps.append(_parse_step(body, lineno))
-    return Pipeline(tuple(steps))
+    return Pipeline(tuple(_parse_step(body, lineno) for lineno, body in _data_lines(text)))
 
 
 def _fmt(x) -> str:
@@ -193,13 +199,12 @@ def inverse_pipeline(p: Pipeline) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def parse_points(text: str) -> list:
-    """Point file: one ``w x y z`` per line, ``#`` comments."""
-    points = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(line)
-        if not body.strip():
-            continue
+def parse_points(text: str) -> np.ndarray:
+    """Point file: one ``w x y z`` per line, ``#`` comments.  Returns a float
+    (N, 4) array of rows (w, x, y, z); raises PipelineError with the line
+    number on a malformed or non-finite row."""
+    rows = []
+    for lineno, body in _data_lines(text):
         fields = body.split()
         if len(fields) != 4:
             raise PipelineError(
@@ -210,13 +215,18 @@ def parse_points(text: str) -> list:
             raise PipelineError(f"bad number: {exc}", lineno) from exc
         if not all(map(math.isfinite, vals)):
             raise PipelineError(f"non-finite value in {body.strip()!r}", lineno)
-        points.append(Paravector(vals[0], vals[1:]))
-    return points
+        rows.append(vals)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
-def format_points(points) -> str:
-    lines = []
-    for p in points:
-        x, y, z = p.vector
-        lines.append(f"{_fmt(p.weight)} {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+def point_line(text: str, index: int) -> int:
+    """Line number of the point file ``text`` holding row ``index`` of
+    ``parse_points(text)``."""
+    return next(itertools.islice(_data_lines(text), index, None))[0]
+
+
+def format_points(points: np.ndarray) -> str:
+    """One ``w x y z`` line per row of an (N, 4) array, 17 significant digits."""
+    lines = [f"{w:.17g} {x:.17g} {y:.17g} {z:.17g}"
+             for w, x, y, z in np.asarray(points).tolist()]
     return "\n".join(lines) + ("\n" if lines else "")

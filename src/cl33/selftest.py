@@ -405,8 +405,9 @@ def check_sector_behavior(seed=19):
 
 
 def check_cli_round_trip(points=1000, seed=20):
-    """Pipeline + inverse returns the input; the printed matrix reproduces
-    apply; the documented exit codes fire on fixture inputs."""
+    """Pipeline + inverse returns the input; apply's matrix path reproduces
+    the versor chain and the printed matrix; the documented exit codes fire
+    on fixture inputs."""
     import tempfile
     from pathlib import Path
 
@@ -420,11 +421,14 @@ def check_cli_round_trip(points=1000, seed=20):
     pipe = pipeline.parse_pipeline(src)
     fwd = pipe.composed()
     bwd = pipeline.inverse_pipeline(pipe).composed()
-    pts = [Paravector(1.0, rng.uniform(-2, 2, 3)) for _ in range(points)]
-    for p in pts:
-        back = bwd.apply(fwd.apply(p))
-        if _rel_dev(back, p.weight, p.vector) > 1e-9:
+    pts = np.column_stack((np.ones(points), rng.uniform(-2, 2, (points, 3))))
+    images = []
+    for w, *x in pts.tolist():
+        p = Paravector(w, x)
+        image = fwd.apply(p)
+        if _rel_dev(bwd.apply(image), p.weight, p.vector) > 1e-9:
             return False, "pipeline + inverse does not return the input"
+        images.append([image.weight, *image.vector])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "pipe.txt").write_text(src)
@@ -440,10 +444,10 @@ def check_cli_round_trip(points=1000, seed=20):
             return False, f"matrix exited {code}"
         m = np.array([[float(x) for x in row.split()] for row in matrix_lines])
         applied = pipeline.parse_points("\n".join(out_lines))
-        for p, got in zip(pts, applied):
-            want = m @ np.concatenate(([p.weight], p.vector))
-            if _rel_dev(got, want[0], want[1:]) > 1e-9:
-                return False, "matrix output disagrees with apply output"
+        for want, name in ((np.array(images), "versor chain"), (pts @ m.T, "printed matrix")):
+            dev = np.max(np.abs(applied - want), axis=1)
+            if np.any(dev > 1e-9 * np.maximum(1.0, np.max(np.abs(want), axis=1))):
+                return False, f"apply output disagrees with the {name}"
         (tmp / "bad.txt").write_text("rotate u=(1,0,0) v=(1,0,0) theta=1\n")
         if main(["check", "--pipeline", str(tmp / "bad.txt")], _capture=[]) != 2:
             return False, "semantic error did not exit 2"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -243,11 +244,39 @@ def apply_cotranslation(v, p: Paravector) -> Paravector:
 
 # -- composition ------------------------------------------------------------
 
+#: The basis of (weight, vector) space, (1, 0), (0, e1), (0, e2), (0, e3).
+_BASIS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
+
+
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    """m; DomainError when an entry overflowed to inf or NaN."""
+    if not np.isfinite(m).all():
+        raise DomainError(f"{what} is not finite: the arithmetic overflowed")
+    return m
+
+
 class Transform:
     """A point transformation; concrete forms below."""
 
     def apply(self, p: Paravector) -> Paravector:
         raise NotImplementedError
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
+
+        Column j is the image of the j-th basis point under ``apply``, so
+        every residue check of the versor path runs once per stage; the
+        sandwich and star-sandwich are linear in P, so a basis that extracts
+        cleanly covers every point.  Computed on first use and kept.  Raises
+        DomainError when the arithmetic overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = [self.apply(b) for b in _BASIS]
+        m = _finite(np.array([[q.weight, *q.vector] for q in images]).T,
+                    f"the {type(self).__name__} matrix")
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -295,13 +324,17 @@ class PerspectiveMap(Transform):
     p - w_p * eye, with a = c - g(n, e).  This is the linear map, with no
     orientation conjugation, so that the action has a well-defined 4x4
     matrix.  Raises DomainError when the eye is not an affine point and
-    DegenerateConfigurationError when it lies on the plane (a = 0).
+    DegenerateConfigurationError when it lies on the plane (a = 0).  The
+    three versors are built once, with the stage.
     """
 
     eye: Paravector
     n: np.ndarray
     c: float
     a: float = field(init=False, repr=False, compare=False)
+    to_eye: Versor = field(init=False, repr=False, compare=False)
+    cotranslate: HodgeVersor = field(init=False, repr=False, compare=False)
+    from_eye: Versor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.n, dtype=np.float64).reshape(3)
@@ -316,13 +349,16 @@ class PerspectiveMap(Transform):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "to_eye", translation_versor(-e))
+        object.__setattr__(self, "cotranslate", cotranslation_versor(n / a))
+        object.__setattr__(self, "from_eye", translation_versor(e))
 
     def apply(self, p: Paravector) -> Paravector:
         e = self.eye.vector
         q = Paravector(p.weight - p.weight * self.eye.weight, p.vector - p.weight * e)
-        q = apply_sandwich(translation_versor(-e), q)
-        q = apply_cotranslation(self.n / self.a, q)
-        return apply_sandwich(translation_versor(e), q)
+        q = apply_sandwich(self.to_eye, q)
+        q = apply_hodge_sandwich(self.cotranslate, q)
+        return apply_sandwich(self.from_eye, q)
 
 
 def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
@@ -342,12 +378,30 @@ def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
 
 @dataclass(frozen=True)
 class Composed(Transform):
+    """Stages applied in order.  ``apply`` runs the versor chain point by
+    point and is the reference; ``matrix`` is the product of the stage
+    matrices, for applying the whole pipeline to many points at once."""
+
     stages: tuple
 
     def apply(self, p: Paravector) -> Paravector:
         for stage in self.stages:
             p = stage.apply(p)
         return p
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Product of the stage matrices, the first stage rightmost; read-only.
+        Raises DomainError, naming the stage, when the arithmetic overflows."""
+        m = np.eye(4)
+        for idx, stage in enumerate(self.stages, start=1):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = _finite(stage.matrix @ m, "the pipeline matrix through this stage")
+            except DomainError as exc:
+                raise DomainError(f"stage {idx}: {exc}") from exc
+        m.flags.writeable = False
+        return m
 
 
 def _append(stages, stage):

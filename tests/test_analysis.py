@@ -361,6 +361,10 @@ def test_matrix_probe_idempotent():
     m = projective_matrix_probe(tr)
     again = projective_matrix_probe(MatrixTransform(m))
     assert np.allclose(m, again, atol=1e-10)
+    # the field is the transform's matrix, and it has no default
+    assert np.array_equal(MatrixTransform(m).matrix, m)
+    with pytest.raises(TypeError):
+        MatrixTransform()
 
 
 def test_matrix_probe_rejects_nonlinear():

@@ -175,10 +175,30 @@ def test_exit_code_non_finite_input(tmp_path):
 
 def test_exit_code_residue(tmp_path):
     pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
-    pts = write(tmp_path, "x.txt", "1 0.2 0.4 0.8\n")
-    code, _ = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts,
-                  "--perturb", "7:0.01")
-    assert code == 4
+    # the stage is rejected when its matrix is built, so even no points exit 4
+    for text in ("1 0.2 0.4 0.8\n", ""):
+        pts = write(tmp_path, "x.txt", text)
+        code, _ = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts,
+                      "--perturb", "7:0.01")
+        assert code == 4
+
+
+def test_exit_code_overflow(tmp_path):
+    pipe = write(tmp_path, "p.txt", "translate v=(1e200,0,0)\n")
+    pts = write(tmp_path, "x.txt", "1 1 0 0\n")
+    for argv in (("apply", "--points", pts), ("matrix",), ("check",)):
+        code, lines = run(tmp_path, argv[0], "--pipeline", pipe, *argv[1:])
+        assert code == 4 and lines == [lines[-1]]
+        assert "stage 1" in lines[-1] and "overflowed" in lines[-1]
+    pipe = write(tmp_path, "p.txt", "translate v=(1e308,0,0)\n")
+    pts = write(tmp_path, "x.txt", "1 1e308 0 0\n")
+    code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)
+    assert code == 4 and "overflowed" in lines[-1]
+    # a finite matrix whose product with one point overflows: the point's line
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    pts = write(tmp_path, "x.txt", "1 0 0 0\n# comment\n\n1e308 1e308 0 0\n")
+    code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)
+    assert code == 4 and lines == [lines[-1]] and "line 4 of the point file" in lines[-1]
 
 
 def test_exit_code_covector_residue(tmp_path):

@@ -1,0 +1,186 @@
+"""`cl33 apply` runs the pipeline as one 4x4 matrix: it agrees with the
+per-point versor chain, composes as a matrix product, keeps the residue
+checks, and does no per-point algebra."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cl33 import Paravector, compose, multivector, parse_pipeline, pipeline, tolerance, versors
+from cl33.cli import main
+
+COORD = st.integers(-16, 16).map(lambda k: k / 8)
+SANDWICH_OPS = ("reflect", "rotate", "hrotate", "shear", "scale", "translate")
+
+
+def _vec(v):
+    return "(" + ",".join(f"{x:.17g}" for x in v) + ")"
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    assume(np.linalg.norm(v) > 0.1)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def orthonormal_pairs(draw):
+    u = draw(unit_vectors())
+    w = draw(unit_vectors())
+    w = w - (w @ u) * u
+    assume(np.linalg.norm(w) > 0.1)
+    return u, w / np.linalg.norm(w)
+
+
+@st.composite
+def steps(draw):
+    """One DSL line, any of the nine operations, with moderate parameters."""
+    op = draw(st.sampled_from(("reflect", "rotate", "hrotate", "shear", "scale",
+                               "translate", "cotranslate", "perspective", "pseudo")))
+    num = lambda lo, hi: draw(st.floats(lo, hi))
+    vec = lambda r: np.array([num(-r, r) for _ in range(3)])
+    if op in ("reflect", "pseudo"):
+        return f"{op} n={_vec(draw(unit_vectors()))}"
+    if op in ("rotate", "hrotate", "shear"):
+        u, v = draw(orthonormal_pairs())
+        key, bound = {"rotate": ("theta", 3.2), "hrotate": ("eta", 1.0),
+                      "shear": ("t", 2.0)}[op]
+        return f"{op} u={_vec(u)} v={_vec(v)} {key}={num(-bound, bound):.17g}"
+    if op == "scale":
+        return f"scale u={_vec(draw(unit_vectors()))} t={num(-1, 1):.17g}"
+    if op in ("translate", "cotranslate"):
+        return f"{op} v={_vec(vec(2.0 if op == 'translate' else 1.0))}"
+    eye, n = vec(1.0), draw(unit_vectors())
+    # keep the eye well off the plane: c - n.e in +-[0.5, 2]
+    offset = num(0.5, 2.0) * draw(st.sampled_from((-1.0, 1.0)))
+    return f"perspective eye={_vec(eye)} n={_vec(n)} c={float(n @ eye) + offset:.17g}"
+
+
+pipelines = st.lists(steps(), min_size=1, max_size=6).map(lambda lines: "\n".join(lines) + "\n")
+points = st.lists(st.tuples(st.one_of(st.just(0.0), COORD), COORD, COORD, COORD),
+                  min_size=0, max_size=8).map(lambda rows: np.array(rows).reshape(-1, 4))
+
+
+def _apply(source, rows, *flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        pipe, pts = Path(tmp) / "pipe.txt", Path(tmp) / "pts.txt"
+        pipe.write_text(source)
+        pts.write_text(pipeline.format_points(rows))
+        lines = []
+        code = main(["apply", "--pipeline", str(pipe), "--points", str(pts), *flags],
+                    _capture=lines)
+    return code, lines
+
+
+def _close(got, want):
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1, initial=0.0))
+    return np.all(np.abs(got - want) <= 1e-9 * scale[..., None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipelines, points)
+def test_matrix_path_agrees_with_versor_chain(source, rows):
+    chain = parse_pipeline(source).composed()
+    images = [chain.apply(Paravector(w, (x, y, z))) for w, x, y, z in rows]
+    want = np.array([[q.weight, *q.vector] for q in images]).reshape(-1, 4)
+
+    code, lines = _apply(source, rows)
+    assert code == 0
+    assert _close(pipeline.parse_points("\n".join(lines)), want)
+
+    code, lines = _apply(source, rows, "--normalize")
+    assert code == 0
+    got = pipeline.parse_points("\n".join(lines))
+    for q, raw, row in zip(images, want, got):
+        scale = max(1.0, float(np.max(np.abs(raw))))
+        if abs(q.weight) < 1e-3 * tolerance(np.max(np.abs(q.vector))):
+            assert _close(row, raw)
+        elif abs(q.weight) > 1e-6 * scale:
+            # a weight this far from zero divides without losing more than
+            # the tolerance; rows nearer infinity are too ill-conditioned
+            # for a fixed relative bound
+            assert _close(row, np.concatenate(([1.0], q.vector / q.weight)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pipelines, pipelines)
+def test_matrix_of_composition_is_product(first, second):
+    a = parse_pipeline(first).transforms()
+    b = parse_pipeline(second).transforms()
+    want = compose(b).matrix @ compose(a).matrix
+    assert _close(compose(a + b).matrix, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pipelines, points)
+def test_perturbed_sandwich_is_rejected(source, rows):
+    assume(any(line.split()[0] in SANDWICH_OPS for line in source.splitlines()))
+    code, _ = _apply(source, rows, "--perturb", "7:0.01")
+    assert code == 4
+
+
+ALL_OPS = ("reflect n=(0,0,1)\n"
+           "rotate u=(1,0,0) v=(0,1,0) theta=0.7\n"
+           "cotranslate v=(0.2,0,0.1)\n"
+           "hrotate u=(0,1,0) v=(0,0,1) eta=0.3\n"
+           "shear u=(1,0,0) v=(0,0,1) t=0.5\n"
+           "scale u=(0,1,0) t=0.2\n"
+           "translate v=(0.5,-1,2)\n"
+           "pseudo n=(0,0,1)\n"
+           "perspective eye=(0,0,-3) n=(0,0,1) c=1\n")
+
+CONSTRUCTORS = ("reflection_versor", "rotation_versor", "hyperbolic_versor", "shear_versor",
+                "scale_versor", "translation_versor", "cotranslation_versor")
+
+
+def _count_calls(monkeypatch, counts, module, name, key):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _counted_apply(monkeypatch, source, rows, *flags):
+    """Multivector products and versor constructions during one apply."""
+    counts = {}
+    with monkeypatch.context() as m:
+        _count_calls(m, counts, multivector.Multivector, "__mul__", "mul")
+        for name in CONSTRUCTORS:
+            for module in (versors, pipeline):
+                if hasattr(module, name):
+                    _count_calls(m, counts, module, name, name)
+        code, lines = _apply(source, rows, *flags)
+    assert code == 0 and len(lines) == len(rows)
+    return counts
+
+
+def test_no_per_point_algebra(monkeypatch):
+    rng = np.random.default_rng(5)
+    few = np.column_stack((np.ones(10), rng.uniform(-2, 2, (10, 3))))
+    many = np.column_stack((np.ones(1000), rng.uniform(-2, 2, (1000, 3))))
+    small = _counted_apply(monkeypatch, ALL_OPS, few, "--normalize")
+    large = _counted_apply(monkeypatch, ALL_OPS, many, "--normalize")
+    assert small["mul"] > 0 and small == large
+
+
+def test_each_versor_built_once(monkeypatch, tmp_path):
+    rows = np.column_stack((np.ones(10), np.arange(30.0).reshape(10, 3)))
+    counts = _counted_apply(monkeypatch, "rotate u=(1,0,0) v=(0,1,0) theta=0.5\n", rows)
+    assert counts["rotation_versor"] == 1
+    perspective = "perspective eye=(0,0,0) n=(0,0,1) c=1\n"
+    counts = _counted_apply(monkeypatch, perspective, rows)
+    assert counts["translation_versor"] == 3
+    counts = {}
+    with monkeypatch.context() as m:
+        _count_calls(m, counts, versors, "translation_versor", "translation_versor")
+        path = tmp_path / "p.txt"
+        path.write_text(perspective)
+        assert main(["matrix", "--pipeline", str(path)], _capture=[]) == 0
+    assert counts["translation_versor"] == 3

@@ -119,12 +119,14 @@ def test_inverse_pipeline_rejects_projections():
 def test_points_round_trip():
     text = "1 0 0 0\n# comment\n2.5 1 -2 3e-1\n\n0 0 0 -1\n"
     pts = parse_points(text)
-    assert len(pts) == 3
-    assert pts[0].approx_eq(Paravector(1.0, [0, 0, 0]))
-    assert pts[1].approx_eq(Paravector(2.5, [1, -2, 0.3]))
-    again = parse_points(format_points(pts))
-    for a, b in zip(pts, again):
-        assert a.weight == b.weight and np.array_equal(a.vector, b.vector)
+    assert pts.shape == (3, 4) and pts.dtype == np.float64
+    assert np.array_equal(pts, [[1, 0, 0, 0], [2.5, 1, -2, 0.3], [0, 0, 0, -1]])
+    assert np.array_equal(parse_points(format_points(pts)), pts)
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-300, 300, size=(20, 4))
+    assert np.array_equal(parse_points(format_points(rows)), rows)
+    assert parse_points("# no points\n").shape == (0, 4)
+    assert format_points(np.empty((0, 4))) == ""
 
 
 def test_points_errors():
