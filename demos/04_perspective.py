@@ -6,7 +6,6 @@ import numpy as np
 
 from cl33 import (
     Paravector,
-    Sandwich,
     compose,
     normalize_point,
     perspective_project,
@@ -53,7 +52,7 @@ for z in (0.5, 1.0, 2.0, 4.0):
 
 # Composition: affine stages fuse into one versor; the projection stage
 # stays separate, mirroring the two-versor structure of a graphics pipeline.
-model = compose([Sandwich(translation_versor([0.1, 0.0, 0.0])),
-                 Sandwich(translation_versor([0.0, 0.2, 0.0])),
+model = compose([translation_versor([0.1, 0.0, 0.0]),
+                 translation_versor([0.0, 0.2, 0.0]),
                  stage])
 print("\ncomposed pipeline stages:", len(model.stages))

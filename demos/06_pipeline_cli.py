@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory() as tmp:
     (tmp / "pipe.txt").write_text(SOURCE)
     (tmp / "pts.txt").write_text(POINTS)
 
-    print("apply --keep-weights:")
+    print("apply (raw weights):")
     lines = []
     code = main(["apply", "--pipeline", str(tmp / "pipe.txt"),
                  "--points", str(tmp / "pts.txt")], _capture=lines)

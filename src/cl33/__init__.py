@@ -52,13 +52,11 @@ from .euclid import (
     sector_vector,
     star_conjugate,
 )
-from .hodge import hodge_star, volume_dual
+from .hodge import hodge_star
 from .versors import (
     Composed,
-    HodgeSandwich,
     HodgeVersor,
     PerspectiveMap,
-    Sandwich,
     SectorReport,
     Transform,
     Versor,
@@ -66,7 +64,6 @@ from .versors import (
     apply_hodge_sandwich,
     apply_sandwich,
     compose,
-    cotranslation,
     cotranslation_versor,
     hodge_conjugate_versor,
     hyperbolic_versor,

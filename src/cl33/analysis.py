@@ -151,8 +151,8 @@ class Classification:
     detail: str = ""
 
 
-def classify_infinitesimal(k: int, psi: Multivector, eps: float = 1e-2) -> Classification:
-    """Decide whether 1 + eps * psi (psi homogeneous of grade k) preserves
+def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
+    """Decide whether 1 + 0.01 psi (psi homogeneous of grade k) preserves
     points, by evaluating the residuals over the probe set.
 
     Residual at rounding level: accepted (with a flag when the action is the
@@ -162,7 +162,7 @@ def classify_infinitesimal(k: int, psi: Multivector, eps: float = 1e-2) -> Class
     """
     if not psi.is_homogeneous(k, tol=tolerance(psi.max_abs())):
         raise ValueError(f"psi must be homogeneous of grade {k}")
-    phi = 1.0 + eps * psi
+    phi = 1.0 + 0.01 * psi
     scale = max(1.0, phi.max_abs())
     worst = max(worst_residuals(phi).values())
     if worst <= ACCEPT_FACTOR * scale:
@@ -204,21 +204,21 @@ def cotranslation_matrix(v, a, b, eps) -> np.ndarray:
     return m + eps * g(a, b) * np.eye(4)
 
 
-def projective_matrix_probe(transform: Transform, check_points=10, seed=7151,
-                            rtol=1e-9) -> np.ndarray:
+def projective_matrix_probe(transform: Transform) -> np.ndarray:
     """The 4x4 matrix of a transform, ``transform.matrix`` (read off the
     basis of (weight, vector) space), verified against ``transform.apply``
-    on random weighted points.  Raises NotLinearError on mismatch.
+    on 10 seeded random weighted points to a relative 1e-9.  Raises
+    NotLinearError on mismatch.
     """
     m = transform.matrix
-    rng = np.random.default_rng(seed)
-    for _ in range(check_points):
+    rng = np.random.default_rng(7151)
+    for _ in range(10):
         p = Paravector(rng.uniform(-1, 1), rng.uniform(-1, 1, 3))
         got = transform.apply(p)
         want = m @ np.concatenate(([p.weight], p.vector))
         dev = max(abs(got.weight - want[0]), float(np.max(np.abs(got.vector - want[1:]))))
         scale = max(1.0, float(np.max(np.abs(want))))
-        if dev > rtol * scale:
+        if dev > 1e-9 * scale:
             raise NotLinearError(
                 f"transform deviates from its probe matrix by {dev:.3e} at a random point")
     return m
@@ -274,18 +274,19 @@ class FamilyResult:
         return self.max_residual <= self.threshold
 
 
-def composed_family_report(eps_values=(0.1, 0.01), draws=3, seed=60221) -> list:
+def composed_family_report() -> list:
     """Evaluate the preservation residuals of the three composed infinitesimal
-    families over random parameter draws and the probe set.
+    families over the probe set, for eps and eta each 0.1 or 0.01 and three
+    seeded random parameter draws per pair.
 
     Every family preserves points exactly, so every residual must sit at
     rounding level (1e-12 times the scale).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(60221)
     results = []
-    for eps in eps_values:
-        for eta in eps_values:
-            for _ in range(draws):
+    for eps in (0.1, 0.01):
+        for eta in (0.1, 0.01):
+            for _ in range(3):
                 v, u, a, b = (rng.uniform(-1, 1, 3) for _ in range(4))
                 fams = [
                     ("two-vectors", family_two_vectors(eps, eta, v, u)),

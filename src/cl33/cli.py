@@ -2,7 +2,7 @@
 
 Commands::
 
-    cl33 apply  --pipeline FILE --points FILE [--normalize | --keep-weights]
+    cl33 apply  --pipeline FILE --points FILE [--normalize]
     cl33 matrix --pipeline FILE
     cl33 check  --pipeline FILE
     cl33 selftest
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .euclid import at_infinity
 from .multivector import Multivector, tolerance
-from .versors import Composed, Sandwich, Versor
+from .versors import Composed, Versor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,11 +56,9 @@ def _build_parser():
     p_apply = sub.add_parser("apply", help="transform a point file")
     p_apply.add_argument("--pipeline", required=True, help="pipeline source file")
     p_apply.add_argument("--points", required=True, help="point file (w x y z per line)")
-    mode = p_apply.add_mutually_exclusive_group()
-    mode.add_argument("--normalize", action="store_true",
-                      help="divide each output point by its weight")
-    mode.add_argument("--keep-weights", action="store_true",
-                      help="emit raw weighted points (default)")
+    p_apply.add_argument("--normalize", action="store_true",
+                         help="divide each output point by its weight "
+                              "(default: emit raw weighted points)")
     p_apply.add_argument("--perturb", metavar="MASK:VALUE", action="append", default=[],
                          help="testing hook: add VALUE to blade MASK of every "
                               "sandwich versor before applying")
@@ -110,11 +108,11 @@ def _perturbed_stages(pipe, perturbations) -> Composed:
         return composed
     stages = []
     for stage in composed.stages:
-        if isinstance(stage, Sandwich):
-            coeffs = stage.versor.U.coeffs.copy()
+        if isinstance(stage, Versor):
+            coeffs = stage.U.coeffs.copy()
             for mask, value in perturbations:
                 coeffs[mask] += value
-            stage = Sandwich(Versor(Multivector(coeffs), stage.versor.epsilon, stage.versor.kind))
+            stage = Versor(Multivector(coeffs), stage.epsilon, stage.kind)
         stages.append(stage)
     return Composed(tuple(stages))
 
@@ -152,11 +150,11 @@ def _cmd_check(args, emit):
     failed = False
     checked = 0
     for idx, stage in enumerate(stages, start=1):
-        if not isinstance(stage, Sandwich):
+        if not isinstance(stage, Versor):
             emit(f"stage {idx}: skipped (not a sandwich form)")
             continue
         checked += 1
-        psi = stage.versor.U
+        psi = stage.U
         scale = max(1.0, psi.max_abs())
         tol = tolerance(2.0 * scale * scale)
         if not (math.isfinite(tol) and np.isfinite(psi.coeffs).all()):

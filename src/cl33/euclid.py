@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blades import GRADES
-from .errors import CovectorResidue, NonParavectorResidue
+from .errors import CovectorResidue, DomainError, NonParavectorResidue
 from .multivector import ATOL, RTOL, GENERATORS, Multivector, tolerance
 
 _HIGH_GRADE = GRADES >= 2
@@ -123,15 +123,19 @@ def embed_paravector(p: Paravector) -> Multivector:
     return p.weight + embed_vector(p.vector)
 
 
-def extract_paravector(a: Multivector, atol=ATOL, rtol=RTOL) -> Paravector:
+def extract_paravector(a: Multivector) -> Paravector:
     """Read a weighted point back out of a multivector.
 
     The weight is the scalar part and p_i is twice the e_i+ coefficient.
-    Raises NonParavectorResidue when any grade >= 2 coefficient exceeds the
-    tolerance, and CovectorResidue when the e_i+ and e_i- coefficients
-    disagree (the vector part then contains a covector component).
+    Raises DomainError when a coefficient is not finite (the arithmetic that
+    produced it overflowed), NonParavectorResidue when any grade >= 2
+    coefficient exceeds the tolerance, and CovectorResidue when the e_i+ and
+    e_i- coefficients disagree (the vector part then contains a covector
+    component).
     """
-    tol = atol + rtol * a.max_abs()
+    if not np.isfinite(a.coeffs).all():
+        raise DomainError("the extracted point is not finite: the arithmetic overflowed")
+    tol = tolerance(a.max_abs())
     worst = float(np.max(np.abs(a.coeffs[_HIGH_GRADE]), initial=0.0))
     if worst > tol:
         raise NonParavectorResidue(

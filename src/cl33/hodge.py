@@ -15,8 +15,8 @@ import numpy as np
 
 from .blades import BLADE_COUNT, GRADES, blade_factors
 from .errors import DomainError
-from .multivector import GENERATORS, Multivector, reversion, tolerance, vector_contract
-from .euclid import I_FULL, OMEGA_V
+from .multivector import GENERATORS, Multivector, tolerance, vector_contract
+from .euclid import OMEGA_V
 
 
 def _star_of_blade(mask: int) -> Multivector:
@@ -53,15 +53,3 @@ def hodge_star(a: Multivector) -> Multivector:
             f"hodge star is defined on grades 0..3; grade > 3 residue {worst:.3e}")
     return Multivector._raw(_STAR @ a.coeffs)
 
-
-def volume_dual(a: Multivector) -> Multivector:
-    """Duality against the full six-dimensional volume element: the grade
-    (6 - k) part of (reversed a) I for homogeneous a of grade k.
-
-    Tested for completeness; no transformation uses it.
-    """
-    ks = a.grades_present(tol=tolerance(a.max_abs()))
-    if len(ks) > 1:
-        raise DomainError(f"volume dual requires a homogeneous input, got grades {ks}")
-    k = ks[0] if ks else 0
-    return (reversion(a) * I_FULL).grade(6 - k)

@@ -19,10 +19,9 @@ from .errors import DomainError, PipelineError
 from .euclid import Paravector
 from .versors import (
     PerspectiveMap,
-    Sandwich,
     Transform,
     compose,
-    cotranslation,
+    cotranslation_versor,
     hyperbolic_versor,
     pseudo_perspective_map,
     reflection_versor,
@@ -87,13 +86,13 @@ class Pipeline:
 
 
 _STEP_BUILDERS = {
-    "reflect": lambda p: Sandwich(reflection_versor(p["n"])),
-    "rotate": lambda p: Sandwich(rotation_versor(p["u"], p["v"], p["theta"])),
-    "hrotate": lambda p: Sandwich(hyperbolic_versor(p["u"], p["v"], p["eta"])),
-    "shear": lambda p: Sandwich(shear_versor(p["u"], p["v"], p["t"])),
-    "scale": lambda p: Sandwich(scale_versor(p["u"], p["t"])),
-    "translate": lambda p: Sandwich(translation_versor(p["v"])),
-    "cotranslate": lambda p: cotranslation(p["v"]),
+    "reflect": lambda p: reflection_versor(p["n"]),
+    "rotate": lambda p: rotation_versor(p["u"], p["v"], p["theta"]),
+    "hrotate": lambda p: hyperbolic_versor(p["u"], p["v"], p["eta"]),
+    "shear": lambda p: shear_versor(p["u"], p["v"], p["t"]),
+    "scale": lambda p: scale_versor(p["u"], p["t"]),
+    "translate": lambda p: translation_versor(p["v"]),
+    "cotranslate": lambda p: cotranslation_versor(p["v"]),
     "perspective": lambda p: PerspectiveMap(Paravector(1.0, p["eye"]), p["n"], p["c"]),
     "pseudo": lambda p: pseudo_perspective_map(p["n"]),
 }

@@ -28,8 +28,6 @@ from .euclid import (
 from .hodge import hodge_star
 from .multivector import Multivector, exponential, outer_product, reversion
 from .versors import (
-    HodgeSandwich,
-    Sandwich,
     apply_cotranslation,
     apply_hodge_sandwich,
     apply_sandwich,
@@ -364,12 +362,12 @@ def check_projective_matrices(count=100, points=1000, seed=18):
         return False, f"first-order matrix deviation {worst:.3e} exceeds 1e-6"
     u, w2 = rand_orthonormal(rng)
     pipelines = [
-        compose([Sandwich(translation_versor([1, 2, 3]))]),
-        compose([Sandwich(rotation_versor(u, w2, 0.8)),
-                 Sandwich(scale_versor(u, 0.5)),
-                 HodgeSandwich(cotranslation_versor([0.3, -0.2, 0.7]))]),
-        compose([Sandwich(reflection_versor(rand_unit(rng))),
-                 Sandwich(shear_versor(u, w2, 1.1))]),
+        compose([translation_versor([1, 2, 3])]),
+        compose([rotation_versor(u, w2, 0.8),
+                 scale_versor(u, 0.5),
+                 cotranslation_versor([0.3, -0.2, 0.7])]),
+        compose([reflection_versor(rand_unit(rng)),
+                 shear_versor(u, w2, 1.1)]),
     ]
     n_each = -(-points // len(pipelines))
     for tr in pipelines:

@@ -8,14 +8,13 @@ from cl33 import (
     NotLinearError,
     OMEGA_V,
     Paravector,
-    Sandwich,
     Transform,
     affine_matrix,
     classify_infinitesimal,
     composed_family_report,
     compose,
-    cotranslation,
     cotranslation_matrix,
+    cotranslation_versor,
     embed_covector,
     embed_paravector,
     embed_vector,
@@ -322,7 +321,7 @@ def test_star_sandwich_bracket_identities():
 
 
 def test_projective_matrix_probe_translation():
-    tr = compose([Sandwich(translation_versor([1, 2, 3]))])
+    tr = compose([translation_versor([1, 2, 3])])
     m = projective_matrix_probe(tr)
     want = np.eye(4)
     want[1:, 0] = [1, 2, 3]
@@ -330,7 +329,7 @@ def test_projective_matrix_probe_translation():
 
 
 def test_projective_matrix_probe_cotranslation():
-    tr = compose([cotranslation([0.5, -1.0, 2.0])])
+    tr = compose([cotranslation_versor([0.5, -1.0, 2.0])])
     m = projective_matrix_probe(tr)
     want = np.eye(4)
     want[0, 1:] = [0.5, -1.0, 2.0]
@@ -355,9 +354,9 @@ def test_projective_matrix_probe_perspective():
 def test_matrix_probe_idempotent():
     rng = np.random.default_rng(12)
     u, v = rand_orthonormal(rng)
-    tr = compose([Sandwich(rotation_versor(u, v, 0.7)),
-                  Sandwich(scale_versor(u, 0.3)),
-                  cotranslation([0.1, 0.2, 0.3])])
+    tr = compose([rotation_versor(u, v, 0.7),
+                  scale_versor(u, 0.3),
+                  cotranslation_versor([0.1, 0.2, 0.3])])
     m = projective_matrix_probe(tr)
     again = projective_matrix_probe(MatrixTransform(m))
     assert np.allclose(m, again, atol=1e-10)

@@ -53,8 +53,7 @@ def test_apply_normalize(tmp_path):
 def test_apply_keep_weights(tmp_path):
     pipe = write(tmp_path, "p.txt", "pseudo n=(0,0,1)\n")
     pts = write(tmp_path, "x.txt", "1 1 1 1\n")
-    code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts,
-                      "--keep-weights")
+    code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)
     assert code == 0
     assert lines == ["2 1 1 1"]
 

@@ -17,7 +17,6 @@ from cl33 import (
     reversion,
     star_conjugate,
     vector_contract,
-    volume_dual,
 )
 
 W = outer_product
@@ -130,33 +129,14 @@ def test_star_accepts_single_sector_inputs():
     assert out.approx_eq(want)
 
 
-def test_volume_dual_examples():
-    assert volume_dual(Multivector.scalar(1.0)).approx_eq(I_FULL)
-    got = volume_dual(E[0])
-    want = (E[0] * I_FULL).grade(5)
-    assert got.approx_eq(want)
-    assert not got.is_zero()
-
-
 def test_volume_dual_relation_to_star():
-    # for grade-k inputs free of covector factors the full-volume dual is
+    # for grade-k inputs free of covector factors the dual against the full
+    # volume element, the grade (6 - k) part of (reversed A) I, is
     # 2^(3-k) (star A)* ^ Omega_V; the k-dependence tracks the factor-2^k
     # normalization built into the star's contraction cases
     for k, a in [(0, Multivector.scalar(1.0)), (1, E[0]),
                  (2, W(E[0], E[1])), (3, OMEGA_V)]:
-        lhs = volume_dual(a)
+        lhs = (reversion(a) * I_FULL).grade(6 - k)
         rhs = 2.0 ** (3 - k) * W(star_conjugate(hodge_star(a)), OMEGA_V)
+        assert not lhs.is_zero()
         assert lhs.approx_eq(rhs), a
-
-
-def test_volume_dual_requires_homogeneous():
-    with pytest.raises(DomainError):
-        volume_dual(1.0 + E[0])
-
-
-def test_volume_dual_reversion_sign():
-    # grade-2 input picks up the reversion sign
-    a = W(E[0], E[1])
-    lhs = volume_dual(a)
-    rhs = (reversion(a) * I_FULL).grade(4)
-    assert lhs.approx_eq(rhs)

@@ -176,11 +176,11 @@ def test_each_versor_built_once(monkeypatch, tmp_path):
     assert counts["rotation_versor"] == 1
     perspective = "perspective eye=(0,0,0) n=(0,0,1) c=1\n"
     counts = _counted_apply(monkeypatch, perspective, rows)
-    assert counts["translation_versor"] == 3
+    assert counts["translation_versor"] == 2
     counts = {}
     with monkeypatch.context() as m:
         _count_calls(m, counts, versors, "translation_versor", "translation_versor")
         path = tmp_path / "p.txt"
         path.write_text(perspective)
         assert main(["matrix", "--pipeline", str(path)], _capture=[]) == 0
-    assert counts["translation_versor"] == 3
+    assert counts["translation_versor"] == 2

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cl33 import (
-    HodgeSandwich,
+    HodgeVersor,
     Paravector,
     PipelineError,
-    Sandwich,
+    Versor,
     format_pipeline,
     format_points,
     inverse_pipeline,
@@ -44,9 +44,9 @@ def test_parse_full_grammar():
         "reflect", "rotate", "hrotate", "shear", "scale",
         "translate", "cotranslate", "pseudo", "perspective"]
     transforms = p.transforms()
-    assert isinstance(transforms[0], Sandwich)
-    assert isinstance(transforms[6], HodgeSandwich)
-    assert isinstance(transforms[7], HodgeSandwich)
+    assert isinstance(transforms[0], Versor)
+    assert isinstance(transforms[6], HodgeVersor)
+    assert isinstance(transforms[7], HodgeVersor)
     assert isinstance(transforms[8], PerspectiveMap)
 
 

@@ -6,17 +6,17 @@ from cl33 import (
     DegenerateConfigurationError,
     DomainError,
     E,
-    HodgeSandwich,
+    HodgeVersor,
     Multivector,
     NotHodgeCompatible,
     OMEGA_V,
     Paravector,
-    Sandwich,
+    Versor,
     apply_cotranslation,
     apply_hodge_sandwich,
     apply_sandwich,
     compose,
-    cotranslation,
+    cotranslation_versor,
     embed_paravector,
     embed_vector,
     exponential,
@@ -262,7 +262,7 @@ def test_two_reflections_make_a_rotation():
         n2 = rand_unit(rng)
         if abs(n1 @ n2) > 0.99:
             continue
-        comp = compose([Sandwich(reflection_versor(n1)), Sandwich(reflection_versor(n2))])
+        comp = compose([reflection_versor(n1), reflection_versor(n2)])
         m = projective_matrix_probe(comp)
         want = np.eye(4)
         want[1:, 1:] = householder(n2) @ householder(n1)
@@ -273,7 +273,7 @@ def test_two_reflections_make_a_rotation():
         v = v / np.linalg.norm(v)
         phi = np.arctan2(n2 @ v, n2 @ u)
         rot = rotation_versor(u, v, -2.0 * phi)
-        m_rot = projective_matrix_probe(compose([Sandwich(rot)]))
+        m_rot = projective_matrix_probe(compose([rot]))
         assert np.allclose(m, m_rot, atol=1e-10)
 
 
@@ -414,9 +414,9 @@ def test_hodge_sandwich_respects_volume_condition_residual():
 def test_compose_translations_fuse_in_order():
     v1, v2 = np.array([1.0, 0, 0]), np.array([0.0, 2.0, 0])
     t1, t2 = translation_versor(v1), translation_versor(v2)
-    comp = compose([Sandwich(t1), Sandwich(t2)])
+    comp = compose([t1, t2])
     assert len(comp.stages) == 1
-    fused = comp.stages[0].versor
+    fused = comp.stages[0]
     assert fused.U.approx_eq(t2.U * t1.U)
     assert fused.epsilon == 1
     out = comp.apply(Paravector(1.0, [0, 0, 0]))
@@ -426,14 +426,14 @@ def test_compose_translations_fuse_in_order():
 def test_compose_mixed_forms_stay_staged():
     rng = np.random.default_rng(16)
     u, v = rand_orthonormal(rng)
-    comp = compose([Sandwich(rotation_versor(u, v, 0.4)), cotranslation([1, 0, 0])])
+    comp = compose([rotation_versor(u, v, 0.4), cotranslation_versor([1, 0, 0])])
     assert len(comp.stages) == 2
-    assert isinstance(comp.stages[0], Sandwich)
-    assert isinstance(comp.stages[1], HodgeSandwich)
+    assert isinstance(comp.stages[0], Versor)
+    assert isinstance(comp.stages[1], HodgeVersor)
 
 
 def test_compose_hodge_stages_fuse():
-    comp = compose([cotranslation([1, 0, 0]), cotranslation([0, 1, 0])])
+    comp = compose([cotranslation_versor([1, 0, 0]), cotranslation_versor([0, 1, 0])])
     assert len(comp.stages) == 1
     out = comp.apply(Paravector(1.0, [3, 4, 5]))
     assert out.approx_eq(Paravector(1.0 + 3.0 + 4.0, [3, 4, 5]))
@@ -448,20 +448,46 @@ def test_compose_empty_is_identity():
 
 def test_compose_epsilons_multiply():
     n1, n2 = np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0])
-    comp = compose([Sandwich(reflection_versor(n1)), Sandwich(reflection_versor(n2))])
-    assert comp.stages[0].versor.epsilon == 1
+    comp = compose([reflection_versor(n1), reflection_versor(n2)])
+    assert comp.stages[0].epsilon == 1
 
 
 def test_compose_flattens_nested():
-    t1 = Sandwich(translation_versor([1, 0, 0]))
-    t2 = Sandwich(translation_versor([0, 1, 0]))
+    t1 = translation_versor([1, 0, 0])
+    t2 = translation_versor([0, 1, 0])
     nested = compose([compose([t1]), t2])
     assert len(nested.stages) == 1
 
 
 def test_compose_rejects_non_transform():
     with pytest.raises(TypeError):
-        compose([translation_versor([1, 0, 0])])
+        compose([translation_versor([1, 0, 0]).U])
+
+
+def test_versors_are_stages():
+    c, s = np.cos(0.5), np.sin(0.5)
+    rot = rotation_versor(E1, E2, 0.5)
+    want = np.eye(4)
+    want[1:3, 1:3] = [[c, s], [-s, c]]
+    assert np.allclose(rot.matrix, want, atol=1e-12)
+    assert not rot.matrix.flags.writeable
+    assert compose([rot]).stages == (rot,)
+    want = np.eye(4)
+    want[0, 1:] = [1.0, -2.0, 3.0]
+    assert np.allclose(cotranslation_versor([1, -2, 3]).matrix, want, atol=1e-12)
+
+
+def test_overflow_raises_domain_error():
+    # the dense product overflows to inf and NaN; extraction must not pass them on
+    t = translation_versor([1e200, 0, 0])
+    p = Paravector(1.0, [1, 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="overflowed"):
+            apply_sandwich(t, p)
+        with pytest.raises(DomainError, match="overflowed"):
+            compose([t]).apply(p)
+        with pytest.raises(DomainError, match="overflowed"):
+            apply_cotranslation([1e200, 0, 0], Paravector(1.0, [1e200, 0, 0]))
 
 
 # -- sector behavior --------------------------------------------------------------
