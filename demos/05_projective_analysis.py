@@ -53,10 +53,12 @@ for name, k, gen in cases:
     extra = " (acts as identity)" if res.acts_as_identity else ""
     print(f"  {name:24s} -> {res.verdict}{extra}  residual {res.max_residual:.1e}")
 
-# The composed families of accepted generators stay exact at every order.
+# The composed families of accepted generators stay exact at every order:
+# every residual sits at rounding level (its exact value depends on the
+# order of the floating-point sums, so only the verdict is printed).
 report = composed_family_report()
-print("\ncomposed families:", len(report), "cases, worst residual",
-      max(r.max_residual for r in report))
+print(f"\ncomposed families: {len(report)} cases, "
+      f"{sum(r.passed for r in report)} at rounding level (residual <= 1e-12 x scale)")
 
 # First-order matrices of the two application forms.  The sandwich form is
 # affine (translation column); the star-sandwich form is its transpose-like

@@ -6,16 +6,29 @@ only if four grade-balance conditions on the grade parts of Psi hold, the
 grade 4 and 5 parts of the image vanish, and the image's vector part is free
 of covector components.  The checker below evaluates all of these as explicit
 residual multivectors.
+
+The condition formulas come in two kinds, each written once: operator terms
+(r1, r2 and their corrections d1, d2) depend on Psi only, and probe terms
+(r3, r4, d3, d4) are linear in the embedded probe p, as is the image
+Psi (1 + p) (reversed Psi).  ``paravector_conditions`` evaluates both kinds at
+one probe and is the reference.  ``worst_residuals`` evaluates the operator
+terms once, the probe terms at the three axes E[0..2] and the image at the
+basis paravectors 1, E[0], E[1], E[2], and reaches every probe point by one
+array product per residual.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blades import GRADE_SELECTORS
 from .errors import NotLinearError
 from .euclid import (
+    E,
+    E_STAR,
     Paravector,
     embed_covector,
     embed_paravector,
@@ -23,6 +36,7 @@ from .euclid import (
     g,
 )
 from .multivector import (
+    ONE,
     Multivector,
     outer_product,
     reversion,
@@ -47,24 +61,59 @@ def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
     return tuple(psi.grade(k) for k in range(7))
 
 
-def correction_terms(parts, p: Multivector):
-    """The four higher-grade cross terms entering the preservation conditions.
-
-    ``parts`` are the grade parts of Psi and ``p`` is an embedded grade-1
-    probe (ignored by the first two terms).
-    """
-    P = parts
+def _operator_terms(P):
+    """r1, r2 and their correction terms d1, d2: functions of the grade parts
+    P of Psi alone."""
     g4 = lambda m: m.grade(4)
     g5 = lambda m: m.grade(5)
     d1 = (2 * g4(P[1] * P[5]) + 2 * g4(P[2] * (P[4] - P[6]))
           + g4(P[3] * (-1 * P[3] + 2 * P[5])) + g4(P[4] * P[4]))
     d2 = (2 * g5(P[1] * (P[4] - P[6])) + 2 * g5(P[2] * (-1 * P[3] + P[5]))
           + 2 * g5(P[3] * P[4]))
+    r1 = 2 * (P[0] * P[4]) - outer_product(P[2], P[2]) - 2 * outer_product(P[1], P[3]) + d1
+    r2 = 2 * (P[0] * P[5]) + d2
+    return r1, r2, d1, d2
+
+
+def _probe_terms(P, p: Multivector):
+    """r3, r4 and their correction terms d3, d4: linear in the embedded
+    grade-1 probe p."""
+    g4 = lambda m: m.grade(4)
+    g5 = lambda m: m.grade(5)
     d3 = (2 * g4(P[1] * p * (P[4] - P[6])) + 2 * g4(P[2] * p * (-1 * P[3] + P[5]))
           + 2 * g4(P[3] * p * (P[4] - P[6])) + 2 * g4(P[4] * p * P[5]))
     d4 = (2 * g5(P[1] * p * P[5]) + 2 * g5(P[2] * p * (P[4] - P[6]))
           + g5(P[3] * p * (-1 * P[3] + 2 * P[5])) + g5(P[4] * p * P[4]))
-    return d1, d2, d3, d4
+    # the scalar/grade-5 cross term completes the third condition; without it
+    # operators carrying both parts (e.g. rotation composed with translation)
+    # would be flagged even though their images stay points
+    r3 = (outer_product(2 * (P[0] * P[3]), p)
+          - outer_product(2 * outer_product(P[1], P[2]), p)
+          + 2 * (P[0] * vector_contract(p, P[5])) + d3)
+    r4 = (outer_product(2 * (P[0] * P[4]), p)
+          - outer_product(outer_product(P[2], P[2]), p)
+          + outer_product(2 * outer_product(P[1], P[3]), p)
+          - 2 * (P[0] * vector_contract(p, P[6])) + d4)
+    return r3, r4, d3, d4
+
+
+def correction_terms(parts, p: Multivector):
+    """The four higher-grade cross terms entering the preservation conditions.
+
+    ``parts`` are the grade parts of Psi and ``p`` is an embedded grade-1
+    probe (ignored by the first two terms).
+    """
+    return _operator_terms(parts)[2:] + _probe_terms(parts, p)[2:]
+
+
+#: Coefficient rows of the covectors e_i*, and the blades of grades 4 and 5.
+_E_STAR_ROWS = np.array([e.coeffs for e in E_STAR])
+_GRADE45 = GRADE_SELECTORS[4] | GRADE_SELECTORS[5]
+
+
+def _covector_part(images: np.ndarray) -> np.ndarray:
+    """Covector components of the vector parts of (..., 64) image coefficients."""
+    return (images[..., [1, 2, 4]] - images[..., [8, 16, 32]]) @ _E_STAR_ROWS
 
 
 @dataclass(frozen=True)
@@ -98,27 +147,15 @@ class ConditionReport:
 
 
 def paravector_conditions(psi: Multivector, p) -> ConditionReport:
-    """Evaluate every preservation residual for Psi at the probe point p."""
+    """Evaluate every preservation residual for Psi at the probe point p.
+
+    The per-probe reference for ``worst_residuals``, built from the same
+    operator and probe terms."""
     parts = grade_parts(psi)
-    pm = embed_vector(p)
-    d1, d2, d3, d4 = correction_terms(parts, pm)
-    P = parts
-    r1 = 2 * (P[0] * P[4]) - outer_product(P[2], P[2]) - 2 * outer_product(P[1], P[3]) + d1
-    r2 = 2 * (P[0] * P[5]) + d2
-    # the scalar/grade-5 cross term completes the third condition; without it
-    # operators carrying both parts (e.g. rotation composed with translation)
-    # would be flagged even though their images stay points
-    r3 = (outer_product(2 * (P[0] * P[3]), pm)
-          - outer_product(2 * outer_product(P[1], P[2]), pm)
-          + 2 * (P[0] * vector_contract(pm, P[5])) + d3)
-    r4 = (outer_product(2 * (P[0] * P[4]), pm)
-          - outer_product(outer_product(P[2], P[2]), pm)
-          + outer_product(2 * outer_product(P[1], P[3]), pm)
-          - 2 * (P[0] * vector_contract(pm, P[6])) + d4)
+    r1, r2, _, _ = _operator_terms(parts)
+    r3, r4, _, _ = _probe_terms(parts, embed_vector(p))
     image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
-    cov = (image.coeffs[1] - image.coeffs[8]) * embed_covector([1, 0, 0]) \
-        + (image.coeffs[2] - image.coeffs[16]) * embed_covector([0, 1, 0]) \
-        + (image.coeffs[4] - image.coeffs[32]) * embed_covector([0, 0, 1])
+    cov = Multivector._raw(_covector_part(image.coeffs))
     return ConditionReport(r1, r2, r3, r4, cov, image.grade(4), image.grade(5))
 
 
@@ -131,11 +168,50 @@ def probe_points(extra=8, seed=51966):
     return pts
 
 
+#: Coefficients of the basis paravectors 1, E[0], E[1], E[2].
+_BASIS = np.array([m.coeffs for m in (ONE, *E)])
+
+
+@functools.cache
+def _probe_rows() -> np.ndarray:
+    """The probe paravectors 1 + p, p in probe_points(), as (12, 4)
+    coordinates on the basis 1, E[0], E[1], E[2].
+
+    Built on first use: probe_points() loads numpy.random, which costs
+    memory and import time in processes that never analyse an operator.
+    """
+    probes = np.array(probe_points())
+    rows = np.column_stack((np.ones(len(probes)), probes))
+    rows.flags.writeable = False
+    return rows
+
+
+def _probe_images(psi: Multivector) -> np.ndarray:
+    """Psi (1 + p) (reversed Psi) at every probe point, as (12, 64)
+    coefficients: the sandwich is linear in 1 + p, so four sandwiches of the
+    basis paravectors cover all probes."""
+    rev = reversion(psi)
+    basis = [psi * rev] + [psi * e * rev for e in E]
+    return _probe_rows() @ np.array([m.coeffs for m in basis])
+
+
 def worst_residuals(psi: Multivector) -> dict:
     """Worst value of each preservation residual of Psi over probe_points(),
-    keyed by the names in RESIDUALS."""
-    rows = [paravector_conditions(psi, p).residuals() for p in probe_points()]
-    return dict(zip(RESIDUALS, map(max, zip(*rows))))
+    keyed by the names in RESIDUALS.
+
+    The operator terms are evaluated once and the probe terms at the three
+    axes, then combined for every probe point; the result equals the maximum
+    of ``paravector_conditions(psi, p).residuals()`` to rounding."""
+    parts = grade_parts(psi)
+    r1, r2, _, _ = _operator_terms(parts)
+    axes = [_probe_terms(parts, e) for e in E]
+    probes = _probe_rows()[:, 1:]
+    r3 = probes @ np.array([t[0].coeffs for t in axes])
+    r4 = probes @ np.array([t[1].coeffs for t in axes])
+    images = _probe_images(psi)
+    worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
+             np.max(np.abs(_covector_part(images))), np.max(np.abs(images[:, _GRADE45])))
+    return dict(zip(RESIDUALS, map(float, worst)))
 
 
 ACCEPT = "accept"
@@ -166,9 +242,8 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     scale = max(1.0, phi.max_abs())
     worst = max(worst_residuals(phi).values())
     if worst <= ACCEPT_FACTOR * scale:
-        points = (embed_paravector(Paravector(1.0, p)) for p in probe_points())
-        identity = all((phi * m * reversion(phi) - m).max_abs() <= tolerance(scale ** 2)
-                       for m in points)
+        moved = np.max(np.abs(_probe_images(phi) - _probe_rows() @ _BASIS))
+        identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:
         return Classification(REJECT, worst, False)

@@ -22,6 +22,7 @@ and applies it to all points as one array product.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -47,7 +48,9 @@ EXIT_RESIDUE = 4
 EXIT_CONDITION = 5
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parsing leaves the parser unchanged
     ap = argparse.ArgumentParser(
         prog="cl33",
         description="Apply geometric-algebra transform pipelines to weighted points.")

@@ -28,21 +28,36 @@ def _vec3(v) -> np.ndarray:
     return arr
 
 
+#: Coefficient rows of the generators, (2, 3, 64): plus sector, minus sector.
+_SECTOR_ROWS = np.array([[e.coeffs for e in _EP], [e.coeffs for e in _EM]])
+
+
+def _sector_copies(v) -> np.ndarray:
+    """Coefficients of v+ and v- as a (2, 64) array.
+
+    Each row is the generator sum v0 g0 + v1 g1 + v2 g2 computed as array
+    arithmetic in the same order, so every coefficient, signed zeros
+    included, is the one the multivector sum gives.
+    """
+    t = _vec3(v)[:, None] * _SECTOR_ROWS
+    return t[:, 0] + t[:, 1] + t[:, 2]
+
+
 def sector_vector(v, sector: int) -> Multivector:
     """The copy of the 3-vector over one generator sector: v+ or v-."""
-    v = _vec3(v)
-    gens = _EP if sector > 0 else _EM
-    return v[0] * gens[0] + v[1] * gens[1] + v[2] * gens[2]
+    return Multivector._raw(_sector_copies(v)[0 if sector > 0 else 1])
 
 
 def embed_vector(v) -> Multivector:
     """v = (v+ + v-)/2; squares to zero."""
-    return 0.5 * (sector_vector(v, +1) + sector_vector(v, -1))
+    plus, minus = _sector_copies(v)
+    return Multivector._raw((plus + minus) * 0.5)
 
 
 def embed_covector(v) -> Multivector:
     """v* = (v+ - v-)/2."""
-    return 0.5 * (sector_vector(v, +1) - sector_vector(v, -1))
+    plus, minus = _sector_copies(v)
+    return Multivector._raw((plus - minus) * 0.5)
 
 
 #: Embedded basis vectors e_i and covectors e_i*.

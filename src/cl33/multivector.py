@@ -246,10 +246,12 @@ def exponential(a, tol=1e-14, max_terms=128) -> Multivector:
     """Series exponential sum(a^n / n!), truncated when the next term is
     below ``tol`` relative to the largest partial-sum coefficient.
 
-    Raises ConvergenceError when ``max_terms`` terms do not reach the
-    tolerance.
+    Raises DomainError when ``a`` is not finite and ConvergenceError when
+    ``max_terms`` terms do not reach the tolerance.
     """
     a = _as_mv(a)
+    if not np.isfinite(a.coeffs).all():
+        raise DomainError("the argument a of exponential must be finite")
     total = ONE
     term = ONE
     for n in range(1, max_terms + 1):

@@ -478,17 +478,19 @@ ACCEPTANCE_CHECKS = (
 
 
 def run_selftest(perturb_signature=False, emit=print) -> bool:
-    """Run every acceptance check; one line each; True iff all pass."""
+    """Run every acceptance check; one line each, ending in its wall time;
+    True iff all pass."""
     start = time.perf_counter()
     all_ok = True
     for name, fn in ACCEPTANCE_CHECKS:
+        t0 = time.perf_counter()
         if name == "algebra-axioms" and perturb_signature:
             flipped = (-1,) + SQUARES[1:]
             ok, detail = fn(squares=flipped)
         else:
             ok, detail = fn()
         all_ok &= ok
-        emit(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        emit(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{time.perf_counter() - t0:.2f}s]")
     elapsed = time.perf_counter() - start
     emit(f"{'PASS' if all_ok else 'FAIL'} total ({elapsed:.1f}s)")
     return all_ok

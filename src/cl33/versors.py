@@ -41,11 +41,30 @@ COMPOSITE = "composite"
 IDENTITY = "identity"
 
 
+def _check_finite(name, x) -> np.ndarray:
+    """x as a float array; DomainError naming it when a value is not finite."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite, got {arr}")
+    return arr
+
+
 def _check_unit(name, v):
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    v = _check_finite(name, v).reshape(3)
     if abs(g(v, v) - 1.0) > PRECONDITION_TOL:
         raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {g(v, v):.12g}")
     return v
+
+
+def _cosh_sinh(name, x):
+    """cosh(x/2) and sinh(x/2); DomainError naming x when it is not finite
+    or they overflow."""
+    _check_finite(name, x)
+    try:
+        return math.cosh(x / 2.0), math.sinh(x / 2.0)
+    except OverflowError:
+        raise DomainError(f"{name} = {x:g} is too large in magnitude: "
+                          f"cosh({name}/2) overflows") from None
 
 
 def _check_orthogonal(u, v):
@@ -156,6 +175,7 @@ def rotation_versor(u, v, theta) -> Versor:
     u = _check_unit("u", u)
     v = _check_unit("v", v)
     _check_orthogonal(u, v)
+    _check_finite("theta", theta)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     up, vp = sector_vector(u, +1), sector_vector(v, +1)
     um, vm = sector_vector(u, -1), sector_vector(v, -1)
@@ -168,7 +188,7 @@ def hyperbolic_versor(u, v, eta) -> Versor:
     u = _check_unit("u", u)
     v = _check_unit("v", v)
     _check_orthogonal(u, v)
-    ch, sh = math.cosh(eta / 2.0), math.sinh(eta / 2.0)
+    ch, sh = _cosh_sinh("eta", eta)
     um, vp = sector_vector(u, -1), sector_vector(v, +1)
     vm, up = sector_vector(v, -1), sector_vector(u, +1)
     U = (ch + sh * (um * vp)) * (ch + sh * (vm * up))
@@ -181,23 +201,24 @@ def shear_versor(u, v, t) -> Versor:
     The generator is nilpotent, so the exponential terminates after the
     linear term.
     """
-    u = np.asarray(u, dtype=np.float64).reshape(3)
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    u = _check_finite("u", u).reshape(3)
+    v = _check_finite("v", v).reshape(3)
     _check_orthogonal(u, v)
+    _check_finite("t", t)
     return Versor(1.0 + shear_generator(u, v, t), +1, SHEAR)
 
 
 def scale_versor(u, t) -> Versor:
     """Non-uniform scale by e^t along the unit direction u."""
     u = _check_unit("u", u)
-    ch, sh = math.cosh(t / 2.0), math.sinh(t / 2.0)
+    ch, sh = _cosh_sinh("t", t)
     U = ch + sh * (sector_vector(u, -1) * sector_vector(u, +1))
     return Versor(U, +1, SCALE)
 
 
 def translation_versor(v) -> Versor:
     """Translation by v; the generator v/2 squares to zero."""
-    return Versor(1.0 + translation_generator(v), +1, TRANSLATION)
+    return Versor(1.0 + translation_generator(_check_finite("v", v)), +1, TRANSLATION)
 
 
 # -- application -----------------------------------------------------------
@@ -310,8 +331,9 @@ class PerspectiveMap(Transform):
     from_eye: Versor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=np.float64).reshape(3)
-        c = float(self.c)
+        _check_finite("eye", [self.eye.weight, *self.eye.vector])
+        n = _check_finite("n", self.n).reshape(3)
+        c = float(_check_finite("c", self.c))
         e = self.eye.vector
         if abs(self.eye.weight - 1.0) > PRECONDITION_TOL:
             raise DomainError(f"eye must be an affine point, weight = {self.eye.weight:g}")

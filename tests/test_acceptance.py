@@ -7,6 +7,8 @@ enumerated.  The same checks back the ``cl33 selftest`` command; the full run
 stays well inside a one-minute budget.
 """
 
+import re
+
 import pytest
 
 from cl33.selftest import ACCEPTANCE_CHECKS, check_algebra_axioms
@@ -38,6 +40,9 @@ def test_selftest_budget():
     print(f"selftest wall time {elapsed:.1f}s (budget 60s)")
     assert elapsed < 60.0
     assert len(lines) == 11
+    # each check line ends in its own wall time; the total line keeps its form
+    assert all(re.search(r" \[\d+\.\d\ds\]$", line) for line in lines[:-1]), lines
+    assert re.fullmatch(r"PASS total \(\d+\.\ds\)", lines[-1]), lines[-1]
 
 
 def test_selftest_perturbed_signature_fails():

@@ -22,6 +22,7 @@ from cl33 import (
     g,
     grade_parts,
     hodge_star,
+    hyperbolic_versor,
     outer_product,
     paravector_conditions,
     probe_points,
@@ -32,12 +33,14 @@ from cl33 import (
     scale_versor,
     shear_versor,
     translation_versor,
+    worst_residuals,
 )
 from cl33.analysis import (
     ACCEPT,
     INCONCLUSIVE,
     MatrixTransform,
     REJECT,
+    RESIDUALS,
     family_two_mixed,
     family_two_vectors,
     family_vector_mixed,
@@ -403,6 +406,49 @@ def test_even_versors_do_not_mix_weight_and_vector():
 def test_composed_family_report_all_pass():
     for res in composed_family_report():
         assert res.passed, res
+
+
+def _worst_residual_operators():
+    """Full 64-coefficient operators, every sandwich versor, and 1 + 0.01 X for
+    homogeneous X of each grade (rejected generators included)."""
+    rng = np.random.default_rng(62)
+    ops = [Multivector(rng.normal(size=64)) for _ in range(6)]
+    u, v = rand_orthonormal(rng)
+    ops += [reflection_versor(rand_unit(rng)).U, rotation_versor(u, v, 1.1).U,
+            hyperbolic_versor(u, v, 0.6).U, shear_versor(u, v, 0.9).U,
+            scale_versor(u, -0.4).U, translation_versor(rng.normal(size=3)).U]
+    ops += [1.0 + 0.01 * random_homogeneous(rng, k) for k in range(7) for _ in range(2)]
+    return ops
+
+
+def test_worst_residuals_match_per_probe_reference():
+    # the operator/probe split and the array products over the probes give
+    # the per-probe maxima of the reference to rounding
+    for psi in _worst_residual_operators():
+        rows = [paravector_conditions(psi, p).residuals() for p in probe_points()]
+        want = dict(zip(RESIDUALS, map(max, zip(*rows))))
+        got = worst_residuals(psi)
+        assert list(got) == list(RESIDUALS)
+        bound = 1e-12 * max(1.0, psi.max_abs() ** 2)
+        for name in RESIDUALS:
+            assert abs(got[name] - want[name]) <= bound, (name, got[name], want[name])
+
+
+def test_worst_residuals_product_count(monkeypatch):
+    # operator terms once, probe terms on three axes, four image sandwiches:
+    # 114 products, against 540 for twelve per-probe evaluations
+    counts = {"products": 0}
+    for name in ("__mul__", "__xor__"):
+        fn = getattr(Multivector, name)
+
+        def counted(a, b, fn=fn):
+            counts["products"] += isinstance(b, Multivector)
+            return fn(a, b)
+
+        monkeypatch.setattr(Multivector, name, counted)
+    worst_residuals(translation_versor([0.3, -0.2, 0.5]).U * rotation_versor(
+        [1, 0, 0], [0, 1, 0], 0.7).U)
+    assert 0 < counts["products"] <= 140
 
 
 def test_probe_points_deterministic():

@@ -182,6 +182,23 @@ def test_exit_code_residue(tmp_path):
         assert code == 4
 
 
+def test_parser_state_does_not_leak(tmp_path):
+    # one parser serves every call in a process; a --perturb list must not
+    # carry over into the next call
+    pipe = write(tmp_path, "p.txt", "rotate u=(1,0,0) v=(0,1,0) theta=0.5\n")
+    assert run(tmp_path, "check", "--pipeline", pipe, "--perturb", "7:0.05")[0] == 5
+    assert run(tmp_path, "check", "--pipeline", pipe)[0] == 0
+
+
+def test_exit_code_parameter_overflow(tmp_path):
+    # cosh(eta/2) of a finite but large parameter overflows: a semantic error
+    pts = write(tmp_path, "x.txt", "1 0 0 0\n")
+    for src in ("hrotate u=(1,0,0) v=(0,1,0) eta=2000\n", "scale u=(1,0,0) t=-2000\n"):
+        pipe = write(tmp_path, "p.txt", src)
+        code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)
+        assert code == 2 and "too large" in lines[-1]
+
+
 def test_exit_code_overflow(tmp_path):
     pipe = write(tmp_path, "p.txt", "translate v=(1e200,0,0)\n")
     pts = write(tmp_path, "x.txt", "1 1 0 0\n")

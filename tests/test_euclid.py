@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ def test_paravector_reversion_symmetry():
     rng = np.random.default_rng(4)
     m = embed_paravector(Paravector(rng.uniform(-2, 2), rng.normal(size=3)))
     assert reversion(m).approx_eq(m)
+
+
+def test_embeddings_match_generator_sum():
+    # bit for bit, signed zeros included: the sums v0 g0 + v1 g1 + v2 g2 and
+    # the sector combinations that define v+, v-, v and v*
+    values = (0.0, -0.0, 1.5, -2.25, 3e-310)
+    for v in itertools.product(values, repeat=3):
+        plus = v[0] * EP1 + v[1] * EP2 + v[2] * EP3
+        minus = v[0] * EM1 + v[1] * EM2 + v[2] * EM3
+        for got, want in ((sector_vector(v, +1), plus), (sector_vector(v, -1), minus),
+                          (embed_vector(v), 0.5 * (plus + minus)),
+                          (embed_covector(v), 0.5 * (plus - minus))):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), v
 
 
 def test_sector_vector():

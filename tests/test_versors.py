@@ -11,6 +11,7 @@ from cl33 import (
     NotHodgeCompatible,
     OMEGA_V,
     Paravector,
+    PerspectiveMap,
     Versor,
     apply_cotranslation,
     apply_hodge_sandwich,
@@ -488,6 +489,29 @@ def test_overflow_raises_domain_error():
             compose([t]).apply(p)
         with pytest.raises(DomainError, match="overflowed"):
             apply_cotranslation([1e200, 0, 0], Paravector(1.0, [1e200, 0, 0]))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: translation_versor([np.inf, 0, 0]), "v"),
+    (lambda: cotranslation_versor([np.inf, 0, 0]), "v"),
+    (lambda: reflection_versor([np.nan, 0, 0]), "n"),
+    (lambda: rotation_versor([1, 0, 0], [0, 1, 0], np.inf), "theta"),
+    (lambda: hyperbolic_versor([1, 0, 0], [0, 1, 0], 1e400), "eta"),
+    (lambda: hyperbolic_versor([1, 0, 0], [0, 1, 0], 2000.0), "eta"),
+    (lambda: shear_versor([1, 0, 0], [0, 1, 0], np.inf), "t"),
+    (lambda: shear_versor([np.nan, 0, 0], [0, 1, 0], 1.0), "u"),
+    (lambda: scale_versor([1, 0, 0], np.nan), "t"),
+    (lambda: scale_versor([1, 0, 0], -2000.0), "t"),
+    (lambda: PerspectiveMap(Paravector(np.nan, [0, 0, 0]), [0, 0, 1], 1.0), "eye"),
+    (lambda: PerspectiveMap(Paravector(1.0, [0, 0, 0]), [0, 0, np.inf], 1.0), "n"),
+    (lambda: PerspectiveMap(Paravector(1.0, [0, 0, 0]), [0, 0, 1], np.nan), "c"),
+    (lambda: exponential(Multivector.scalar(np.inf)), "argument a"),
+], ids=["translation", "cotranslation", "reflection", "rotation", "hyperbolic",
+        "hyperbolic-overflow", "shear", "shear-u", "scale", "scale-overflow",
+        "perspective-eye", "perspective-n", "perspective-c", "exponential"])
+def test_non_finite_arguments_rejected(build, name):
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        build()
 
 
 # -- sector behavior --------------------------------------------------------------
