@@ -54,7 +54,9 @@ print("translate (0,0,0):", apply_sandwich(tr, Paravector(1.0, [0, 0, 0])))
 print("cotranslate (1,2,3) by (1,0,0):", apply_cotranslation([1, 0, 0], p))
 
 # Reflection and rotation act independently on the two generator sectors;
-# everything else leaks across.  The report quantifies the leakage.
+# everything else leaks across.  The report quantifies the leakage: the
+# largest off-sector coefficient of the images of 1 and the sector's three
+# generators.
 for versor in (refl, rot, hyp, sh, sc, tr):
     rep = sector_image(versor)
     print(f"{versor.kind:12s} plus sector {rep.plus_image:9s} "

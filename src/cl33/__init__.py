@@ -41,6 +41,7 @@ from .euclid import (
     I_MINUS,
     I_PLUS,
     OMEGA_V,
+    POINT_BASIS,
     Paravector,
     at_infinity,
     embed_covector,
@@ -81,7 +82,6 @@ from .versors import (
 from .analysis import (
     Classification,
     ConditionReport,
-    MatrixTransform,
     affine_matrix,
     classify_infinitesimal,
     composed_family_report,

@@ -12,15 +12,15 @@ The condition formulas come in two kinds, each written once: operator terms
 (r3, r4, d3, d4) are linear in the embedded probe p, as is the image
 Psi (1 + p) (reversed Psi).  ``paravector_conditions`` evaluates both kinds at
 one probe and is the reference.  ``worst_residuals`` evaluates the operator
-terms once, the probe terms at the three axes E[0..2] and the image at the
-basis paravectors 1, E[0], E[1], E[2], and reaches every probe point by one
-array product per residual.
+terms once, the probe terms at the three axes E[0..2] and the image at
+POINT_BASIS (``Versor.images``), and reaches every probe point by one array
+product per residual.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import NotLinearError
 from .euclid import (
     E,
     E_STAR,
+    POINT_BASIS,
     Paravector,
     embed_covector,
     embed_paravector,
@@ -36,14 +37,13 @@ from .euclid import (
     g,
 )
 from .multivector import (
-    ONE,
     Multivector,
     outer_product,
     reversion,
     tolerance,
     vector_contract,
 )
-from .versors import Transform
+from .versors import COMPOSITE, Transform, Versor
 
 #: Classification thresholds: residuals at or below ACCEPT_FACTOR * scale are
 #: exact-to-rounding; residuals above REJECT_FACTOR * scale^2 are genuine.
@@ -168,14 +168,10 @@ def probe_points(extra=8, seed=51966):
     return pts
 
 
-#: Coefficients of the basis paravectors 1, E[0], E[1], E[2].
-_BASIS = np.array([m.coeffs for m in (ONE, *E)])
-
-
 @functools.cache
 def _probe_rows() -> np.ndarray:
     """The probe paravectors 1 + p, p in probe_points(), as (12, 4)
-    coordinates on the basis 1, E[0], E[1], E[2].
+    coordinates on POINT_BASIS.
 
     Built on first use: probe_points() loads numpy.random, which costs
     memory and import time in processes that never analyse an operator.
@@ -188,11 +184,9 @@ def _probe_rows() -> np.ndarray:
 
 def _probe_images(psi: Multivector) -> np.ndarray:
     """Psi (1 + p) (reversed Psi) at every probe point, as (12, 64)
-    coefficients: the sandwich is linear in 1 + p, so four sandwiches of the
-    basis paravectors cover all probes."""
-    rev = reversion(psi)
-    basis = [psi * rev] + [psi * e * rev for e in E]
-    return _probe_rows() @ np.array([m.coeffs for m in basis])
+    coefficients: the sandwich is linear in 1 + p, so the images of
+    POINT_BASIS cover all probes."""
+    return _probe_rows() @ Versor(psi, +1, COMPOSITE).images()
 
 
 def worst_residuals(psi: Multivector) -> dict:
@@ -242,7 +236,8 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     scale = max(1.0, phi.max_abs())
     worst = max(worst_residuals(phi).values())
     if worst <= ACCEPT_FACTOR * scale:
-        moved = np.max(np.abs(_probe_images(phi) - _probe_rows() @ _BASIS))
+        basis = np.array([b.coeffs for b in POINT_BASIS])
+        moved = np.max(np.abs(_probe_images(phi) - _probe_rows() @ basis))
         identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:
@@ -297,24 +292,6 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
             raise NotLinearError(
                 f"transform deviates from its probe matrix by {dev:.3e} at a random point")
     return m
-
-
-@dataclass(frozen=True)
-class MatrixTransform(Transform):
-    """A plain 4x4 matrix acting on (weight, vector), wrapped as a transform.
-    The field is the transform's ``matrix``, in place of the probed one."""
-
-    # field() keeps it required: a bare annotation would take the inherited
-    # Transform.matrix as its default
-    matrix: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           np.asarray(self.matrix, dtype=np.float64).reshape(4, 4))
-
-    def apply(self, p: Paravector) -> Paravector:
-        out = self.matrix @ np.concatenate(([p.weight], p.vector))
-        return Paravector(out[0], out[1:])
 
 
 # -- composed infinitesimal families ------------------------------------------

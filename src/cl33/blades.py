@@ -38,23 +38,13 @@ def blade_name(mask: int) -> str:
 
 
 def blade_geometric_product(a: int, b: int) -> tuple[int, int]:
-    """Geometric product of two basis blades.
+    """Geometric product of two basis blades, read from the Cayley table.
 
-    Returns ``(sign, mask)`` with ``mask = a XOR b``.  The sign counts the
-    transpositions needed to merge the two ascending factor lists, then picks
-    up one generator square for every factor the blades share.
+    Returns ``(sign, mask)`` with ``mask = a XOR b``.
     """
     if not 0 <= a < BLADE_COUNT or not 0 <= b < BLADE_COUNT:
         raise ValueError(f"blade mask out of range: {a}, {b}")
-    swaps = 0
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    sign = -1 if swaps & 1 else 1
-    for i in blade_factors(a & b):
-        sign *= SQUARES[i]
-    return sign, a ^ b
+    return int(PRODUCT_SIGNS[a, b]), a ^ b
 
 
 def _sign_table(per_grade):
@@ -72,21 +62,21 @@ INVOLUTION_SIGNS = _sign_table(lambda k: (-1) ** k)
 REVERSION_SIGNS = _sign_table(lambda k: (-1) ** (k * (k - 1) // 2))
 CONJUGATION_SIGNS = INVOLUTION_SIGNS * REVERSION_SIGNS
 
-_signs = np.empty((BLADE_COUNT, BLADE_COUNT), dtype=np.float64)
-_masks = np.empty((BLADE_COUNT, BLADE_COUNT), dtype=np.int64)
-for _a in range(BLADE_COUNT):
-    for _b in range(BLADE_COUNT):
-        _s, _m = blade_geometric_product(_a, _b)
-        _signs[_a, _b] = _s
-        _masks[_a, _b] = _m
+_A = np.arange(BLADE_COUNT, dtype=np.int64)[:, None]
+_B = _A.T
+# generators that square to -1, as a blade mask
+_MINUS = sum(1 << i for i, s in enumerate(SQUARES) if s < 0)
+# Merging the ascending factor lists of a and b moves each factor of b past
+# every larger factor of a: popcount((a >> k) & b) of them at distance k.
+# Each shared generator then contributes its square.
+_FLIPS = sum(GRADES[(_A >> k) & _B] for k in range(1, GENERATOR_COUNT)) + GRADES[_A & _B & _MINUS]
 
 #: Cayley tables: sign and result mask of every blade pair.
-PRODUCT_SIGNS = _signs
-PRODUCT_MASKS = _masks
+PRODUCT_SIGNS = np.where(_FLIPS & 1, -1.0, 1.0)
+PRODUCT_MASKS = _A ^ _B
 
 #: Signs restricted to disjoint blade pairs (the grade-raising part of the
 #: product, i.e. the exterior product on blades).
-OUTER_SIGNS = np.where((np.arange(BLADE_COUNT)[:, None] & np.arange(BLADE_COUNT)[None, :]) == 0,
-                       PRODUCT_SIGNS, 0.0)
+OUTER_SIGNS = np.where((_A & _B) == 0, PRODUCT_SIGNS, 0.0)
 
-del _signs, _masks, _a, _b, _s, _m
+del _A, _B, _MINUS, _FLIPS

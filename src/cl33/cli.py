@@ -8,14 +8,15 @@ Commands::
     cl33 selftest
 
 Exit codes: 0 ok, 2 parse or semantic error (non-finite numbers included),
-3 degenerate geometry, 4 residue error (result left the point subspace) or
+3 degenerate geometry, 4 residue error (result left the point subspace),
 finite input whose arithmetic overflows (a stage matrix, an output point or
-the scale ``check`` holds a stage to), 5 preservation-condition failure.
+the scale ``check`` holds a stage to) or a pipeline that ``matrix`` finds
+deviating from its own matrix, 5 preservation-condition failure.
 ``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
 ``apply`` and ``matrix`` do.
 
 ``apply`` compiles the pipeline to one 4x4 matrix (each stage's matrix is
-read off its versor action on the basis points, with every residue check)
+read off its versor images of the basis points, with every residue check)
 and applies it to all points as one array product.
 """
 
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateConfigurationError,
     DomainError,
     NonParavectorResidue,
+    NotLinearError,
     PipelineError,
 )
 from .euclid import at_infinity
@@ -213,7 +215,7 @@ def main(argv=None, _capture=None) -> int:
     except (NonParavectorResidue, CovectorResidue) as exc:
         fail(f"error: residue: {exc}")
         return EXIT_RESIDUE
-    except DomainError as exc:
+    except (DomainError, NotLinearError) as exc:
         fail(f"error: {exc}")
         return EXIT_RESIDUE
 

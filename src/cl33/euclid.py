@@ -15,7 +15,7 @@ import numpy as np
 
 from .blades import GRADES
 from .errors import CovectorResidue, DomainError, NonParavectorResidue
-from .multivector import ATOL, RTOL, GENERATORS, Multivector, tolerance
+from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
 
 _HIGH_GRADE = GRADES >= 2
 
@@ -63,6 +63,10 @@ def embed_covector(v) -> Multivector:
 #: Embedded basis vectors e_i and covectors e_i*.
 E = tuple(embed_vector(np.eye(3)[i]) for i in range(3))
 E_STAR = tuple(embed_covector(np.eye(3)[i]) for i in range(3))
+
+#: The embedded basis 1, e1, e2, e3 of (weight, vector) space.  A linear
+#: point map is fixed by its images of these four.
+POINT_BASIS = (ONE, *E)
 
 #: Sector pseudoscalars and the full volume element.
 I_PLUS = _EP[0] * _EP[1] * _EP[2]

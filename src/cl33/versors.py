@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
+    POINT_BASIS,
     Paravector,
     embed_paravector,
     embed_vector,
@@ -26,7 +27,7 @@ from .euclid import (
     star_conjugate,
 )
 from .hodge import hodge_star
-from .multivector import Multivector, reversion, tolerance
+from .multivector import GENERATORS, ONE, Multivector, reversion, tolerance
 
 #: Tolerance for unit-length / orthogonality preconditions.
 PRECONDITION_TOL = 1e-9
@@ -72,29 +73,32 @@ def _check_orthogonal(u, v):
         raise DomainError(f"u and v must be orthogonal, g(u, v) = {g(u, v):.12g}")
 
 
-#: The basis of (weight, vector) space, (1, 0), (0, e1), (0, e2), (0, e3).
-_BASIS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
-
-
 class Transform:
     """A point transformation; concrete forms below."""
 
     def apply(self, p: Paravector) -> Paravector:
         raise NotImplementedError
 
+    def images(self) -> np.ndarray:
+        """The action on POINT_BASIS before extraction, as (4, 64)
+        coefficients: ``sandwich(b)`` for each basis element b, the sandwich
+        of a Versor or the star-sandwich of a HodgeVersor.  PerspectiveMap
+        and Composed build their matrices from their stages' instead."""
+        return np.array([self.sandwich(b).coeffs for b in POINT_BASIS])
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
 
-        Column j is the image of the j-th basis point under ``apply``, so
+        Column j is row j of ``images`` read through extract_paravector, so
         every residue check of the versor path runs once per stage; the
-        sandwich and star-sandwich are linear in P, so a basis that extracts
-        cleanly covers every point.  Computed on first use and kept.  Raises
-        DomainError when the arithmetic overflows.
+        sandwich and star-sandwich are linear in P, so a basis whose images
+        extract cleanly covers every point.  Computed on first use and kept.
+        Raises DomainError when the arithmetic overflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            images = [self.apply(b) for b in _BASIS]
-        m = np.array([[q.weight, *q.vector] for q in images]).T
+            points = [extract_paravector(Multivector._raw(row)) for row in self.images()]
+        m = np.array([[q.weight, *q.vector] for q in points]).T
         m.flags.writeable = False
         return m
 
@@ -113,6 +117,7 @@ class Versor(Transform):
     kind: str
 
     def sandwich(self, m: Multivector) -> Multivector:
+        """epsilon U m (rev U)."""
         out = self.U * m * reversion(self.U)
         return -out if self.epsilon < 0 else out
 
@@ -246,6 +251,10 @@ class HodgeVersor(Transform):
     uprime: Multivector
     lam: float
 
+    def sandwich(self, m: Multivector) -> Multivector:
+        """The star-sandwich star(U' (star m) (rev U'))."""
+        return hodge_star(self.uprime * hodge_star(m) * reversion(self.uprime))
+
     def apply(self, p: Paravector) -> Paravector:
         return apply_hodge_sandwich(self, p)
 
@@ -280,8 +289,7 @@ def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
 
 def apply_hodge_sandwich(h: HodgeVersor, p: Paravector) -> Paravector:
     """star^-1[U' (star P) (reversed U')] extracted back to a point."""
-    inner = h.uprime * hodge_star(embed_paravector(p)) * reversion(h.uprime)
-    return extract_paravector(hodge_star(inner))
+    return extract_paravector(h.sandwich(embed_paravector(p)))
 
 
 def apply_cotranslation(v, p: Paravector) -> Paravector:
@@ -352,6 +360,21 @@ class PerspectiveMap(Transform):
         q = Paravector(p.weight - p.weight * self.eye.weight, p.vector - p.weight * e)
         q = apply_hodge_sandwich(self.cotranslate, q)
         return apply_sandwich(self.from_eye, q)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """from_eye.matrix @ cotranslate.matrix @ S, with S the to-eye step of
+        ``apply`` in closed form (weight 1 - w_eye, column -eye); read-only.
+        Raises DomainError when the arithmetic overflows."""
+        to_eye = np.eye(4)
+        to_eye[0, 0] -= self.eye.weight
+        to_eye[1:, 0] = -self.eye.vector
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.from_eye.matrix @ self.cotranslate.matrix @ to_eye
+        if not np.isfinite(m).all():
+            raise DomainError("the perspective matrix is not finite: the arithmetic overflowed")
+        m.flags.writeable = False
+        return m
 
 
 def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
@@ -454,28 +477,20 @@ class SectorReport:
 
 
 def sector_image(versor: Versor) -> SectorReport:
-    """Probe the sandwich with 8 seeded points per sector carrying
-    single-sector vector parts.
+    """Sandwich 1 and each of the six generators.
 
-    A sector is preserved when every image stays inside scalar + that
+    The sandwich is linear, so the images of 1 and of a sector's three
+    generators cover every point whose vector part lives in that sector.  A
+    sector is preserved when these four images stay inside scalar + that
     sector's vector span, within tolerance.
     """
-    rng = np.random.default_rng(8451)
-    worst = {+1: 0.0, -1: 0.0}
-    allowed = {+1: np.array([0, 1, 2, 4]), -1: np.array([0, 8, 16, 32])}
-    for sector in (+1, -1):
-        off = np.ones(64, dtype=bool)
-        off[allowed[sector]] = False
-        for _ in range(8):
-            coords = rng.uniform(-1.0, 1.0, size=3)
-            m = 1.0 + sector_vector(coords, sector)
-            image = versor.sandwich(m)
-            worst[sector] = max(worst[sector],
-                                float(np.max(np.abs(image.coeffs[off]))))
-    scale = max(1.0, versor.U.max_abs() ** 2)
+    images = np.abs([versor.sandwich(b).coeffs for b in (ONE, *GENERATORS)])
+    plus = float(np.max(np.delete(images[:4], [0, 1, 2, 4], axis=1)))
+    minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, 8, 16, 32], axis=1)))
+    tol = tolerance(max(1.0, versor.U.max_abs() ** 2))
     return SectorReport(
-        plus_off_sector=worst[+1],
-        minus_off_sector=worst[-1],
-        preserves_plus=worst[+1] <= tolerance(scale),
-        preserves_minus=worst[-1] <= tolerance(scale),
+        plus_off_sector=plus,
+        minus_off_sector=minus,
+        preserves_plus=plus <= tol,
+        preserves_minus=minus <= tol,
     )

@@ -7,6 +7,7 @@ from cl33 import (
     Multivector,
     NotLinearError,
     OMEGA_V,
+    POINT_BASIS,
     Paravector,
     Transform,
     affine_matrix,
@@ -38,7 +39,6 @@ from cl33 import (
 from cl33.analysis import (
     ACCEPT,
     INCONCLUSIVE,
-    MatrixTransform,
     REJECT,
     RESIDUALS,
     family_two_mixed,
@@ -361,18 +361,17 @@ def test_matrix_probe_idempotent():
                   scale_versor(u, 0.3),
                   cotranslation_versor([0.1, 0.2, 0.3])])
     m = projective_matrix_probe(tr)
-    again = projective_matrix_probe(MatrixTransform(m))
-    assert np.allclose(m, again, atol=1e-10)
-    # the field is the transform's matrix, and it has no default
-    assert np.array_equal(MatrixTransform(m).matrix, m)
-    with pytest.raises(TypeError):
-        MatrixTransform()
+    # probing again returns the matrix the transform keeps
+    assert projective_matrix_probe(tr) is m
 
 
 def test_matrix_probe_rejects_nonlinear():
     class Quadratic(Transform):
         def apply(self, p):
             return Paravector(p.weight, p.vector * float(np.sum(p.vector)))
+
+        def images(self):
+            return np.array([b.coeffs for b in POINT_BASIS])
 
     with pytest.raises(NotLinearError):
         projective_matrix_probe(Quadratic())

@@ -217,6 +217,16 @@ def test_exit_code_overflow(tmp_path):
     assert code == 4 and lines == [lines[-1]] and "line 4 of the point file" in lines[-1]
 
 
+def test_exit_code_matrix_deviation(tmp_path):
+    # apply's rounding at a large translation exceeds the probe's bound: a
+    # readable error and exit 4, not a traceback
+    for t in ("1e8", "1e12"):
+        pipe = write(tmp_path, "p.txt", f"translate v=({t},0,0)\n")
+        code, lines = run(tmp_path, "matrix", "--pipeline", pipe)
+        assert code == 4 and lines == [lines[-1]]
+        assert lines[-1].startswith("error: ") and "deviates" in lines[-1]
+
+
 def test_exit_code_covector_residue(tmp_path):
     pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
     pts = write(tmp_path, "x.txt", "1 0.2 0.4 0.8\n")

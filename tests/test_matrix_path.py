@@ -9,7 +9,23 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cl33 import Paravector, compose, multivector, parse_pipeline, pipeline, tolerance, versors
+from cl33 import (
+    Paravector,
+    PerspectiveMap,
+    compose,
+    cotranslation_versor,
+    hyperbolic_versor,
+    multivector,
+    parse_pipeline,
+    pipeline,
+    reflection_versor,
+    rotation_versor,
+    scale_versor,
+    shear_versor,
+    tolerance,
+    translation_versor,
+    versors,
+)
 from cl33.cli import main
 
 COORD = st.integers(-16, 16).map(lambda k: k / 8)
@@ -184,3 +200,46 @@ def test_each_versor_built_once(monkeypatch, tmp_path):
         path.write_text(perspective)
         assert main(["matrix", "--pipeline", str(path)], _capture=[]) == 0
     assert counts["translation_versor"] == 2
+
+
+#: The basis points (1, 0), (0, e1), (0, e2), (0, e3).
+BASIS_POINTS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
+
+
+def _matrix_through_apply(stage):
+    """The stage matrix read through ``apply`` on the basis points."""
+    images = [stage.apply(b) for b in BASIS_POINTS]
+    return np.array([[q.weight, *q.vector] for q in images]).T
+
+
+def test_stage_matrix_is_apply_on_basis():
+    u, v = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0])
+    stages = [
+        reflection_versor([0.0, 0.6, 0.8]),
+        rotation_versor(u, v, 0.7),
+        hyperbolic_versor(u, v, -0.4),
+        shear_versor(u, v, 1.3),
+        scale_versor(v, 0.25),
+        translation_versor([0.3, -1.5, 2.0]),
+        compose([rotation_versor(u, v, 0.3), translation_versor([1.0, 2.0, -0.5]),
+                 scale_versor(u, -0.6)]).stages[0],
+        cotranslation_versor([0.2, -0.7, 0.4]),
+        compose([cotranslation_versor([0.2, 0.1, 0.0]),
+                 cotranslation_versor([-0.5, 0.3, 0.9])]).stages[0],
+    ]
+    for stage in stages:
+        assert stage.images().shape == (4, 64)
+        assert stage.matrix.tobytes() == _matrix_through_apply(stage).tobytes(), stage
+
+
+def test_perspective_matrix_matches_apply():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        eye = rng.uniform(-2, 2, 3)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        stage = PerspectiveMap(Paravector(1.0, eye), n, float(n @ eye) + rng.uniform(0.5, 2.0))
+        want = _matrix_through_apply(stage)
+        assert np.max(np.abs(stage.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+    stage = PerspectiveMap(Paravector(1.0, [0, 0, 5]), [0, 0, 1], 1.0)
+    assert np.array_equal(stage.matrix, _matrix_through_apply(stage))

@@ -533,6 +533,22 @@ def test_sector_reports():
         assert min(rep.plus_off_sector, rep.minus_off_sector) > 1e-6
 
 
+def test_sector_image_product_count(monkeypatch):
+    # seven sandwiches of 1 and the six generators, exact: 14 products,
+    # against 32 for sixteen random probes
+    versor = shear_versor([1, 0, 0], [0, 1, 0], 1.5)
+    calls = {"mul": 0}
+    mul = Multivector.__mul__
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counted)
+    sector_image(versor)
+    assert 0 < calls["mul"] <= 14
+
+
 # -- star-sandwich internals -------------------------------------------------------
 
 def test_cotranslation_intermediate_is_euclid_exterior():
