@@ -196,6 +196,11 @@ def worst_residuals(psi: Multivector) -> dict:
     The operator terms are evaluated once and the probe terms at the three
     axes, then combined for every probe point; the result equals the maximum
     of ``paravector_conditions(psi, p).residuals()`` to rounding."""
+    return _residuals_and_images(psi)[0]
+
+
+def _residuals_and_images(psi: Multivector):
+    """``worst_residuals(psi)`` and the ``_probe_images(psi)`` it reads."""
     parts = grade_parts(psi)
     r1, r2, _, _ = _operator_terms(parts)
     axes = [_probe_terms(parts, e) for e in E]
@@ -205,7 +210,7 @@ def worst_residuals(psi: Multivector) -> dict:
     images = _probe_images(psi)
     worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
              np.max(np.abs(_covector_part(images))), np.max(np.abs(images[:, _GRADE45])))
-    return dict(zip(RESIDUALS, map(float, worst)))
+    return dict(zip(RESIDUALS, map(float, worst))), images
 
 
 ACCEPT = "accept"
@@ -234,10 +239,11 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
         raise ValueError(f"psi must be homogeneous of grade {k}")
     phi = 1.0 + 0.01 * psi
     scale = max(1.0, phi.max_abs())
-    worst = max(worst_residuals(phi).values())
+    residuals, images = _residuals_and_images(phi)
+    worst = max(residuals.values())
     if worst <= ACCEPT_FACTOR * scale:
         basis = np.array([b.coeffs for b in POINT_BASIS])
-        moved = np.max(np.abs(_probe_images(phi) - _probe_rows() @ basis))
+        moved = np.max(np.abs(images - _probe_rows() @ basis))
         identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:

@@ -17,7 +17,9 @@ deviating from its own matrix, 5 preservation-condition failure.
 
 ``apply`` compiles the pipeline to one 4x4 matrix (each stage's matrix is
 read off its versor images of the basis points, with every residue check)
-and applies it to all points as one array product.
+and applies it to all points as one array product.  The point file is read
+and converted in chunks, and the output is formatted and written
+``pipeline.POINT_CHUNK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -84,11 +86,12 @@ def _build_parser():
     return ap
 
 
-def _read(path):
+def _read(path, parse=None):
+    """The text of the file at ``path``, or ``parse`` of the open file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
+            return fh.read() if parse is None else parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"cannot read {path}: {exc}") from exc
 
 
@@ -122,22 +125,24 @@ def _perturbed_stages(pipe, perturbations) -> Composed:
     return Composed(tuple(stages))
 
 
-def _cmd_apply(args, emit):
+def _cmd_apply(args, write):
     pipe = pipeline.parse_pipeline(_read(args.pipeline))
-    text = _read(args.points)
-    rows = pipeline.parse_points(text)
+    points = _read(args.points, pipeline.parse_points)
     matrix = _perturbed_stages(pipe, _parse_perturbations(args.perturb)).matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rows @ matrix.T
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        points = points @ matrix.T
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
-        raise DomainError(f"line {pipeline.point_line(text, bad[0])} of the point file: "
+        line = pipeline.point_line(_read(args.points), bad[0])
+        raise DomainError(f"line {line} of the point file: "
                           "the transformed point is not finite: the arithmetic overflowed")
     if args.normalize:
-        finite = ~at_infinity(out[:, 0], out[:, 1:])
-        out[finite] /= out[finite, :1]
-    for line in pipeline.format_points(out).splitlines():
-        emit(line)
+        finite = ~at_infinity(points[:, 0], points[:, 1:])
+        np.divide(points, points[:, :1], out=points, where=finite[:, None])
+    # every row is parsed and transformed before the first write, so an
+    # error never leaves partial output
+    for start in range(0, len(points), pipeline.POINT_CHUNK_ROWS):
+        write(pipeline.format_points(points[start:start + pipeline.POINT_CHUNK_ROWS]))
     return EXIT_OK
 
 
@@ -186,7 +191,11 @@ def _cmd_selftest(args, emit):
 def main(argv=None, _capture=None) -> int:
     """Entry point; returns the exit code.  ``_capture`` (a list) collects
     output lines instead of printing, for in-process use."""
-    emit = _capture.append if _capture is not None else print
+    if _capture is not None:
+        emit = _capture.append
+        write = lambda text: _capture.extend(text.splitlines())
+    else:
+        emit, write = print, sys.stdout.write
 
     def fail(message):
         if _capture is not None:
@@ -200,7 +209,7 @@ def main(argv=None, _capture=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
         if args.command == "apply":
-            return _cmd_apply(args, emit)
+            return _cmd_apply(args, write)
         if args.command == "matrix":
             return _cmd_matrix(args, emit)
         if args.command == "check":

@@ -13,25 +13,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blades import BLADE_COUNT, GRADES, blade_factors
+from .blades import BLADE_COUNT, GENERATOR_COUNT, GRADES, INVOLUTION_SIGNS, PRODUCT_SIGNS
 from .errors import DomainError
-from .multivector import GENERATORS, Multivector, tolerance, vector_contract
+from .multivector import Multivector, tolerance
 from .euclid import OMEGA_V
 
 
-def _star_of_blade(mask: int) -> Multivector:
-    out = OMEGA_V
-    scale = 1.0
-    for bit in blade_factors(mask):
-        out = vector_contract(GENERATORS[bit], out)
-        scale *= 2.0 if bit < 3 else -2.0
-    return scale * out
+def _star_table() -> np.ndarray:
+    """The star on every blade of grade <= 3, as a (64, 64) matrix (columns
+    of higher grades are zero).
+
+    Column m starts as Omega_V and takes the contraction of each factor of
+    m in ascending bit order.  Contracting generator g into blade b lands on
+    blade b ^ g with coefficient (s(g, b) - (-1)^grade(b) s(b, g)) / 2, s
+    the Cayley sign, so each factor is one signed row permutation of the
+    columns holding it.
+    """
+    masks = np.arange(BLADE_COUNT)
+    star = np.repeat(OMEGA_V.coeffs[:, None], BLADE_COUNT, axis=1)
+    for bit in range(GENERATOR_COUNT):
+        g = 1 << bit
+        coeff = 0.5 * (PRODUCT_SIGNS[g] - INVOLUTION_SIGNS * PRODUCT_SIGNS[:, g])
+        source = masks ^ g
+        has = (masks & g) != 0
+        star[:, has] = coeff[source, None] * star[source][:, has]
+    # 2 per plus-sector factor, -2 per minus-sector factor; the zeros take
+    # the sign of this scale, as they do in a product of multivectors
+    scale = 2.0 ** GRADES * np.where(GRADES[masks & 0b111000] & 1, -1.0, 1.0)
+    star = (star + 0.0) * scale
+    star[:, GRADES > 3] = 0.0
+    return star
 
 
-_STAR = np.zeros((BLADE_COUNT, BLADE_COUNT))
-for _m in range(BLADE_COUNT):
-    if GRADES[_m] <= 3:
-        _STAR[:, _m] = _star_of_blade(_m).coeffs
+_STAR = _star_table()
 _STAR.setflags(write=False)
 
 _ABOVE_3 = GRADES > 3

@@ -2,7 +2,8 @@
 
 One step per non-empty line; ``#`` starts a comment.  Vectors are written
 ``key=(x,y,z)`` with no interior spaces, scalars ``key=value``.  Point files
-hold one ``w x y z`` quadruple per line and are read into (N, 4) arrays.
+hold one ``w x y z`` quadruple per line and are read into (N, 4) arrays, a
+chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -34,6 +35,12 @@ from .versors import (
 _FLOAT = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 _VEC_RE = re.compile(rf"^\(({_FLOAT}),({_FLOAT}),({_FLOAT})\)$")
 _NUM_RE = re.compile(rf"^{_FLOAT}$")
+
+#: Characters of point-file text read and converted per chunk.
+POINT_CHUNK_CHARS = 1 << 18
+#: Rows of points formatted (and written by ``cl33 apply``) per chunk.
+POINT_CHUNK_ROWS = 4096
+_POINT_LINE = "%.17g %.17g %.17g %.17g\n"
 
 #: op name -> (vector params, scalar params)
 GRAMMAR = {
@@ -198,10 +205,9 @@ def inverse_pipeline(p: Pipeline) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def parse_points(text: str) -> np.ndarray:
-    """Point file: one ``w x y z`` per line, ``#`` comments.  Returns a float
-    (N, 4) array of rows (w, x, y, z); raises PipelineError with the line
-    number on a malformed or non-finite row."""
+def _parse_points_by_line(text: str) -> np.ndarray:
+    """The reference point-file parser, one line at a time: every error it
+    raises names its line."""
     rows = []
     for lineno, body in _data_lines(text):
         fields = body.split()
@@ -218,6 +224,72 @@ def parse_points(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
+def _line_chunks(pieces):
+    """Re-cut text pieces after their last newline, so that no line spans
+    two chunks (a ``\\r\\n`` pair ends at its newline, so it is never split)."""
+    carry = ""
+    for piece in pieces:
+        piece = carry + piece
+        cut = piece.rfind("\n") + 1
+        carry = piece[cut:]
+        if cut:
+            yield piece[:cut]
+    if carry:
+        yield carry
+
+
+def _chunk_rows(chunk: str):
+    """The (n, 4) rows of a chunk of whole lines, or None when the chunk
+    needs the line-by-line parser: it holds a comment, a line of other
+    than 0 or 4 fields, a token ``float`` rejects or a non-finite value."""
+    if "#" in chunk:
+        return None
+    fields = list(map(str.split, chunk.splitlines()))
+    if not set(map(len, fields)) <= {0, 4}:
+        return None
+    tokens = list(itertools.chain.from_iterable(fields))
+    try:
+        vals = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(vals).all():
+        return None
+    return vals.reshape(-1, 4)
+
+
+def parse_points(source) -> np.ndarray:
+    """Point file: one ``w x y z`` per line, ``#`` comments.  ``source`` is
+    the file's text or a text file open for reading.  Returns a float (N, 4)
+    array of rows (w, x, y, z); raises PipelineError with the line number on
+    a malformed or non-finite row.
+
+    The text is read POINT_CHUNK_CHARS characters at a time and cut into
+    chunks of whole lines; each chunk is converted with one ``float`` pass
+    over its tokens.  The first chunk that holds a comment or anything the
+    conversion rejects sends the whole text through the line-by-line
+    parser, which finds the first bad line.  A file that cannot seek is
+    read whole first, since that parser reads it again from the start.
+    """
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    if isinstance(source, str):
+        size = POINT_CHUNK_CHARS
+        pieces = (source[i:i + size] for i in range(0, len(source), size))
+    else:
+        start = source.tell()
+        pieces = iter(partial(source.read, POINT_CHUNK_CHARS), "")
+    blocks = [np.empty((0, 4))]
+    for chunk in _line_chunks(pieces):
+        rows = _chunk_rows(chunk)
+        if rows is None:
+            if not isinstance(source, str):
+                source.seek(start)
+                source = source.read()
+            return _parse_points_by_line(source)
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
 def point_line(text: str, index: int) -> int:
     """Line number of the point file ``text`` holding row ``index`` of
     ``parse_points(text)``."""
@@ -225,7 +297,7 @@ def point_line(text: str, index: int) -> int:
 
 
 def format_points(points: np.ndarray) -> str:
-    """One ``w x y z`` line per row of an (N, 4) array, 17 significant digits."""
-    lines = [f"{w:.17g} {x:.17g} {y:.17g} {z:.17g}"
-             for w, x, y, z in np.asarray(points).tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``w x y z`` line per row of an (N, 4) array, 17 significant
+    digits, built by one ``%`` call over all the rows given."""
+    points = np.asarray(points)
+    return _POINT_LINE * len(points) % tuple(points.ravel().tolist())

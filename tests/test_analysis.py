@@ -433,9 +433,7 @@ def test_worst_residuals_match_per_probe_reference():
             assert abs(got[name] - want[name]) <= bound, (name, got[name], want[name])
 
 
-def test_worst_residuals_product_count(monkeypatch):
-    # operator terms once, probe terms on three axes, four image sandwiches:
-    # 114 products, against 540 for twelve per-probe evaluations
+def _count_products(monkeypatch):
     counts = {"products": 0}
     for name in ("__mul__", "__xor__"):
         fn = getattr(Multivector, name)
@@ -445,9 +443,31 @@ def test_worst_residuals_product_count(monkeypatch):
             return fn(a, b)
 
         monkeypatch.setattr(Multivector, name, counted)
-    worst_residuals(translation_versor([0.3, -0.2, 0.5]).U * rotation_versor(
-        [1, 0, 0], [0, 1, 0], 0.7).U)
+    return counts
+
+
+def test_worst_residuals_product_count(monkeypatch):
+    # operator terms once, probe terms on three axes, four image sandwiches:
+    # 114 products, against 540 for twelve per-probe evaluations
+    psi = translation_versor([0.3, -0.2, 0.5]).U * rotation_versor([1, 0, 0], [0, 1, 0], 0.7).U
+    counts = _count_products(monkeypatch)
+    worst_residuals(psi)
     assert 0 < counts["products"] <= 140
+
+
+def test_classify_reuses_the_residual_images(monkeypatch):
+    # an accepted classification reads its identity flag off the probe
+    # images worst_residuals already built: no product beyond those
+    counts = _count_products(monkeypatch)
+    for k, psi, identity in ((2, W(E[0], E[1]), True), (1, E[2], False)):
+        phi = 1.0 + 0.01 * psi
+        counts["products"] = 0
+        worst_residuals(phi)
+        alone = counts["products"]
+        counts["products"] = 0
+        res = classify_infinitesimal(k, psi)
+        assert counts["products"] == alone
+        assert res.verdict == ACCEPT and res.acts_as_identity is identity
 
 
 def test_probe_points_deterministic():

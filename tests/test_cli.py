@@ -1,5 +1,6 @@
 import numpy as np
 
+from cl33 import pipeline
 from cl33.cli import main
 from cl33.selftest import check_algebra_axioms
 
@@ -256,3 +257,42 @@ def test_perturbed_signature_fails_axioms():
     ok, detail = check_algebra_axioms(squares=(-1, 1, 1, -1, -1, -1))
     assert not ok
     assert "mismatch" in detail or "relation" in detail
+
+
+def test_apply_output_across_chunks(tmp_path, capsys):
+    # more than two chunks of rows: the same bytes as one format_points of
+    # the reference product, through _capture and through stdout
+    n = 2 * pipeline.POINT_CHUNK_ROWS + 37
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
+    rows[::5, 1] = -0.0
+    source = "rotate u=(1,0,0) v=(0,1,0) theta=0.3\ntranslate v=(1,-2,0.5)\npseudo n=(0,0,1)\n"
+    pipe = write(tmp_path, "p.txt", source)
+    pts = write(tmp_path, "x.txt", pipeline.format_points(rows))
+    matrix = pipeline.parse_pipeline(source).composed().matrix
+    want = pipeline.format_points(rows @ matrix.T)
+    argv = ["apply", "--pipeline", pipe, "--points", pts]
+    code, lines = run(tmp_path, *argv)
+    assert code == 0 and len(lines) == n
+    assert "\n".join(lines) + "\n" == want
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_apply_bad_row_in_last_chunk_writes_nothing(tmp_path, capsys):
+    n = 2 * pipeline.POINT_CHUNK_ROWS + 5
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    pts = write(tmp_path, "x.txt", "1 2 3 4\n" * n + "1 2 3\n")
+    assert main(["apply", "--pipeline", pipe, "--points", pts]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"line {n + 1}" in out.err and "expected 4 fields" in out.err
+
+
+def test_apply_undecodable_point_file_exits_2(tmp_path):
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    pts = tmp_path / "x.txt"
+    pts.write_bytes(b"1 0 0 0\n\xff 1 2 3\n")
+    code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", str(pts))
+    assert code == 2 and lines[-1].startswith("error: cannot read")

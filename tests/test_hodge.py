@@ -19,7 +19,31 @@ from cl33 import (
     vector_contract,
 )
 
+from cl33.blades import BLADE_COUNT, GRADES, blade_factors
+from cl33.hodge import _STAR
+
 W = outer_product
+
+
+def star_of_blade(mask):
+    """Reference star of one blade: successive contraction of its factors
+    (first innermost) into Omega_V, times 2 per plus-sector factor and -2
+    per minus-sector one."""
+    out = OMEGA_V
+    scale = 1.0
+    for bit in blade_factors(mask):
+        out = vector_contract(GENERATORS[bit], out)
+        scale *= 2.0 if bit < 3 else -2.0
+    return scale * out
+
+
+def test_star_table_matches_blade_loop():
+    want = np.zeros((BLADE_COUNT, BLADE_COUNT))
+    for m in range(BLADE_COUNT):
+        if GRADES[m] <= 3:
+            want[:, m] = star_of_blade(m).coeffs
+    assert np.array_equal(_STAR, want)
+    assert _STAR.tobytes() == want.tobytes()  # signed zeros included
 
 
 def lambda_v3_basis():

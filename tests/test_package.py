@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -23,3 +26,17 @@ def test_no_private_imports_across_modules():
             offenders += [f"{path.name}: {node.module}.{a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def test_import_loads_no_new_modules():
+    # numpy.random costs memory and start-up time in every process; and each
+    # module the package pulls in beyond numpy is listed here on purpose
+    code = ("import sys, numpy; before = set(sys.modules); import cl33; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    added = set(out.split())
+    assert "numpy.random" not in added
+    assert {m for m in added if m.split(".")[0] != "cl33"} <= {"__future__", "copy",
+                                                                "dataclasses"}

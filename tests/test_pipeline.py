@@ -1,5 +1,10 @@
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cl33 import (
     HodgeVersor,
@@ -11,6 +16,7 @@ from cl33 import (
     inverse_pipeline,
     parse_pipeline,
     parse_points,
+    pipeline,
 )
 from cl33.versors import PerspectiveMap
 
@@ -161,3 +167,106 @@ def test_empty_pipeline_is_identity():
     comp = parse_pipeline("").composed()
     p = Paravector(1.0, [1, 2, 3])
     assert comp.apply(p).approx_eq(p)
+
+
+# -- point files: the chunked fast path against the line-by-line reference ------
+
+#: Tokens whose fate is float()'s: accepted, rejected, or non-finite.
+ODD_TOKENS = ["+.5", "1e", "1_0", "infinity", "-Infinity", "nan", "1e400", "-1e-400",
+              "-0", "0x10", "\u0661\u0662", "1.", "+", "abc"]
+#: What ends a generated line: a splitlines separator, or a space that
+#: joins it to the next line.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028", " "]
+FIELD_GAPS = [" ", "\t", "  \t", "\xa0"]
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(ODD_TOKENS))
+
+
+@st.composite
+def point_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment", "odd-width"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "comment":
+        return "# " + draw(numbers)
+    width = 4 if kind == "row" else draw(st.sampled_from([3, 5]))
+    gap = draw(st.sampled_from(FIELD_GAPS))
+    line = gap.join(draw(st.lists(numbers, min_size=width, max_size=width)))
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(FIELD_GAPS)) + line
+    if draw(st.integers(0, 5)) == 0:
+        line += " # trailing comment"
+    return line
+
+
+@st.composite
+def point_files(draw):
+    lines = draw(st.lists(point_lines(), max_size=12))
+    breaks = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if lines and draw(st.booleans()):
+        text = text[:-len(breaks[-1])]
+    return text
+
+
+def _outcome(parse, source):
+    try:
+        rows = parse(source)
+    except PipelineError as exc:
+        return "error", str(exc), exc.line
+    return "rows", rows.shape, rows.dtype, rows.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_files(), st.sampled_from([1, 3, 8, 32, 1 << 18]))
+def test_fast_points_match_reference_parser(text, chunk_chars):
+    want = _outcome(pipeline._parse_points_by_line, text)
+    with mock.patch.object(pipeline, "POINT_CHUNK_CHARS", chunk_chars):
+        assert _outcome(parse_points, text) == want
+        assert _outcome(parse_points, io.StringIO(text)) == want
+    # the fast path alone takes exactly the reference's language, bit for bit
+    if "#" not in text:
+        fast = pipeline._chunk_rows(text)
+        assert (fast is None) == (want[0] == "error")
+        if fast is not None:
+            assert _outcome(lambda _: fast, text) == want
+
+
+def test_chunks_never_split_a_line():
+    # an 8-field row cut after its fourth field must still be rejected
+    for text in ("1 2 3 4 5 6 7 8\n", "1 2 3 4 5 6 7 8", "1 2 3 4\r\n5 6 7 8\r\n",
+                 "10 20 30 40\n\n-1 -2 -3 -4\n"):
+        want = _outcome(pipeline._parse_points_by_line, text)
+        for size in range(1, len(text) + 1):
+            with mock.patch.object(pipeline, "POINT_CHUNK_CHARS", size):
+                assert _outcome(parse_points, text) == want, (text, size)
+                assert _outcome(parse_points, io.StringIO(text)) == want, (text, size)
+
+
+def test_bad_row_opening_the_second_chunk_reports_its_line():
+    row = "1 2 3 4\n"
+    assert pipeline.POINT_CHUNK_CHARS % len(row) == 0
+    first = pipeline.POINT_CHUNK_CHARS // len(row)
+    for bad, message in (("1 2 3\n", "expected 4 fields"), ("1 2 x 4\n", "bad number"),
+                         ("1 2 nan 4\n", "non-finite")):
+        text = row * first + bad + row * 3
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(PipelineError, match=message) as info:
+                parse_points(source)
+            assert info.value.line == first + 1
+    # a comment there is no error: the rows come through the reference parser
+    rows = parse_points(row * first + "# note\n" + row)
+    assert rows.shape == (first + 1, 4) and np.array_equal(rows[-1], [1, 2, 3, 4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False), min_size=4, max_size=4), max_size=20))
+def test_format_points_bytes_match_line_join(rows):
+    points = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    lines = [f"{w:.17g} {x:.17g} {y:.17g} {z:.17g}" for w, x, y, z in points.tolist()]
+    assert format_points(points) == "\n".join(lines) + ("\n" if lines else "")
