@@ -13,7 +13,9 @@ finite input whose arithmetic overflows (a stage matrix, an output point or
 the scale ``check`` holds a stage to) or a pipeline that ``matrix`` finds
 deviating from its own matrix, 5 preservation-condition failure.
 ``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
-``apply`` and ``matrix`` do.
+``apply`` and ``matrix`` do.  When the reader of stdout closes it early
+(``cl33 apply ... | head -1``), the command stops writing and exits 141
+(128 + SIGPIPE, as a shell reports that signal), with nothing on stderr.
 
 ``apply`` compiles the pipeline to one 4x4 matrix (each stage's matrix is
 read off its versor images of the basis points, with every residue check)
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,6 +53,7 @@ EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_RESIDUE = 4
 EXIT_CONDITION = 5
+EXIT_BROKEN_PIPE = 141
 
 
 @functools.cache
@@ -133,7 +137,7 @@ def _cmd_apply(args, write):
         points = points @ matrix.T
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
-        line = pipeline.point_line(_read(args.points), bad[0])
+        line = _read(args.points, functools.partial(pipeline.point_line, index=bad[0]))
         raise DomainError(f"line {line} of the point file: "
                           "the transformed point is not finite: the arithmetic overflowed")
     if args.normalize:
@@ -208,13 +212,19 @@ def main(argv=None, _capture=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
-        if args.command == "apply":
-            return _cmd_apply(args, write)
-        if args.command == "matrix":
-            return _cmd_matrix(args, emit)
-        if args.command == "check":
-            return _cmd_check(args, emit)
-        return _cmd_selftest(args, emit)
+        command = {"apply": _cmd_apply, "matrix": _cmd_matrix, "check": _cmd_check,
+                   "selftest": _cmd_selftest}[args.command]
+        code = command(args, write if args.command == "apply" else emit)
+        if _capture is None:
+            sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        if _capture is not None:
+            raise
+        # the reader has gone: what is still buffered goes to devnull at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except PipelineError as exc:
         fail(f"error: {exc}")
         return EXIT_PARSE

@@ -16,7 +16,6 @@ from .blades import (
     BLADE_COUNT,
     CONJUGATION_SIGNS,
     GRADE_SELECTORS,
-    GRADES,
     INVOLUTION_SIGNS,
     OUTER_SIGNS,
     PRODUCT_MASKS,
@@ -80,18 +79,11 @@ class Multivector:
 
     # -- inspection ----------------------------------------------------
 
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
     def coeff(self, mask: int) -> float:
         return float(self.coeffs[mask])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
-
-    def grades_present(self, tol=0.0):
-        return sorted({int(k) for k in GRADES[np.abs(self.coeffs) > tol]})
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto grade ``k`` (coefficients of every other grade zeroed)."""
@@ -161,10 +153,6 @@ class Multivector:
                                                 minlength=BLADE_COUNT))
         return NotImplemented
 
-    def __invert__(self):
-        """Reversion."""
-        return Multivector._raw(self.coeffs * REVERSION_SIGNS)
-
     # -- comparison ------------------------------------------------------
 
     def approx_eq(self, other, atol=ATOL, rtol=RTOL) -> bool:
@@ -192,7 +180,6 @@ class Multivector:
 GENERATORS = tuple(Multivector.blade(1 << i) for i in range(6))
 
 ONE = Multivector.scalar(1.0)
-ZERO = Multivector()
 
 
 def _as_mv(x):
@@ -242,9 +229,9 @@ def vector_contract(v, a) -> Multivector:
     return (v * a - grade_involution(a) * v) * 0.5
 
 
-def exponential(a, tol=1e-14, max_terms=128) -> Multivector:
+def exponential(a, max_terms=128) -> Multivector:
     """Series exponential sum(a^n / n!), truncated when the next term is
-    below ``tol`` relative to the largest partial-sum coefficient.
+    below 1e-14 relative to the largest partial-sum coefficient.
 
     Raises DomainError when ``a`` is not finite and ConvergenceError when
     ``max_terms`` terms do not reach the tolerance.
@@ -257,7 +244,7 @@ def exponential(a, tol=1e-14, max_terms=128) -> Multivector:
     for n in range(1, max_terms + 1):
         term = term * a / n
         total = total + term
-        if term.max_abs() <= tol * max(1.0, total.max_abs()):
+        if term.max_abs() <= 1e-14 * max(1.0, total.max_abs()):
             return total
     raise ConvergenceError(
         f"exponential series did not converge within {max_terms} terms "

@@ -8,6 +8,7 @@ chunk of lines at a time.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -110,9 +111,9 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def _data_lines(text: str):
-    """(line number, body) of each line holding more than a comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _data_lines(text: str, first: int = 1):
+    """(line number from ``first``, body) of each line holding more than a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=first):
         body = _strip_comment(line)
         if body.strip():
             yield lineno, body
@@ -205,11 +206,11 @@ def inverse_pipeline(p: Pipeline) -> Pipeline:
     return Pipeline(tuple(steps))
 
 
-def _parse_points_by_line(text: str) -> np.ndarray:
-    """The reference point-file parser, one line at a time: every error it
-    raises names its line."""
+def _parse_points_by_line(text: str, first: int = 1) -> np.ndarray:
+    """The reference point-file parser, one line at a time, numbering the
+    lines of ``text`` from ``first``: every error it raises names its line."""
     rows = []
-    for lineno, body in _data_lines(text):
+    for lineno, body in _data_lines(text, first):
         fields = body.split()
         if len(fields) != 4:
             raise PipelineError(
@@ -238,6 +239,18 @@ def _line_chunks(pieces):
         yield carry
 
 
+def _numbered_chunks(source):
+    """(first line number, chunk of whole lines) of a point file's text or open file,
+    read POINT_CHUNK_CHARS characters at a time.  Every chunk but the last ends in a
+    newline, so the chunks' ``splitlines`` counts add up to the whole text's."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    first = 1
+    for chunk in _line_chunks(iter(partial(source.read, POINT_CHUNK_CHARS), "")):
+        yield first, chunk
+        first += len(chunk.splitlines())
+
+
 def _chunk_rows(chunk: str):
     """The (n, 4) rows of a chunk of whole lines, or None when the chunk
     needs the line-by-line parser: it holds a comment, a line of other
@@ -263,37 +276,26 @@ def parse_points(source) -> np.ndarray:
     array of rows (w, x, y, z); raises PipelineError with the line number on
     a malformed or non-finite row.
 
-    The text is read POINT_CHUNK_CHARS characters at a time and cut into
+    The source is read POINT_CHUNK_CHARS characters at a time and cut into
     chunks of whole lines; each chunk is converted with one ``float`` pass
-    over its tokens.  The first chunk that holds a comment or anything the
-    conversion rejects sends the whole text through the line-by-line
-    parser, which finds the first bad line.  A file that cannot seek is
-    read whole first, since that parser reads it again from the start.
+    over its tokens.  A chunk that holds a comment or anything that pass
+    declines goes alone through the line-by-line parser, numbered from its
+    first line, which reads its rows or names its first bad line.
     """
-    if not isinstance(source, str) and not source.seekable():
-        source = source.read()
-    if isinstance(source, str):
-        size = POINT_CHUNK_CHARS
-        pieces = (source[i:i + size] for i in range(0, len(source), size))
-    else:
-        start = source.tell()
-        pieces = iter(partial(source.read, POINT_CHUNK_CHARS), "")
     blocks = [np.empty((0, 4))]
-    for chunk in _line_chunks(pieces):
+    for first, chunk in _numbered_chunks(source):
         rows = _chunk_rows(chunk)
-        if rows is None:
-            if not isinstance(source, str):
-                source.seek(start)
-                source = source.read()
-            return _parse_points_by_line(source)
-        blocks.append(rows)
+        blocks.append(_parse_points_by_line(chunk, first) if rows is None else rows)
     return np.concatenate(blocks)
 
 
-def point_line(text: str, index: int) -> int:
-    """Line number of the point file ``text`` holding row ``index`` of
-    ``parse_points(text)``."""
-    return next(itertools.islice(_data_lines(text), index, None))[0]
+def point_line(source, index: int) -> int:
+    """Line number of the point file holding row ``index`` of
+    ``parse_points(source)``; ``source`` is the file's text or a text file
+    open for reading, read a chunk at a time."""
+    lines = (line for first, chunk in _numbered_chunks(source)
+             for line in _data_lines(chunk, first))
+    return next(itertools.islice(lines, index, None))[0]
 
 
 def format_points(points: np.ndarray) -> str:

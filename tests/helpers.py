@@ -1,6 +1,8 @@
 """Shared oracles and random-input helpers, independent of the implementation
 paths they check."""
 
+import io
+
 import numpy as np
 
 from cl33.blades import BLADE_COUNT
@@ -46,3 +48,31 @@ def pseudo_perspective_oracle_matrix(n):
     m = np.eye(4)
     m[0, 1:] = n
     return m
+
+
+class ChunkReadsOnly:
+    """A text file that hands out at most ``limit`` characters per ``read``:
+    it cannot seek, ``seek`` and ``tell`` raise, and an unsized ``read``
+    fails the test."""
+
+    def __init__(self, fh, limit):
+        self._fh, self._limit = fh, limit
+
+    def read(self, size=-1):
+        assert 0 < size <= self._limit, f"read({size}) with a limit of {self._limit}"
+        return self._fh.read(size)
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()

@@ -1,8 +1,18 @@
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 
-from cl33 import pipeline
+from cl33 import cli, pipeline
 from cl33.cli import main
 from cl33.selftest import check_algebra_axioms
+from helpers import ChunkReadsOnly
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(tmp_path, *argv):
@@ -218,6 +228,24 @@ def test_exit_code_overflow(tmp_path):
     assert code == 4 and lines == [lines[-1]] and "line 4 of the point file" in lines[-1]
 
 
+def test_overflow_two_chunks_after_a_comment_names_its_line(tmp_path):
+    # chunks of 32 characters: the comment opens the first, the overflowing
+    # row is line 10, in the third; the point file is only read in chunks
+    row = "1 2 3 4\n"
+    text = "# head.\n" + row * 3 + row * 4 + row + "1e308 1e308 0 0\n" + row * 3
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    pts = write(tmp_path, "x.txt", text)
+
+    def points_in_chunks(path, *args, **kwargs):
+        fh = io.open(path, *args, **kwargs)
+        return ChunkReadsOnly(fh, pipeline.POINT_CHUNK_CHARS) if path == pts else fh
+
+    with mock.patch.object(pipeline, "POINT_CHUNK_CHARS", 32), \
+            mock.patch.object(cli, "open", points_in_chunks, create=True):
+        code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)
+    assert code == 4 and lines == [lines[-1]] and "line 10 of the point file" in lines[-1]
+
+
 def test_exit_code_matrix_deviation(tmp_path):
     # apply's rounding at a large translation exceeds the probe's bound: a
     # readable error and exit 4, not a traceback
@@ -296,3 +324,19 @@ def test_apply_undecodable_point_file_exits_2(tmp_path):
     pts.write_bytes(b"1 0 0 0\n\xff 1 2 3\n")
     code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", str(pts))
     assert code == 2 and lines[-1].startswith("error: cannot read")
+
+
+def test_apply_into_a_closed_pipe_exits_quietly(tmp_path):
+    # the reader takes one line and closes the pipe while apply still writes
+    pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")
+    pts = write(tmp_path, "x.txt", "1 2 3 4\n" * 50000)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cl33", "apply", "--pipeline", pipe, "--points", pts],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert first == b"1 3 3 4\n" and err == b""

@@ -228,11 +228,6 @@ def test_scalar_arithmetic_and_repr():
     assert geometric_product(2.0, EP1).approx_eq(2.0 * EP1)
 
 
-def test_reversion_operator_alias():
-    a = EP1 * EP2
-    assert (~a).approx_eq(reversion(a))
-
-
 def test_approx_eq_is_reflexive_and_symmetric():
     rng = np.random.default_rng(8)
     a = random_mv(rng)

@@ -19,6 +19,7 @@ from cl33 import (
     pipeline,
 )
 from cl33.versors import PerspectiveMap
+from helpers import ChunkReadsOnly
 
 FULL_SOURCE = """\
 # a pipeline touching every operation
@@ -262,6 +263,44 @@ def test_bad_row_opening_the_second_chunk_reports_its_line():
     # a comment there is no error: the rows come through the reference parser
     rows = parse_points(row * first + "# note\n" + row)
     assert rows.shape == (first + 1, 4) and np.array_equal(rows[-1], [1, 2, 3, 4])
+
+
+def test_only_the_chunk_with_a_comment_takes_the_line_parser():
+    row = "1 2 3 4\n"
+    text = row * 4 + row * 3 + "# note.\n" + row * 4
+    spy = mock.Mock(wraps=pipeline._parse_points_by_line)
+    with mock.patch.object(pipeline, "POINT_CHUNK_CHARS", 4 * len(row)), \
+            mock.patch.object(pipeline, "_parse_points_by_line", spy):
+        rows = parse_points(text)
+    assert np.array_equal(rows, np.tile([1.0, 2, 3, 4], (11, 1)))
+    # the middle of three chunks, numbered from its own first line
+    assert spy.call_count == 1
+    assert len(spy.call_args.args[0]) == 4 * len(row)
+    assert spy.call_args.args == (text[32:64], 5)
+
+
+UNSEEKABLE_TEXTS = [
+    "1 2 3 4\n" * 9,
+    "# head\n1 0 0 0\n\n2 2 2 2\r\n3 3 3 3 # tail\n4 4 4 4",
+    "1 0 0 0\r" * 5 + "# c\n" + "1 0 0 0\n" * 5 + "1 2 x 4\n",
+    "1 0 0 0\n" * 6 + "# c\n" + "1 2 3\n",
+    "1 0 0 0\n" * 4 + "1 nan 0 0\n",
+    "",
+]
+
+
+def test_unseekable_source_is_read_a_chunk_at_a_time():
+    for text in UNSEEKABLE_TEXTS:
+        want = _outcome(pipeline._parse_points_by_line, text)
+        lines = [lineno for lineno, _ in pipeline._data_lines(text)]
+        for size in (1, 5, 8, 64):
+            with mock.patch.object(pipeline, "POINT_CHUNK_CHARS", size):
+                source = ChunkReadsOnly(io.StringIO(text), size)
+                assert _outcome(parse_points, source) == want, (text, size)
+                if want[0] == "rows":
+                    for index, lineno in enumerate(lines):
+                        source = ChunkReadsOnly(io.StringIO(text), size)
+                        assert pipeline.point_line(source, index) == lineno
 
 
 @settings(max_examples=200, deadline=None)
