@@ -18,6 +18,9 @@ from .errors import CovectorResidue, DomainError, NonParavectorResidue
 from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
 
 _HIGH_GRADE = GRADES >= 2
+#: Masks of e1p, e2p, e3p and of e1m, e2m, e3m.
+_PLUS = np.array([1, 2, 4])
+_MINUS = np.array([8, 16, 32])
 
 _EP = GENERATORS[:3]
 _EM = GENERATORS[3:]
@@ -159,13 +162,34 @@ def extract_paravector(a: Multivector) -> Paravector:
     if worst > tol:
         raise NonParavectorResidue(
             f"grade >= 2 residue {worst:.3e} exceeds tolerance {tol:.3e}", residual=worst)
-    plus = a.coeffs[[1, 2, 4]]     # e1p, e2p, e3p
-    minus = a.coeffs[[8, 16, 32]]  # e1m, e2m, e3m
+    plus = a.coeffs[_PLUS]
+    minus = a.coeffs[_MINUS]
     mismatch = float(np.max(np.abs(plus - minus), initial=0.0))
     if mismatch > tol:
         raise CovectorResidue(
             f"covector residue {mismatch:.3e} exceeds tolerance {tol:.3e}", residual=mismatch)
     return Paravector(a.coeffs[0], 2.0 * plus)
+
+
+def extract_points(rows) -> np.ndarray:
+    """``extract_paravector`` of each row of (n, 64) coefficients, as (n, 4)
+    rows (w, x, y, z).
+
+    The checks of extract_paravector run on all rows at once, each row held
+    to the tolerance of its own largest coefficient.  When one fails, the
+    rows go through extract_paravector in order, which raises its error for
+    the first row that fails.
+    """
+    rows = np.asarray(rows)
+    if np.isfinite(rows).all():
+        mags = np.abs(rows)
+        plus = rows[:, _PLUS]
+        worst = np.maximum(np.max(mags[:, _HIGH_GRADE], axis=1),
+                           np.max(np.abs(plus - rows[:, _MINUS]), axis=1))
+        if (worst <= tolerance(np.max(mags, axis=1))).all():
+            return np.column_stack((rows[:, 0], 2.0 * plus))
+    points = [extract_paravector(Multivector._raw(row)) for row in rows]
+    return np.array([[q.weight, *q.vector] for q in points])
 
 
 def normalize_point(p: Paravector) -> Paravector:

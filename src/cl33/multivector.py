@@ -30,6 +30,12 @@ RTOL = 1e-9
 
 _FLAT_MASKS = PRODUCT_MASKS.ravel()
 
+# Entry (i, k) of a right factor's product table is the factor's
+# coefficient i ^ k with the Cayley sign of (i, i ^ k): the gather index
+# into the factor's coefficients followed by their negated copy.
+_TABLE_INDEX = PRODUCT_MASKS + BLADE_COUNT * (
+    np.take_along_axis(PRODUCT_SIGNS, PRODUCT_MASKS, axis=1) < 0)
+
 
 def tolerance(scale: float) -> float:
     """Absolute tolerance appropriate for values of the given magnitude."""
@@ -180,6 +186,34 @@ class Multivector:
 GENERATORS = tuple(Multivector.blade(1 << i) for i in range(6))
 
 ONE = Multivector.scalar(1.0)
+
+
+def product_tables(rows) -> np.ndarray:
+    """Right-multiplication tables of coefficient rows b (shape (n, 64), or
+    one row), as a (64, n, 64) array T with (a * b_r)_k = sum_i a_i T[i, r, k].
+
+    A factor known ahead of time is tabled once; ``table_products`` then
+    multiplies by it without the Cayley sign and mask lookups of ``*``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    tables = np.concatenate((rows, -rows), axis=-1)[..., _TABLE_INDEX]
+    return np.ascontiguousarray(tables.swapaxes(0, -2)).reshape(BLADE_COUNT, -1, BLADE_COUNT)
+
+
+def table_products(a, tables) -> np.ndarray:
+    """Products of coefficient rows ``a`` (shape (n, 64), or one row) by
+    right factors tabled by ``product_tables`` (n tables, or one for every
+    row), as (n, 64) coefficients.
+
+    Byte-identical to ``Multivector.__mul__``: a_i times the signed
+    coefficient is the signed product, the terms are added in ascending i
+    (the reduced axis is outermost, so the sum is not pairwise), as
+    ``bincount`` adds them, and ``+ 0.0`` gives a zero sum bincount's +0
+    (numpy 2 already starts the sum from +0; earlier versions start from the
+    first term, which may be -0).
+    """
+    terms = np.multiply(np.asarray(a).T.reshape(BLADE_COUNT, -1, 1), tables, order="C")
+    return np.add.reduce(terms, axis=0) + 0.0
 
 
 def _as_mv(x):

@@ -65,8 +65,11 @@ class PipelineStep:
 
     @cached_property
     def transform(self) -> Transform:
-        """The step's transform, built on first use and kept."""
-        return _STEP_BUILDERS[self.op](self.params)
+        """The step's transform, built on first use and kept.  A versor whose
+        products overflow keeps its non-finite coefficients, with no warning:
+        the stage matrix and ``check`` report them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _STEP_BUILDERS[self.op](self.params)
 
 
 @dataclass(frozen=True)

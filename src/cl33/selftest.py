@@ -47,6 +47,17 @@ from .versors import (
 )
 
 
+#: The weighted points of POINT_BASIS: (1, 0), (0, e1), (0, e2), (0, e3).
+BASIS_POINTS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
+
+
+def matrix_through_apply(stage) -> np.ndarray:
+    """The 4x4 matrix of a stage read through its per-point ``apply`` on
+    BASIS_POINTS: column j is the image of basis point j."""
+    images = [stage.apply(b) for b in BASIS_POINTS]
+    return np.array([[q.weight, *q.vector] for q in images]).T
+
+
 def rand_unit(rng):
     """A random unit 3-vector."""
     v = rng.normal(size=3)
@@ -333,8 +344,10 @@ def check_classification():
 
 
 def check_projective_matrices():
-    """First-order matrices against direct evaluation at eps = 1e-4, and
-    probe matrices against the transforms they summarize."""
+    """First-order matrices against direct evaluation at eps = 1e-4, probe
+    matrices against the transforms they summarize, and each stage matrix
+    (a sandwich, a star-sandwich and fused composites) against its basis
+    points read through ``apply``, byte for byte."""
     rng = np.random.default_rng(18)
     eps = 1e-4
     worst = 0.0
@@ -369,6 +382,11 @@ def check_projective_matrices():
         compose([reflection_versor(rand_unit(rng)),
                  shear_versor(u, w2, 1.1)]),
     ]
+    stages = [stage for tr in pipelines for stage in tr.stages]
+    for stage in stages:
+        if stage.matrix.tobytes() != matrix_through_apply(stage).tobytes():
+            return False, (f"{type(stage).__name__} matrix differs from its basis "
+                           "points read through apply")
     n_each = -(-1000 // len(pipelines))
     for tr in pipelines:
         m = analysis.projective_matrix_probe(tr)
@@ -378,7 +396,8 @@ def check_projective_matrices():
             want = m @ np.concatenate(([p.weight], p.vector))
             if _rel_dev(got, want[0], want[1:]) > 1e-9:
                 return False, "probe matrix disagrees with its transform"
-    return True, f"100 parameter draws; {n_each * len(pipelines)} matrix points"
+    return True, (f"100 parameter draws; {n_each * len(pipelines)} matrix points; "
+                  f"{len(stages)} stage matrices equal apply on the basis")
 
 
 def check_sector_behavior():

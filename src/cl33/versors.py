@@ -22,12 +22,21 @@ from .euclid import (
     embed_paravector,
     embed_vector,
     extract_paravector,
+    extract_points,
     g,
     sector_vector,
     star_conjugate,
 )
-from .hodge import hodge_star
-from .multivector import GENERATORS, ONE, Multivector, reversion, tolerance
+from .hodge import hodge_star, hodge_star_rows
+from .multivector import (
+    GENERATORS,
+    ONE,
+    Multivector,
+    product_tables,
+    reversion,
+    table_products,
+    tolerance,
+)
 
 #: Tolerance for unit-length / orthogonality preconditions.
 PRECONDITION_TOL = 1e-9
@@ -73,6 +82,19 @@ def _check_orthogonal(u, v):
         raise DomainError(f"u and v must be orthogonal, g(u, v) = {g(u, v):.12g}")
 
 
+#: Right-multiplication tables of POINT_BASIS and of its Hodge stars: the
+#: right factors of the first product of a sandwich and a star-sandwich.
+_BASIS_TABLES = product_tables([b.coeffs for b in POINT_BASIS])
+_STAR_BASIS_TABLES = product_tables([hodge_star(b).coeffs for b in POINT_BASIS])
+
+
+def _sandwich_rows(U: Multivector, tables) -> np.ndarray:
+    """U b (rev U) for each right factor b of ``tables``, as (n, 64) rows:
+    two batched products, byte-identical to ``U * b * reversion(U)``."""
+    return table_products(table_products(U.coeffs, tables),
+                          product_tables(reversion(U).coeffs))
+
+
 class Transform:
     """A point transformation; concrete forms below."""
 
@@ -81,24 +103,25 @@ class Transform:
 
     def images(self) -> np.ndarray:
         """The action on POINT_BASIS before extraction, as (4, 64)
-        coefficients: ``sandwich(b)`` for each basis element b, the sandwich
-        of a Versor or the star-sandwich of a HodgeVersor.  PerspectiveMap
-        and Composed build their matrices from their stages' instead."""
-        return np.array([self.sandwich(b).coeffs for b in POINT_BASIS])
+        coefficients: row j is ``sandwich(b)`` of basis element j, byte for
+        byte, the sandwich of a Versor or the star-sandwich of a
+        HodgeVersor, computed for all four rows at once from tables of the
+        basis.  PerspectiveMap and Composed build their matrices from their
+        stages' instead."""
+        raise NotImplementedError
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
 
-        Column j is row j of ``images`` read through extract_paravector, so
-        every residue check of the versor path runs once per stage; the
-        sandwich and star-sandwich are linear in P, so a basis whose images
-        extract cleanly covers every point.  Computed on first use and kept.
-        Raises DomainError when the arithmetic overflows.
+        Column j is row j of ``images`` read through extract_points, so every
+        residue check of extract_paravector runs once per stage; the sandwich
+        and star-sandwich are linear in P, so a basis whose images extract
+        cleanly covers every point.  Computed on first use and kept.  Raises
+        DomainError when the arithmetic overflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            points = [extract_paravector(Multivector._raw(row)) for row in self.images()]
-        m = np.array([[q.weight, *q.vector] for q in points]).T
+            m = extract_points(self.images()).T
         m.flags.writeable = False
         return m
 
@@ -120,6 +143,15 @@ class Versor(Transform):
         """epsilon U m (rev U)."""
         out = self.U * m * reversion(self.U)
         return -out if self.epsilon < 0 else out
+
+    def sandwiches(self, tables) -> np.ndarray:
+        """``sandwich(b).coeffs`` for each right factor b tabled by
+        ``product_tables``, as (n, 64) rows, byte for byte."""
+        out = _sandwich_rows(self.U, tables)
+        return -out if self.epsilon < 0 else out
+
+    def images(self) -> np.ndarray:
+        return self.sandwiches(_BASIS_TABLES)
 
     def apply(self, p: Paravector) -> Paravector:
         return apply_sandwich(self, p)
@@ -254,6 +286,9 @@ class HodgeVersor(Transform):
     def sandwich(self, m: Multivector) -> Multivector:
         """The star-sandwich star(U' (star m) (rev U'))."""
         return hodge_star(self.uprime * hodge_star(m) * reversion(self.uprime))
+
+    def images(self) -> np.ndarray:
+        return hodge_star_rows(_sandwich_rows(self.uprime, _STAR_BASIS_TABLES))
 
     def apply(self, p: Paravector) -> Paravector:
         return apply_hodge_sandwich(self, p)
@@ -476,6 +511,10 @@ class SectorReport:
         return "preserved" if self.preserves_minus else "mixed"
 
 
+#: Right-multiplication tables of 1 and the six generators.
+_SECTOR_TABLES = product_tables([b.coeffs for b in (ONE, *GENERATORS)])
+
+
 def sector_image(versor: Versor) -> SectorReport:
     """Sandwich 1 and each of the six generators.
 
@@ -484,7 +523,7 @@ def sector_image(versor: Versor) -> SectorReport:
     sector is preserved when these four images stay inside scalar + that
     sector's vector span, within tolerance.
     """
-    images = np.abs([versor.sandwich(b).coeffs for b in (ONE, *GENERATORS)])
+    images = np.abs(versor.sandwiches(_SECTOR_TABLES))
     plus = float(np.max(np.delete(images[:4], [0, 1, 2, 4], axis=1)))
     minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, 8, 16, 32], axis=1)))
     tol = tolerance(max(1.0, versor.U.max_abs() ** 2))

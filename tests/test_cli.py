@@ -6,6 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from cl33 import cli, pipeline
 from cl33.cli import main
@@ -324,6 +325,25 @@ def test_apply_undecodable_point_file_exits_2(tmp_path):
     pts.write_bytes(b"1 0 0 0\n\xff 1 2 3\n")
     code, lines = run(tmp_path, "apply", "--pipeline", pipe, "--points", str(pts))
     assert code == 2 and lines[-1].startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("step", ["hrotate u=(1,0,0) v=(0,1,0) eta=1400",
+                                  "shear u=(1e200,0,0) v=(0,1e200,0) t=1"])
+@pytest.mark.parametrize("command", ["apply", "matrix", "check"])
+def test_overflowing_versor_prints_only_the_error(tmp_path, step, command):
+    # the versor's own products overflow while it is built; no numpy
+    # warning may reach stderr ahead of the error line
+    argv = [command, "--pipeline", write(tmp_path, "p.txt", step + "\n")]
+    if command == "apply":
+        argv += ["--points", write(tmp_path, "x.txt", "1 1 2 3\n")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "cl33", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    what = "stage 1 (sandwich): the scale of its versor" if command == "check" \
+        else "stage 1: the extracted point"
+    assert proc.returncode == cli.EXIT_RESIDUE == 4
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {what} is not finite: the arithmetic overflowed\n"
 
 
 def test_apply_into_a_closed_pipe_exits_quietly(tmp_path):

@@ -20,7 +20,7 @@ from cl33 import (
 )
 
 from cl33.blades import BLADE_COUNT, GRADES, blade_factors
-from cl33.hodge import _STAR
+from cl33.hodge import _STAR, hodge_star_rows
 
 W = outer_product
 
@@ -144,6 +144,21 @@ def test_star_rejects_high_grades():
         hodge_star(GENERATORS[0] * GENERATORS[1] * GENERATORS[2] * GENERATORS[3])
     with pytest.raises(DomainError):
         hodge_star(I_FULL)
+
+
+def test_star_rows_are_the_star_of_each_row():
+    rng = np.random.default_rng(37)
+    rows = rng.normal(size=(6, 64)) * 10.0 ** rng.integers(-150, 151, size=(6, 64))
+    rows[:, GRADES > 3] = 0.0
+    rows[rng.random((6, 64)) < 0.3] = -0.0
+    want = np.array([_STAR @ row for row in rows])
+    assert hodge_star_rows(rows).tobytes() == want.tobytes()  # signed zeros included
+    # the error names the first row over its tolerance, not the worst one
+    bad = np.zeros((3, 64))
+    bad[:, 0] = 1.0
+    bad[1, 0b001111], bad[2, 0b001111] = 0.25, 0.5
+    with pytest.raises(DomainError, match=r"grade > 3 residue 2\.500e-01$"):
+        hodge_star_rows(bad)
 
 
 def test_star_accepts_single_sector_inputs():

@@ -6,14 +6,23 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cl33 import (
+    POINT_BASIS,
+    CovectorResidue,
+    DomainError,
+    HodgeVersor,
+    Multivector,
+    NonParavectorResidue,
     Paravector,
     PerspectiveMap,
+    Versor,
     compose,
     cotranslation_versor,
+    extract_paravector,
     hyperbolic_versor,
     multivector,
     parse_pipeline,
@@ -27,6 +36,7 @@ from cl33 import (
     versors,
 )
 from cl33.cli import main
+from cl33.selftest import matrix_through_apply, rand_orthonormal, rand_unit
 
 COORD = st.integers(-16, 16).map(lambda k: k / 8)
 SANDWICH_OPS = ("reflect", "rotate", "hrotate", "shear", "scale", "translate")
@@ -202,16 +212,6 @@ def test_each_versor_built_once(monkeypatch, tmp_path):
     assert counts["translation_versor"] == 2
 
 
-#: The basis points (1, 0), (0, e1), (0, e2), (0, e3).
-BASIS_POINTS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
-
-
-def _matrix_through_apply(stage):
-    """The stage matrix read through ``apply`` on the basis points."""
-    images = [stage.apply(b) for b in BASIS_POINTS]
-    return np.array([[q.weight, *q.vector] for q in images]).T
-
-
 def test_stage_matrix_is_apply_on_basis():
     u, v = np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0])
     stages = [
@@ -229,7 +229,7 @@ def test_stage_matrix_is_apply_on_basis():
     ]
     for stage in stages:
         assert stage.images().shape == (4, 64)
-        assert stage.matrix.tobytes() == _matrix_through_apply(stage).tobytes(), stage
+        assert stage.matrix.tobytes() == matrix_through_apply(stage).tobytes(), stage
 
 
 def test_perspective_matrix_matches_apply():
@@ -239,7 +239,121 @@ def test_perspective_matrix_matches_apply():
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         stage = PerspectiveMap(Paravector(1.0, eye), n, float(n @ eye) + rng.uniform(0.5, 2.0))
-        want = _matrix_through_apply(stage)
+        want = matrix_through_apply(stage)
         assert np.max(np.abs(stage.matrix - want)) <= 1e-14 * np.max(np.abs(want))
     stage = PerspectiveMap(Paravector(1.0, [0, 0, 5]), [0, 0, 1], 1.0)
-    assert np.array_equal(stage.matrix, _matrix_through_apply(stage))
+    assert np.array_equal(stage.matrix, matrix_through_apply(stage))
+
+
+# -- batched basis images ----------------------------------------------------------
+
+
+def _six_ops(rng):
+    """The six sandwich ops in seeded order, with seeded parameters."""
+    lines = []
+    for op in rng.permutation(SANDWICH_OPS):
+        u, v = rand_orthonormal(rng)
+        x = rng.uniform(-1.5, 1.5)
+        lines.append({"reflect": f"reflect n={_vec(rand_unit(rng))}",
+                      "rotate": f"rotate u={_vec(u)} v={_vec(v)} theta={x:.17g}",
+                      "hrotate": f"hrotate u={_vec(u)} v={_vec(v)} eta={x:.17g}",
+                      "shear": f"shear u={_vec(u)} v={_vec(v)} t={x:.17g}",
+                      "scale": f"scale u={_vec(u)} t={x:.17g}",
+                      "translate": f"translate v={_vec(rng.uniform(-3, 3, 3))}"}[op])
+    return lines
+
+
+def _projective(rng):
+    """Six ops | perspective | cotranslate | pseudo | six ops: two fused
+    sandwich stages, a perspective and a fused star-sandwich stage."""
+    eye, n = rng.uniform(-1, 1, 3), rand_unit(rng)
+    c = float(n @ eye) + rng.uniform(1.0, 2.0)
+    return (_six_ops(rng)
+            + [f"perspective eye={_vec(eye)} n={_vec(n)} c={c:.17g}",
+               f"cotranslate v={_vec(rng.uniform(-0.5, 0.5, 3))}",
+               f"pseudo n={_vec(n)}"]
+            + _six_ops(rng))
+
+
+def _versor_stages(source):
+    """Every Versor and HodgeVersor of a pipeline: its fused stages, each
+    step alone, and the two versors inside each perspective."""
+    pipe = parse_pipeline(source)
+    found = list(pipe.composed().stages) + pipe.transforms()
+    found += [v for t in pipe.transforms() if isinstance(t, PerspectiveMap)
+              for v in (t.cotranslate, t.from_eye)]
+    return [t for t in found if isinstance(t, (Versor, HodgeVersor))]
+
+
+def test_images_are_the_sandwiches_byte_for_byte():
+    rng = np.random.default_rng(77)
+    kinds = {Versor: 0, HodgeVersor: 0}
+    for trial in range(16):
+        lines = _projective(rng) if trial % 2 else _six_ops(rng)
+        for stage in _versor_stages("\n".join(lines) + "\n"):
+            want = np.array([stage.sandwich(b).coeffs for b in POINT_BASIS])
+            assert stage.images().tobytes() == want.tobytes(), stage
+            assert stage.matrix.tobytes() == matrix_through_apply(stage).tobytes(), stage
+            kinds[type(stage)] += 1
+    assert kinds[Versor] >= 100 and kinds[HodgeVersor] >= 20
+
+
+def _per_row_error(stage):
+    """The error of reading the basis images one sandwich at a time."""
+    try:
+        for b in POINT_BASIS:
+            extract_paravector(stage.sandwich(b))
+    except ValueError as exc:
+        return exc
+    raise AssertionError(f"{stage} reads cleanly")
+
+
+def _assert_same_error(stage):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _per_row_error(stage)
+        with pytest.raises(type(want)) as got:
+            stage.matrix
+    assert type(got.value) is type(want) and str(got.value) == str(want)
+    return want
+
+
+def test_perturbed_versor_keeps_its_error():
+    # as --perturb 7:0.01 and 1:0.01 do to every sandwich stage; on the
+    # translation the second leaves only a covector residue
+    kinds = set()
+    for source in ("translate v=(1,0,0)\n",
+                   "\n".join(_six_ops(np.random.default_rng(3))) + "\n"):
+        (stage,) = parse_pipeline(source).composed().stages
+        for mask in (7, 1):
+            coeffs = stage.U.coeffs.copy()
+            coeffs[mask] += 0.01
+            err = _assert_same_error(Versor(Multivector(coeffs), stage.epsilon, stage.kind))
+            kinds.add(type(err))
+    assert kinds == {NonParavectorResidue, CovectorResidue}
+
+
+def test_non_finite_versor_keeps_its_error():
+    for value in (np.inf, -np.inf, np.nan, 1e300):
+        coeffs = rotation_versor([1, 0, 0], [0, 1, 0], 0.4).U.coeffs.copy()
+        coeffs[3] = value
+        err = _assert_same_error(Versor(Multivector(coeffs), +1, "rotation"))
+        assert isinstance(err, DomainError) and "not finite" in str(err)
+
+
+def test_star_sandwich_above_grade_3_keeps_its_error():
+    # the middle product of rows 1 and 2 carries grade > 3, the residues
+    # differ, and the error names the first row's
+    uprime = 1.0 + 0.2 * Multivector.blade(0b001111) + 0.3 * Multivector.blade(0b010111)
+    stage = HodgeVersor(uprime, 1.0)
+    residues = []
+    for b in POINT_BASIS:
+        try:
+            stage.sandwich(b)
+        except DomainError as exc:
+            residues.append(str(exc))
+    assert len(set(residues)) == 2
+    err = _assert_same_error(stage)
+    assert str(err) == residues[0] and "grade > 3" in str(err)
+    with pytest.raises(DomainError, match="grade > 3") as got:
+        stage.images()
+    assert str(got.value) == residues[0]

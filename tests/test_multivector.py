@@ -17,7 +17,8 @@ from cl33 import (
     reversion,
     vector_contract,
 )
-from cl33.blades import GRADES
+from cl33.blades import GRADES, PRODUCT_SIGNS
+from cl33.multivector import product_tables, table_products
 from cl33.euclid import E, OMEGA_V, embed_vector, sector_vector
 from helpers import naive_geometric_product
 
@@ -236,3 +237,33 @@ def test_approx_eq_is_reflexive_and_symmetric():
     assert a.approx_eq(b) and b.approx_eq(a)
     c = Multivector(a.coeffs + 1e-3)
     assert not a.approx_eq(c) and not c.approx_eq(a)
+
+
+def _random_rows(rng, n):
+    """Rows of 64 coefficients: dense or sparse, with -0.0 entries and
+    exponents across +-200, so that some products overflow."""
+    rows = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-200, 201, size=(n, 64))
+    rows[rng.random((n, 64)) < rng.random()] = 0.0
+    rows[rng.random((n, 64)) < 0.2] = -0.0
+    return rows
+
+
+def test_table_products_are_the_product_byte_for_byte():
+    rng = np.random.default_rng(29)
+    rows = lambda a, b: np.array([(Multivector(x) * Multivector(y)).coeffs for x, y in zip(a, b)])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            a, b = _random_rows(rng, n), _random_rows(rng, n)
+            # row by row, every row by one factor, and one row by every factor
+            assert table_products(a, product_tables(b)).tobytes() == rows(a, b).tobytes()
+            want = rows(a, [b[0]] * n)
+            assert table_products(a, product_tables(b[0])).tobytes() == want.tobytes()
+            want = rows([a[0]] * n, b)
+            assert table_products(a[0], product_tables(b)).tobytes() == want.tobytes()
+    # every term (a_i b_i) s(i, i) of the scalar part is -0 when a_i is -0
+    # for the blades squaring to +1 and +0 for the rest; the sum is +0
+    a = np.where(np.diagonal(PRODUCT_SIGNS) > 0, -0.0, 0.0)
+    out = table_products(a, product_tables(np.zeros(64)))
+    assert out.tobytes() == (Multivector(a) * Multivector(np.zeros(64))).coeffs.tobytes()
+    assert not np.signbit(out[0, 0])

@@ -6,6 +6,7 @@ from cl33 import (
     DegenerateConfigurationError,
     DomainError,
     E,
+    GENERATORS,
     HodgeVersor,
     Multivector,
     NotHodgeCompatible,
@@ -36,10 +37,13 @@ from cl33 import (
     scale_versor,
     sector_image,
     shear_versor,
+    tolerance,
     translation_versor,
 )
+from cl33 import versors
 from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import (
+    SectorReport,
     hyperbolic_generator,
     rotation_generator,
     scale_generator,
@@ -533,20 +537,43 @@ def test_sector_reports():
         assert min(rep.plus_off_sector, rep.minus_off_sector) > 1e-6
 
 
+def test_sector_image_matches_the_per_row_sandwich():
+    rng = np.random.default_rng(23)
+    u, v = rand_orthonormal(rng)
+    versors_ = [reflection_versor(rand_unit(rng)), rotation_versor(u, v, 1.1),
+                hyperbolic_versor(u, v, 0.8), shear_versor(u, v, 1.5), scale_versor(u, 0.6),
+                translation_versor([0.5, -0.5, 2.0]), identity_versor(),
+                compose([rotation_versor(u, v, 0.3), translation_versor([1.0, 2.0, 3.0]),
+                         reflection_versor(v)]).stages[0]]
+    for versor in versors_:
+        factors = (Multivector.scalar(1.0), *GENERATORS)
+        images = np.abs([versor.sandwich(b).coeffs for b in factors])
+        plus = float(np.max(np.delete(images[:4], [0, 1, 2, 4], axis=1)))
+        minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, 8, 16, 32], axis=1)))
+        tol = tolerance(max(1.0, versor.U.max_abs() ** 2))
+        assert sector_image(versor) == SectorReport(plus, minus, plus <= tol, minus <= tol)
+
+
 def test_sector_image_product_count(monkeypatch):
-    # seven sandwiches of 1 and the six generators, exact: 14 products,
-    # against 32 for sixteen random probes
+    # the seven sandwiches of 1 and the six generators are two batched
+    # products, against 14 products one sandwich at a time and 32 for
+    # sixteen random probes
     versor = shear_versor([1, 0, 0], [0, 1, 0], 1.5)
-    calls = {"mul": 0}
-    mul = Multivector.__mul__
+    calls = {"mul": 0, "batched": 0}
+    mul, batched = Multivector.__mul__, versors.table_products
 
     def counted(a, b):
         calls["mul"] += 1
         return mul(a, b)
 
+    def counted_batch(a, tables):
+        calls["batched"] += 1
+        return batched(a, tables)
+
     monkeypatch.setattr(Multivector, "__mul__", counted)
+    monkeypatch.setattr(versors, "table_products", counted_batch)
     sector_image(versor)
-    assert 0 < calls["mul"] <= 14
+    assert calls == {"mul": 0, "batched": 2}
 
 
 # -- star-sandwich internals -------------------------------------------------------
