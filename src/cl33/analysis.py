@@ -7,14 +7,22 @@ grade 4 and 5 parts of the image vanish, and the image's vector part is free
 of covector components.  The checker below evaluates all of these as explicit
 residual multivectors.
 
-The condition formulas come in two kinds, each written once: operator terms
-(r1, r2 and their corrections d1, d2) depend on Psi only, and probe terms
-(r3, r4, d3, d4) are linear in the embedded probe p, as is the image
-Psi (1 + p) (reversed Psi).  ``paravector_conditions`` evaluates both kinds at
-one probe and is the reference.  ``worst_residuals`` evaluates the operator
-terms once, the probe terms at the three axes E[0..2] and the image at
-POINT_BASIS (``Versor.images``), and reaches every probe point by one array
-product per residual.
+The condition formulas are written once, over coefficient rows, in
+``_conditions``.  Operator terms (r1, r2 and their corrections d1, d2)
+depend on Psi only; probe terms (r3, r4, d3, d4) are linear in the embedded
+probe p, as is the image Psi (1 + p) (reversed Psi).  Every product in them
+goes through one of two batched calls of ``planned_products``: the first
+holds the operator products and the products of a grade part with p, the
+second everything that multiplies a result of the first.  Each call's plan
+skips the blade pairs in which a factor is zero by grade, and is built on
+first use.  ``paravector_conditions`` evaluates the formulas at one probe;
+``worst_residuals`` evaluates them at the three axes E[0..2], reads the
+image at POINT_BASIS (``Versor.images``), and reaches the 12 probe points by
+linearity.
+
+For finite Psi every residual is byte for byte what the same formulas give
+through ``Multivector`` products.  Psi must be finite: a non-finite operator,
+or residuals that overflow, raise DomainError instead of yielding NaN.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import GRADE_SELECTORS
-from .errors import NotLinearError
+from .blades import GRADE_SELECTORS, INVOLUTION_SIGNS
+from .errors import DomainError, NotLinearError
 from .euclid import (
     E,
     E_STAR,
@@ -39,9 +47,10 @@ from .euclid import (
 from .multivector import (
     Multivector,
     outer_product,
+    planned_products,
+    product_plan,
     reversion,
     tolerance,
-    vector_contract,
 )
 from .versors import COMPOSITE, Transform, Versor
 
@@ -61,52 +70,171 @@ def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
     return tuple(psi.grade(k) for k in range(7))
 
 
-def _operator_terms(P):
-    """r1, r2 and their correction terms d1, d2: functions of the grade parts
-    P of Psi alone."""
-    g4 = lambda m: m.grade(4)
-    g5 = lambda m: m.grade(5)
-    d1 = (2 * g4(P[1] * P[5]) + 2 * g4(P[2] * (P[4] - P[6]))
-          + g4(P[3] * (-1 * P[3] + 2 * P[5])) + g4(P[4] * P[4]))
-    d2 = (2 * g5(P[1] * (P[4] - P[6])) + 2 * g5(P[2] * (-1 * P[3] + P[5]))
-          + 2 * g5(P[3] * P[4]))
-    r1 = 2 * (P[0] * P[4]) - outer_product(P[2], P[2]) - 2 * outer_product(P[1], P[3]) + d1
-    r2 = 2 * (P[0] * P[5]) + d2
-    return r1, r2, d1, d2
+# -- the condition formulas ---------------------------------------------------
+#
+# A product is written (left, "*" or "^", right) over named operand rows.
+# The operands of the first layer are the grade parts P0..P6 of Psi, the sums
+# of them that are right factors, the grade involutions iP5 and iP6, and the
+# probe p.  Operands named in _PER_PROBE have one row per probe, and so has
+# every product with such a factor.
+
+#: The first layer: products whose factors are known up front.
+_FIRST = (
+    # d1 and d2
+    ("P1", "*", "P5"), ("P2", "*", "P4-P6"), ("P3", "*", "-P3+2P5"), ("P4", "*", "P4"),
+    ("P1", "*", "P4-P6"), ("P2", "*", "-P3+P5"), ("P3", "*", "P4"),
+    # r1 and r2, then the operator factors of r3 (r4 shares those of r1)
+    ("P0", "*", "P4"), ("P2", "^", "P2"), ("P1", "^", "P3"), ("P0", "*", "P5"),
+    ("P0", "*", "P3"), ("P1", "^", "P2"),
+    # the left products P_k p of d3 and d4, and both sides of the
+    # contractions of p into P5 and P6
+    ("P1", "*", "p"), ("P2", "*", "p"), ("P3", "*", "p"), ("P4", "*", "p"),
+    ("p", "*", "P5"), ("iP5", "*", "p"), ("p", "*", "P6"), ("iP6", "*", "p"),
+)
+
+#: The second layer: everything that multiplies a first-layer result.
+#: "P1p" is P1 p, "p.P5" the contraction of p into P5, "2P0P3" is 2 (P0 P3).
+_SECOND = (
+    # d3 and d4
+    ("P1p", "*", "P4-P6"), ("P2p", "*", "-P3+P5"), ("P3p", "*", "P4-P6"), ("P4p", "*", "P5"),
+    ("P1p", "*", "P5"), ("P2p", "*", "P4-P6"), ("P3p", "*", "-P3+2P5"), ("P4p", "*", "P4"),
+    # r3 and r4
+    ("2P0P3", "^", "p"), ("2P1^P2", "^", "p"), ("P0", "*", "p.P5"),
+    ("2P0P4", "^", "p"), ("P2^P2", "^", "p"), ("2P1^P3", "^", "p"), ("P0", "*", "p.P6"),
+)
+
+_PER_PROBE = frozenset({"p", "P1p", "P2p", "P3p", "P4p", "p.P5", "p.P6"})
 
 
-def _probe_terms(P, p: Multivector):
-    """r3, r4 and their correction terms d3, d4: linear in the embedded
-    grade-1 probe p."""
-    g4 = lambda m: m.grade(4)
-    g5 = lambda m: m.grade(5)
-    d3 = (2 * g4(P[1] * p * (P[4] - P[6])) + 2 * g4(P[2] * p * (-1 * P[3] + P[5]))
-          + 2 * g4(P[3] * p * (P[4] - P[6])) + 2 * g4(P[4] * p * P[5]))
-    d4 = (2 * g5(P[1] * p * P[5]) + 2 * g5(P[2] * p * (P[4] - P[6]))
-          + g5(P[3] * p * (-1 * P[3] + 2 * P[5])) + g5(P[4] * p * P[4]))
+def _layer(products, grades, m):
+    """One layer at m probes: its product plan, its operand names in row
+    order, and the row slice of each product's results."""
+    names = list(dict.fromkeys(n for a, _, b in products for n in (a, b)))
+    sizes = [m if n in _PER_PROBE else 1 for n in names]
+    start = dict(zip(names, np.cumsum([0] + sizes).tolist()))
+    pairs, slices = [], {}
+    for a, op, b in products:
+        rows = m if _PER_PROBE & {a, b} else 1
+        slices[a, op, b] = slice(len(pairs), len(pairs) + rows)
+        pairs += [(start[a] + j * (a in _PER_PROBE), start[b] + j * (b in _PER_PROBE), op == "^")
+                  for j in range(rows)]
+    row_grades = [grades[n] for n, size in zip(names, sizes) for _ in range(size)]
+    return product_plan(row_grades, pairs), names, slices
+
+
+@functools.cache
+def _layers(m: int):
+    """The two layers of ``_conditions`` at m probes.
+
+    Built on first use, like ``_probe_rows``: importing the package plans
+    nothing.  The grades of a second-layer operand are those of the
+    first-layer products it is made of.
+    """
+    grades = {f"P{k}": (k,) for k in range(7)}
+    grades.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5),
+                   "iP5": (5,), "iP6": (6,), "p": (1,)})
+    first = _layer(_FIRST, grades, m)
+    made = {key: first[0].grades[rows.start] for key, rows in first[2].items()}
+    grades.update({f"P{k}p": made[f"P{k}", "*", "p"] for k in range(1, 5)})
+    grades.update({"2P0P3": made["P0", "*", "P3"], "2P1^P2": made["P1", "^", "P2"],
+                   "2P0P4": made["P0", "*", "P4"], "P2^P2": made["P2", "^", "P2"],
+                   "2P1^P3": made["P1", "^", "P3"]})
+    for k in (5, 6):
+        sides = made["p", "*", f"P{k}"] + made[f"iP{k}", "*", "p"]
+        grades[f"p.P{k}"] = tuple(sorted(set(sides)))
+    return first, _layer(_SECOND, grades, m)
+
+
+def _evaluate(layer, operands) -> dict:
+    """Results of one layer, keyed by product, from its named operand rows."""
+    plan, names, slices = layer
+    out = planned_products(np.concatenate([operands[n] for n in names]), plan)
+    return {key: out[rows] for key, rows in slices.items()}
+
+
+def _grade(rows, k):
+    return np.where(GRADE_SELECTORS[k], rows, 0.0)
+
+
+def _conditions(P, probes):
+    """The condition left-hand sides r1, r2, r3, r4 and their correction
+    terms d1, d2, d3, d4, as coefficient rows.
+
+    ``P`` holds the grade parts of Psi, shape (7, 1, 64); ``probes`` the
+    embedded grade-1 probes, shape (m, 64).  The operator terms r1, r2, d1,
+    d2 come out as one row, the probe terms as one row per probe.
+    """
+    first, second = _layers(len(probes))
+    iP = P * INVOLUTION_SIGNS
+    ops = {f"P{k}": P[k] for k in range(7)}
+    ops.update({"P4-P6": P[4] - P[6], "-P3+P5": -1 * P[3] + P[5],
+                "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": iP[5], "iP6": iP[6], "p": probes})
+    one = _evaluate(first, ops)
+    d1 = (2 * _grade(one["P1", "*", "P5"], 4) + 2 * _grade(one["P2", "*", "P4-P6"], 4)
+          + _grade(one["P3", "*", "-P3+2P5"], 4) + _grade(one["P4", "*", "P4"], 4))
+    d2 = (2 * _grade(one["P1", "*", "P4-P6"], 5) + 2 * _grade(one["P2", "*", "-P3+P5"], 5)
+          + 2 * _grade(one["P3", "*", "P4"], 5))
+    ops.update({f"P{k}p": one[f"P{k}", "*", "p"] for k in range(1, 5)})
+    ops.update({"2P0P3": 2 * one["P0", "*", "P3"], "2P1^P2": 2 * one["P1", "^", "P2"],
+                "2P0P4": 2 * one["P0", "*", "P4"], "P2^P2": one["P2", "^", "P2"],
+                "2P1^P3": 2 * one["P1", "^", "P3"]})
+    # the vector contraction of p into a is (p a - (grade involution of a) p) / 2
+    for k in (5, 6):
+        ops[f"p.P{k}"] = (one["p", "*", f"P{k}"] - one[f"iP{k}", "*", "p"]) * 0.5
+    r1 = ops["2P0P4"] - ops["P2^P2"] - ops["2P1^P3"] + d1
+    r2 = 2 * one["P0", "*", "P5"] + d2
+    two = _evaluate(second, ops)
+    d3 = (2 * _grade(two["P1p", "*", "P4-P6"], 4) + 2 * _grade(two["P2p", "*", "-P3+P5"], 4)
+          + 2 * _grade(two["P3p", "*", "P4-P6"], 4) + 2 * _grade(two["P4p", "*", "P5"], 4))
+    d4 = (2 * _grade(two["P1p", "*", "P5"], 5) + 2 * _grade(two["P2p", "*", "P4-P6"], 5)
+          + _grade(two["P3p", "*", "-P3+2P5"], 5) + _grade(two["P4p", "*", "P4"], 5))
     # the scalar/grade-5 cross term completes the third condition; without it
     # operators carrying both parts (e.g. rotation composed with translation)
     # would be flagged even though their images stay points
-    r3 = (outer_product(2 * (P[0] * P[3]), p)
-          - outer_product(2 * outer_product(P[1], P[2]), p)
-          + 2 * (P[0] * vector_contract(p, P[5])) + d3)
-    r4 = (outer_product(2 * (P[0] * P[4]), p)
-          - outer_product(outer_product(P[2], P[2]), p)
-          + outer_product(2 * outer_product(P[1], P[3]), p)
-          - 2 * (P[0] * vector_contract(p, P[6])) + d4)
-    return r3, r4, d3, d4
+    r3 = (two["2P0P3", "^", "p"] - two["2P1^P2", "^", "p"]
+          + 2 * two["P0", "*", "p.P5"] + d3)
+    r4 = (two["2P0P4", "^", "p"] - two["P2^P2", "^", "p"] + two["2P1^P3", "^", "p"]
+          - 2 * two["P0", "*", "p.P6"] + d4)
+    return r1, r2, r3, r4, d1, d2, d3, d4
+
+
+def _grade_rows(coeffs) -> np.ndarray:
+    """Grade k of row k of ``coeffs`` (one row for all seven grades, or
+    seven rows), as (7, 1, 64) coefficient rows."""
+    return np.where(_GRADE_ROWS, coeffs, 0.0)[:, None]
+
+
+def _check_finite(name: str, x):
+    """DomainError naming x (a multivector or an array) when a value of it
+    is not finite."""
+    values = x.coeffs if isinstance(x, Multivector) else np.asarray(x, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} must be finite, got {x!r}")
+
+
+def _check_residuals(*values):
+    if not all(np.isfinite(v).all() for v in values):
+        raise DomainError("the preservation residuals of psi overflow: its coefficients "
+                          "are too large in magnitude")
 
 
 def correction_terms(parts, p: Multivector):
-    """The four higher-grade cross terms entering the preservation conditions.
+    """The four higher-grade cross terms d1..d4 entering the preservation
+    conditions, as multivectors.
 
     ``parts`` are the grade parts of Psi and ``p`` is an embedded grade-1
     probe (ignored by the first two terms).
     """
-    return _operator_terms(parts)[2:] + _probe_terms(parts, p)[2:]
+    if not p.is_homogeneous(1, tol=tolerance(p.max_abs())):
+        raise DomainError("the probe p must be of grade 1")
+    d = _conditions(_grade_rows([part.coeffs for part in parts]), p.grade(1).coeffs[None])[4:]
+    return tuple(Multivector._raw(x) for x in d)
 
 
-#: Coefficient rows of the covectors e_i*, and the blades of grades 4 and 5.
+#: Grade selectors as (7, 64) rows; coefficient rows of the axes E[0..2]
+#: and of the covectors e_i*; the blades of grades 4 and 5.
+_GRADE_ROWS = np.array([GRADE_SELECTORS[k] for k in range(7)])
+_E_ROWS = np.array([e.coeffs for e in E])
 _E_STAR_ROWS = np.array([e.coeffs for e in E_STAR])
 _GRADE45 = GRADE_SELECTORS[4] | GRADE_SELECTORS[5]
 
@@ -149,14 +277,20 @@ class ConditionReport:
 def paravector_conditions(psi: Multivector, p) -> ConditionReport:
     """Evaluate every preservation residual for Psi at the probe point p.
 
-    The per-probe reference for ``worst_residuals``, built from the same
-    operator and probe terms."""
-    parts = grade_parts(psi)
-    r1, r2, _, _ = _operator_terms(parts)
-    r3, r4, _, _ = _probe_terms(parts, embed_vector(p))
-    image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
-    cov = Multivector._raw(_covector_part(image.coeffs))
-    return ConditionReport(r1, r2, r3, r4, cov, image.grade(4), image.grade(5))
+    The per-probe reference for ``worst_residuals``, from the same formulas.
+    Raises DomainError when psi or p is not finite or a residual overflows.
+    """
+    _check_finite("psi", psi)
+    _check_finite("p", p)
+    pm = embed_vector(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), pm.coeffs[None])[:4]
+        image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
+        cov = Multivector._raw(_covector_part(image.coeffs))
+    report = ConditionReport(*(Multivector._raw(x) for x in (r1, r2, r3, r4)),
+                             cov, image.grade(4), image.grade(5))
+    _check_residuals(report.residuals())
+    return report
 
 
 def probe_points(extra=8, seed=51966):
@@ -195,21 +329,22 @@ def worst_residuals(psi: Multivector) -> dict:
 
     The operator terms are evaluated once and the probe terms at the three
     axes, then combined for every probe point; the result equals the maximum
-    of ``paravector_conditions(psi, p).residuals()`` to rounding."""
+    of ``paravector_conditions(psi, p).residuals()`` to rounding.  Raises
+    DomainError when psi is not finite or a residual overflows."""
     return _residuals_and_images(psi)[0]
 
 
 def _residuals_and_images(psi: Multivector):
     """``worst_residuals(psi)`` and the ``_probe_images(psi)`` it reads."""
-    parts = grade_parts(psi)
-    r1, r2, _, _ = _operator_terms(parts)
-    axes = [_probe_terms(parts, e) for e in E]
-    probes = _probe_rows()[:, 1:]
-    r3 = probes @ np.array([t[0].coeffs for t in axes])
-    r4 = probes @ np.array([t[1].coeffs for t in axes])
-    images = _probe_images(psi)
-    worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
-             np.max(np.abs(_covector_part(images))), np.max(np.abs(images[:, _GRADE45])))
+    _check_finite("psi", psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), _E_ROWS)[:4]
+        probes = _probe_rows()[:, 1:]
+        images = _probe_images(psi)
+        worst = (np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(probes @ r3)),
+                 np.max(np.abs(probes @ r4)), np.max(np.abs(_covector_part(images))),
+                 np.max(np.abs(images[:, _GRADE45])))
+    _check_residuals(worst, images)
     return dict(zip(RESIDUALS, map(float, worst))), images
 
 
@@ -233,8 +368,10 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     Residual at rounding level: accepted (with a flag when the action is the
     identity, as for plain vector-vector bivector generators).  Residual
     clearly above rounding: rejected.  The band between the two thresholds
-    reports an inconclusive verdict instead of guessing.
+    reports an inconclusive verdict instead of guessing.  Raises DomainError
+    when psi is not finite, k is not a grade, or a residual overflows.
     """
+    _check_finite("psi", psi)
     if not psi.is_homogeneous(k, tol=tolerance(psi.max_abs())):
         raise ValueError(f"psi must be homogeneous of grade {k}")
     phi = 1.0 + 0.01 * psi

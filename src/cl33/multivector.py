@@ -9,6 +9,7 @@ only (the underlying identities are exact).
 from __future__ import annotations
 
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .blades import (
     BLADE_COUNT,
     CONJUGATION_SIGNS,
     GRADE_SELECTORS,
+    GRADES,
     INVOLUTION_SIGNS,
     OUTER_SIGNS,
     PRODUCT_MASKS,
@@ -35,6 +37,13 @@ _FLAT_MASKS = PRODUCT_MASKS.ravel()
 # into the factor's coefficients followed by their negated copy.
 _TABLE_INDEX = PRODUCT_MASKS + BLADE_COUNT * (
     np.take_along_axis(PRODUCT_SIGNS, PRODUCT_MASKS, axis=1) < 0)
+
+
+def _grade_selector(k) -> np.ndarray:
+    """GRADE_SELECTORS[k]; DomainError when k is not an integer in 0..6."""
+    if not isinstance(k, numbers.Integral) or not 0 <= k <= 6:
+        raise DomainError(f"grade must be an integer in 0..6, got {k!r}")
+    return GRADE_SELECTORS[int(k)]
 
 
 def tolerance(scale: float) -> float:
@@ -93,12 +102,11 @@ class Multivector:
 
     def grade(self, k: int) -> "Multivector":
         """Projection onto grade ``k`` (coefficients of every other grade zeroed)."""
-        if not isinstance(k, numbers.Integral) or not 0 <= k <= 6:
-            raise DomainError(f"grade must be an integer in 0..6, got {k!r}")
-        return Multivector._raw(np.where(GRADE_SELECTORS[int(k)], self.coeffs, 0.0))
+        return Multivector._raw(np.where(_grade_selector(k), self.coeffs, 0.0))
 
     def is_homogeneous(self, k: int, tol=0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs[~GRADE_SELECTORS[k]]) <= tol))
+        """Whether every coefficient outside grade ``k`` is at most ``tol``."""
+        return bool(np.all(np.abs(self.coeffs[~_grade_selector(k)]) <= tol))
 
     # -- ring structure -------------------------------------------------
 
@@ -214,6 +222,65 @@ def table_products(a, tables) -> np.ndarray:
     """
     terms = np.multiply(np.asarray(a).T.reshape(BLADE_COUNT, -1, 1), tables, order="C")
     return np.add.reduce(terms, axis=0) + 0.0
+
+
+class ProductPlan(NamedTuple):
+    """The signed blade pairs of a batch of products, for ``planned_products``.
+
+    ``left`` and ``right`` index the flattened operand rows, ``signs`` are
+    the Cayley (or exterior) signs and ``bins`` the flattened result
+    coefficients; ``grades`` lists the grades each product can carry.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    signs: np.ndarray
+    bins: np.ndarray
+    count: int
+    grades: tuple
+
+
+def product_plan(grades, products) -> ProductPlan:
+    """Plan the products of operand rows that carry only the given grades.
+
+    ``grades[n]`` lists the grades operand row n may carry; its coefficients
+    of every other grade must be zero.  ``products`` lists ``(left, right,
+    outer)`` row indices: the geometric product left * right, or the
+    exterior product left ^ right when ``outer``.  The plan keeps every
+    signed pair (i, j) except those in which a factor is zero by grade,
+    row-major: product by product, then ascending i.  The pairs of ``^``
+    with sign 0 stay, as in ``^``: their term is NaN when a_i b_j overflows.
+    """
+    support = [np.logical_or.reduce([GRADE_SELECTORS[k] for k in g]) for g in grades]
+    left, right, signs, bins, out = [], [], [], [], []
+    for r, (a, b, outer) in enumerate(products):
+        table = OUTER_SIGNS if outer else PRODUCT_SIGNS
+        i, j = np.nonzero(support[a][:, None] & support[b])
+        left.append(a * BLADE_COUNT + i)
+        right.append(b * BLADE_COUNT + j)
+        signs.append(table[i, j])
+        bins.append(r * BLADE_COUNT + (i ^ j))
+        out.append(tuple(sorted(set(GRADES[i ^ j].tolist()))))
+    arrays = [np.concatenate(x) for x in (left, right, signs, bins)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ProductPlan(*arrays, len(products), tuple(out))
+
+
+def planned_products(rows, plan: ProductPlan) -> np.ndarray:
+    """The products ``plan`` lists, of coefficient rows ``rows`` (shape
+    (n, 64)), as (plan.count, 64) coefficients.
+
+    Byte-identical to ``*`` and ``^`` when every row is finite and zero
+    outside its planned grades: each kept term is (a_i b_j) s(i, j), as in
+    ``*``, and one bincount adds the terms of every result coefficient in
+    ascending i, as ``*`` does.  A dropped term is a finite number times
+    zero, so ±0, and adding ±0 leaves a sum that starts from +0 unchanged.
+    """
+    flat = np.ravel(rows)
+    terms = flat[plan.left] * flat[plan.right] * plan.signs
+    return np.bincount(plan.bins, weights=terms,
+                       minlength=plan.count * BLADE_COUNT).reshape(plan.count, BLADE_COUNT)
 
 
 def _as_mv(x):

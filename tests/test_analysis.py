@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from cl33 import analysis, versors
 from cl33 import (
     E,
+    E_STAR,
     I_FULL,
+    DomainError,
     Multivector,
     NotLinearError,
     OMEGA_V,
@@ -34,6 +39,7 @@ from cl33 import (
     scale_versor,
     shear_versor,
     translation_versor,
+    vector_contract,
     worst_residuals,
 )
 from cl33.analysis import (
@@ -46,6 +52,7 @@ from cl33.analysis import (
     family_vector_mixed,
 )
 from cl33.blades import GRADES
+from cl33.pipeline import parse_pipeline
 from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import PerspectiveMap
 from helpers import perspective_oracle_matrix
@@ -94,6 +101,8 @@ def test_corrections_vanish_without_high_grades():
     p = embed_vector([0.3, 0.7, -0.2])
     d1, d2, d3, d4 = correction_terms(parts, p)
     assert d1.is_zero() and d2.is_zero() and d3.is_zero() and d4.is_zero()
+    with pytest.raises(DomainError, match="grade 1"):
+        correction_terms(parts, 1.0 + p)
 
 
 def test_family_two_reduction_terms_vanish():
@@ -434,7 +443,10 @@ def test_worst_residuals_match_per_probe_reference():
 
 
 def _count_products(monkeypatch):
-    counts = {"products": 0}
+    """Count dense products (``*`` and ``^`` of two multivectors) and calls
+    of the two batched kernels: planned_products (the condition formulas)
+    and table_products (the probe images)."""
+    counts = {"products": 0, "planned": 0, "table": 0}
     for name in ("__mul__", "__xor__"):
         fn = getattr(Multivector, name)
 
@@ -443,31 +455,187 @@ def _count_products(monkeypatch):
             return fn(a, b)
 
         monkeypatch.setattr(Multivector, name, counted)
+    for module, name, key in ((analysis, "planned_products", "planned"),
+                              (versors, "table_products", "table")):
+        fn = getattr(module, name)
+
+        def kernel(*args, fn=fn, key=key):
+            counts[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, kernel)
     return counts
 
 
 def test_worst_residuals_product_count(monkeypatch):
-    # operator terms once, probe terms on three axes, four image sandwiches:
-    # 114 products, against 540 for twelve per-probe evaluations
+    # no dense product: the condition formulas take two planned_products
+    # calls (operator terms and left products, then what multiplies them),
+    # the probe images the two table_products calls of one sandwich
     psi = translation_versor([0.3, -0.2, 0.5]).U * rotation_versor([1, 0, 0], [0, 1, 0], 0.7).U
     counts = _count_products(monkeypatch)
     worst_residuals(psi)
-    assert 0 < counts["products"] <= 140
+    assert counts == {"products": 0, "planned": 2, "table": 2}
 
 
 def test_classify_reuses_the_residual_images(monkeypatch):
     # an accepted classification reads its identity flag off the probe
-    # images worst_residuals already built: no product beyond those
+    # images worst_residuals already built: no kernel call beyond those
     counts = _count_products(monkeypatch)
     for k, psi, identity in ((2, W(E[0], E[1]), True), (1, E[2], False)):
         phi = 1.0 + 0.01 * psi
-        counts["products"] = 0
+        counts.update(products=0, planned=0, table=0)
         worst_residuals(phi)
-        alone = counts["products"]
-        counts["products"] = 0
+        alone = dict(counts)
+        counts.update(products=0, planned=0, table=0)
         res = classify_infinitesimal(k, psi)
-        assert counts["products"] == alone
+        assert counts == alone == {"products": 0, "planned": 2, "table": 2}
         assert res.verdict == ACCEPT and res.acts_as_identity is identity
+
+
+# -- the dense oracle ------------------------------------------------------------------
+#
+# The condition formulas through Multivector products, as written before the
+# batched kernel: the byte-for-byte reference of analysis._conditions.
+
+def dense_operator_terms(P):
+    g4 = lambda m: m.grade(4)
+    g5 = lambda m: m.grade(5)
+    d1 = (2 * g4(P[1] * P[5]) + 2 * g4(P[2] * (P[4] - P[6]))
+          + g4(P[3] * (-1 * P[3] + 2 * P[5])) + g4(P[4] * P[4]))
+    d2 = (2 * g5(P[1] * (P[4] - P[6])) + 2 * g5(P[2] * (-1 * P[3] + P[5]))
+          + 2 * g5(P[3] * P[4]))
+    r1 = 2 * (P[0] * P[4]) - outer_product(P[2], P[2]) - 2 * outer_product(P[1], P[3]) + d1
+    r2 = 2 * (P[0] * P[5]) + d2
+    return r1, r2, d1, d2
+
+
+def dense_probe_terms(P, p):
+    g4 = lambda m: m.grade(4)
+    g5 = lambda m: m.grade(5)
+    d3 = (2 * g4(P[1] * p * (P[4] - P[6])) + 2 * g4(P[2] * p * (-1 * P[3] + P[5]))
+          + 2 * g4(P[3] * p * (P[4] - P[6])) + 2 * g4(P[4] * p * P[5]))
+    d4 = (2 * g5(P[1] * p * P[5]) + 2 * g5(P[2] * p * (P[4] - P[6]))
+          + g5(P[3] * p * (-1 * P[3] + 2 * P[5])) + g5(P[4] * p * P[4]))
+    r3 = (outer_product(2 * (P[0] * P[3]), p)
+          - outer_product(2 * outer_product(P[1], P[2]), p)
+          + 2 * (P[0] * vector_contract(p, P[5])) + d3)
+    r4 = (outer_product(2 * (P[0] * P[4]), p)
+          - outer_product(outer_product(P[2], P[2]), p)
+          + outer_product(2 * outer_product(P[1], P[3]), p)
+          - 2 * (P[0] * vector_contract(p, P[6])) + d4)
+    return r3, r4, d3, d4
+
+
+def dense_worst_residuals(psi):
+    parts = grade_parts(psi)
+    r1, r2, _, _ = dense_operator_terms(parts)
+    axes = [dense_probe_terms(parts, e) for e in E]
+    probes = analysis._probe_rows()[:, 1:]
+    r3 = probes @ np.array([t[0].coeffs for t in axes])
+    r4 = probes @ np.array([t[1].coeffs for t in axes])
+    images = analysis._probe_images(psi)
+    cov = (images[:, [1, 2, 4]] - images[:, [8, 16, 32]]) @ np.array([e.coeffs for e in E_STAR])
+    high = images[:, (GRADES == 4) | (GRADES == 5)]
+    worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
+             np.max(np.abs(cov)), np.max(np.abs(high)))
+    return dict(zip(RESIDUALS, map(float, worst)))
+
+
+def _stage_operators(text):
+    """Every multivector a pipeline's stages carry, nested stages included."""
+    out, todo = [], list(parse_pipeline(text).composed().stages)
+    while todo:
+        stage = todo.pop()
+        for value in vars(stage).values():
+            if isinstance(value, Multivector):
+                out.append(value)
+            elif isinstance(value, Transform):
+                todo.append(value)
+    return out
+
+
+def _oracle_operators():
+    """Affine and projective stage versors, 1 + 0.01 X for generators X of
+    every kind classify rules on, and random dense operators of magnitudes
+    across 1e-3..1e3."""
+    rng = np.random.default_rng(63)
+    u, v = rand_orthonormal(rng)
+    ops = _stage_operators(
+        f"rotate u=({u[0]},{u[1]},{u[2]}) v=({v[0]},{v[1]},{v[2]}) theta=0.7\n"
+        "translate v=(1.5,-0.5,2)\nshear u=(1,0,0) v=(0,1.5,0) t=0.4\n"
+        "scale u=(0,0,1) t=-0.3\nreflect n=(0.6,0.8,0)\nhrotate u=(0,1,0) v=(0,0,1) eta=0.5\n")
+    ops += _stage_operators(
+        "rotate u=(1,0,0) v=(0,1,0) theta=0.3\n"
+        "perspective eye=(0.2,-0.3,0.1) n=(0,0,1) c=1.5\ncotranslate v=(0,0,0.2)\n"
+        "translate v=(0.3,0.1,0)\npseudo n=(0,0,1)\nscale u=(1,0,0) t=0.2\n")
+    vec, cov = (lambda: embed_vector(rng.normal(size=3))), (lambda: embed_covector(rng.normal(size=3)))
+    generators = [Multivector.scalar(rng.uniform(0.2, 1.5)), vec(), W(vec(), cov()),
+                  W(vec(), vec()), W(cov(), cov())]
+    generators += [random_homogeneous(rng, k) for k in (3, 4, 5, 6)]
+    ops += [1.0 + 0.01 * x for x in generators]
+    ops += [Multivector(rng.normal(size=64) * 10.0 ** rng.integers(-3, 4, 64)) for _ in range(8)]
+    return ops
+
+
+def test_residuals_are_the_dense_formulas_byte_for_byte():
+    ops = _oracle_operators() + _worst_residual_operators()
+    for psi in ops:
+        got, want = worst_residuals(psi), dense_worst_residuals(psi)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert list(got) == list(want)
+        parts = grade_parts(psi)
+        r1, r2, d1, d2 = dense_operator_terms(parts)
+        for p in probe_points(extra=2):
+            pm = embed_vector(p)
+            r3, r4, d3, d4 = dense_probe_terms(parts, pm)
+            rep = paravector_conditions(psi, p)
+            image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
+            for field, want in (("r1", r1), ("r2", r2), ("r3", r3), ("r4", r4),
+                                ("direct4", image.grade(4)), ("direct5", image.grade(5))):
+                assert getattr(rep, field).coeffs.tobytes() == want.coeffs.tobytes(), field
+            got = correction_terms(parts, pm)
+            assert all(x.coeffs.tobytes() == y.coeffs.tobytes()
+                       for x, y in zip(got, (d1, d2, d3, d4)))
+
+
+# -- inputs outside the domain ------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_operators_are_named(bad):
+    c = np.zeros(64)
+    c[0], c[3] = 1.0, bad
+    psi = Multivector(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: worst_residuals(psi),
+                     lambda: paravector_conditions(psi, [0.1, 0.2, 0.3]),
+                     lambda: classify_infinitesimal(2, psi)):
+            with pytest.raises(DomainError, match="psi must be finite"):
+                call()
+        with pytest.raises(DomainError, match="p must be finite"):
+            paravector_conditions(Multivector.scalar(1.0), [0.1, bad, 0.3])
+
+
+def test_overflowing_residuals_raise():
+    # finite operators whose products overflow: the residuals were NaN before
+    c = np.zeros(64)
+    c[3] = 1e200
+    for psi in (Multivector(c), 1e200 * W(E[0], E_STAR[1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: worst_residuals(psi),
+                         lambda: paravector_conditions(psi, [0.1, 0.2, 0.3]),
+                         lambda: classify_infinitesimal(2, psi)):
+                with pytest.raises(DomainError, match="overflow"):
+                    call()
+
+
+@pytest.mark.parametrize("k", [7, -1, 2.5, "2"])
+def test_classify_rejects_a_bad_grade(k):
+    with pytest.raises(DomainError, match="grade must be an integer"):
+        classify_infinitesimal(k, W(E[0], E[1]))
+    with pytest.raises(DomainError, match="grade must be an integer"):
+        W(E[0], E[1]).is_homogeneous(k)
 
 
 def test_probe_points_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cl33 import (
     vector_contract,
 )
 from cl33.blades import GRADES, PRODUCT_SIGNS
-from cl33.multivector import product_tables, table_products
+from cl33.multivector import planned_products, product_plan, product_tables, table_products
 from cl33.euclid import E, OMEGA_V, embed_vector, sector_vector
 from helpers import naive_geometric_product
 
@@ -267,3 +269,34 @@ def test_table_products_are_the_product_byte_for_byte():
     out = table_products(a, product_tables(np.zeros(64)))
     assert out.tobytes() == (Multivector(a) * Multivector(np.zeros(64))).coeffs.tobytes()
     assert not np.signbit(out[0, 0])
+
+
+#: Coefficients with signed zeros, subnormals and exponents up to +-200
+#: (2^664 is about 1e200), so that some products overflow or underflow.
+odd_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 664)))
+
+
+@st.composite
+def planned_batches(draw):
+    """Operand rows restricted to random grade sets (±0 elsewhere) and a
+    list of products (left, right, outer) between them."""
+    n = draw(st.integers(1, 4))
+    grades = [draw(st.sets(st.integers(0, 6), min_size=1)) for _ in range(n)]
+    rows = np.array([[draw(odd_floats) if GRADES[m] in g else draw(st.sampled_from([0.0, -0.0]))
+                      for m in range(64)] for g in grades])
+    index = st.integers(0, n - 1)
+    products = draw(st.lists(st.tuples(index, index, st.booleans()), min_size=1, max_size=6))
+    return grades, rows, products
+
+
+@settings(max_examples=60, deadline=None)
+@given(planned_batches())
+def test_planned_products_are_the_products_byte_for_byte(batch):
+    grades, rows, products = batch
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = planned_products(rows, product_plan(grades, products))
+        for out, (a, b, outer) in zip(got, products):
+            x, y = Multivector(rows[a]), Multivector(rows[b])
+            assert out.tobytes() == ((x ^ y) if outer else (x * y)).coeffs.tobytes()

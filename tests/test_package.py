@@ -40,3 +40,16 @@ def test_import_loads_no_new_modules():
     assert "numpy.random" not in added
     assert {m for m in added if m.split(".")[0] != "cl33"} <= {"__future__", "copy",
                                                                 "dataclasses"}
+
+
+def test_import_builds_no_residual_plan():
+    # the product plans of the condition formulas are built on first use, as
+    # the probe rows are, so that importing the package does not pay for them
+    code = ("import cl33; from cl33 import analysis as a; "
+            "print(a._layers.cache_info().currsize, a._probe_rows.cache_info().currsize); "
+            "a.worst_residuals(cl33.Multivector.scalar(1.0)); "
+            "print(a._layers.cache_info().currsize, a._probe_rows.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.split("\n")[:2] == ["0 0", "1 1"]
