@@ -91,9 +91,10 @@ def _build_parser():
 
 
 def _read(path, parse=None):
-    """The text of the file at ``path``, or ``parse`` of the open file."""
+    """The text of the file at ``path``, or ``parse`` of the open file.  A
+    UTF-8 byte order mark at the start of the file is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read() if parse is None else parse(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"cannot read {path}: {exc}") from exc

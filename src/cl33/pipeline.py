@@ -20,17 +20,19 @@ import numpy as np
 from .errors import DomainError, PipelineError
 from .euclid import Paravector
 from .versors import (
-    PerspectiveMap,
+    COTRANSLATION,
+    HYPERBOLIC,
+    PERSPECTIVE,
+    PSEUDO_PERSPECTIVE,
+    REFLECTION,
+    ROTATION,
+    SCALE,
+    SHEAR,
+    TRANSLATION,
     Transform,
+    build,
     compose,
-    cotranslation_versor,
-    hyperbolic_versor,
-    pseudo_perspective_map,
-    reflection_versor,
-    rotation_versor,
-    scale_versor,
-    shear_versor,
-    translation_versor,
+    draft,
 )
 
 _FLOAT = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -65,11 +67,13 @@ class PipelineStep:
 
     @cached_property
     def transform(self) -> Transform:
-        """The step's transform, built on first use and kept.  A versor whose
+        """The step's transform, built on first use (``parse_pipeline``
+        builds those of a whole file at once) and kept.  A versor whose
         products overflow keeps its non-finite coefficients, with no warning:
         the stage matrix and ``check`` report them."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _STEP_BUILDERS[self.op](self.params)
+            (transform,) = build([_STEP_DRAFTS[self.op](self.params)])
+        return transform
 
 
 @dataclass(frozen=True)
@@ -96,16 +100,16 @@ class Pipeline:
         return True
 
 
-_STEP_BUILDERS = {
-    "reflect": lambda p: reflection_versor(p["n"]),
-    "rotate": lambda p: rotation_versor(p["u"], p["v"], p["theta"]),
-    "hrotate": lambda p: hyperbolic_versor(p["u"], p["v"], p["eta"]),
-    "shear": lambda p: shear_versor(p["u"], p["v"], p["t"]),
-    "scale": lambda p: scale_versor(p["u"], p["t"]),
-    "translate": lambda p: translation_versor(p["v"]),
-    "cotranslate": lambda p: cotranslation_versor(p["v"]),
-    "perspective": lambda p: PerspectiveMap(Paravector(1.0, p["eye"]), p["n"], p["c"]),
-    "pseudo": lambda p: pseudo_perspective_map(p["n"]),
+_STEP_DRAFTS = {
+    "reflect": lambda p: draft(REFLECTION, p["n"]),
+    "rotate": lambda p: draft(ROTATION, p["u"], p["v"], p["theta"]),
+    "hrotate": lambda p: draft(HYPERBOLIC, p["u"], p["v"], p["eta"]),
+    "shear": lambda p: draft(SHEAR, p["u"], p["v"], p["t"]),
+    "scale": lambda p: draft(SCALE, p["u"], p["t"]),
+    "translate": lambda p: draft(TRANSLATION, p["v"]),
+    "cotranslate": lambda p: draft(COTRANSLATION, p["v"]),
+    "perspective": lambda p: draft(PERSPECTIVE, Paravector(1.0, p["eye"]), p["n"], p["c"]),
+    "pseudo": lambda p: draft(PSEUDO_PERSPECTIVE, p["n"]),
 }
 
 
@@ -122,7 +126,8 @@ def _data_lines(text: str, first: int = 1):
             yield lineno, body
 
 
-def _parse_step(raw: str, lineno: int) -> PipelineStep:
+def _parse_step(raw: str, lineno: int):
+    """The step of one line and its checked draft."""
     tokens = []
     for m in re.finditer(r"\S+", raw):
         tokens.append((m.group(0), m.start() + 1))
@@ -150,23 +155,33 @@ def _parse_step(raw: str, lineno: int) -> PipelineStep:
             params[key] = float(val)
         else:
             raise PipelineError(f"operation {op!r} takes no parameter {key!r}", lineno, col)
-        if not np.all(np.isfinite(params[key])):
+        if not np.isfinite(params[key]).all():
             raise PipelineError(f"parameter {key!r} must be finite, got {val!r}", lineno, col)
     missing = [k for k in (*vec_keys, *num_keys) if k not in params]
     if missing:
         raise PipelineError(f"operation {op!r} missing parameter(s) {missing}", lineno, col)
     step = PipelineStep(op, params, lineno)
     try:
-        step.transform  # built now: semantic validation (unit length, orthogonality)
+        # semantic validation (unit length, orthogonality)
+        return step, _STEP_DRAFTS[op](params)
     except DomainError as exc:
         raise PipelineError(str(exc), lineno) from exc
-    return step
 
 
 def parse_pipeline(text: str) -> Pipeline:
     """Parse pipeline source; raises PipelineError with line/column on
-    syntax errors and line on semantic (precondition) errors."""
-    return Pipeline(tuple(_parse_step(body, lineno) for lineno, body in _data_lines(text)))
+    syntax errors and line on semantic (precondition) errors.
+
+    Each line is parsed and its preconditions checked in file order, so the
+    first bad line is the one reported; then one ``versors.build`` call
+    makes every step's transform, with two batched products for the file.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        parsed = [_parse_step(body, lineno) for lineno, body in _data_lines(text)]
+        transforms = build(d for _, d in parsed)
+    for (step, _), transform in zip(parsed, transforms):
+        step.__dict__["transform"] = transform  # what the cached property would keep
+    return Pipeline(tuple(step for step, _ in parsed))
 
 
 def _fmt(x) -> str:

@@ -8,12 +8,15 @@ weight and is the building block of perspective and pseudo-perspective.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from .blades import BLADE_COUNT, GRADES
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
@@ -32,6 +35,9 @@ from .multivector import (
     GENERATORS,
     ONE,
     Multivector,
+    ProductPlan,
+    planned_products,
+    product_plan,
     product_tables,
     reversion,
     table_products,
@@ -110,6 +116,17 @@ class Transform:
         stages' instead."""
         raise NotImplementedError
 
+    def _parts(self) -> tuple | None:
+        """The transforms whose ``images`` make up the matrix, or None when
+        the matrix is built otherwise."""
+        return (self,)
+
+    def _assemble(self, reads) -> np.ndarray:
+        """The matrix from the 4x4 reads of the images of ``_parts``."""
+        (m,) = reads
+        m.flags.writeable = False
+        return m
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
@@ -118,12 +135,33 @@ class Transform:
         residue check of extract_paravector runs once per stage; the sandwich
         and star-sandwich are linear in P, so a basis whose images extract
         cleanly covers every point.  Computed on first use and kept.  Raises
-        DomainError when the arithmetic overflows.
+        DomainError when the arithmetic overflows.  A transform of several
+        parts reads them in one extract_points call; when that fails, it
+        reads them one at a time, so the first part's error is raised.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = extract_points(self.images()).T
-        m.flags.writeable = False
-        return m
+        parts = self._parts()
+        try:
+            (reads,) = _read_parts([self])
+        except ValueError:
+            if len(parts) == 1:
+                raise
+            reads = [part.matrix for part in parts]
+        return self._assemble(reads)
+
+
+def _read_parts(stages) -> list:
+    """For each stage, the 4x4 reads of the images of its ``_parts`` (None
+    for a stage without parts), all from one extract_points call: each read
+    is byte for byte what that part's own extraction gives.  Raises what
+    ``images`` or extract_points raises."""
+    parts = [stage._parts() for stage in stages]
+    transforms = [t for p in parts if p is not None for t in p]
+    if not transforms:
+        return parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = extract_points(np.concatenate([t.images() for t in transforms]))
+    reads = iter([points[i:i + 4].T for i in range(0, len(points), 4)])
+    return [None if p is None else [next(reads) for _ in p] for p in parts]
 
 
 @dataclass(frozen=True)
@@ -163,12 +201,6 @@ def identity_versor() -> Versor:
 
 # -- generators (arguments of the exponential forms) -----------------------
 
-def reflection_generator(n):
-    """Not an exponential: the reflection operator n+ n- itself."""
-    n = _check_unit("n", n)
-    return sector_vector(n, +1) * sector_vector(n, -1)
-
-
 def rotation_generator(u, v, theta):
     up, vp = sector_vector(u, +1), sector_vector(v, +1)
     um, vm = sector_vector(u, -1), sector_vector(v, -1)
@@ -195,67 +227,251 @@ def translation_generator(v):
     return 0.5 * embed_vector(v)
 
 
+# -- construction: checked drafts, multiplied in two planned products ------
+
+#: Kind tags of the drafts of the three transforms that are not a Versor.
+COTRANSLATION = "cotranslation"
+PSEUDO_PERSPECTIVE = "pseudo-perspective"
+PERSPECTIVE = "perspective"
+
+
+#: Which row of a 3-vector v a factor is: v+, v-, v+ + v- or v+ - v-.
+_PLUS, _MINUS, _SUM, _DIFF = range(4)
+
+
+class Draft(NamedTuple):
+    """A transform whose preconditions hold, waiting for its products.
+
+    ``factors`` lists the grade-1 operands of its factor products, as
+    ((left vector, row), (right vector, row)) with the row one of _PLUS,
+    _MINUS, _SUM, _DIFF, and ``scalars`` the numbers of its closed form; a
+    transform that needs no product is ``ready``.  ``build`` finishes it.
+    """
+
+    kind: str
+    factors: tuple = ()
+    scalars: tuple = ()
+    ready: Transform | None = None
+
+
+def _draft_reflection(n):
+    n = _check_unit("n", n)
+    return Draft(REFLECTION, (((n, _PLUS), (n, _MINUS)),))
+
+
+def _draft_rotation(u, v, theta):
+    u = _check_unit("u", u)
+    v = _check_unit("v", v)
+    _check_orthogonal(u, v)
+    _check_finite("theta", theta)
+    return Draft(ROTATION, (((u, _PLUS), (v, _PLUS)), ((u, _MINUS), (v, _MINUS))),
+                 (math.cos(theta / 2.0), math.sin(theta / 2.0)))
+
+
+def _draft_hyperbolic(u, v, eta):
+    u = _check_unit("u", u)
+    v = _check_unit("v", v)
+    _check_orthogonal(u, v)
+    return Draft(HYPERBOLIC, (((u, _MINUS), (v, _PLUS)), ((v, _MINUS), (u, _PLUS))),
+                 _cosh_sinh("eta", eta))
+
+
+def _draft_shear(u, v, t):
+    u = _check_finite("u", u).reshape(3)
+    v = _check_finite("v", v).reshape(3)
+    _check_orthogonal(u, v)
+    _check_finite("t", t)
+    return Draft(SHEAR, (((u, _SUM), (v, _DIFF)),), (t / 4.0,))
+
+
+def _draft_scale(u, t):
+    u = _check_unit("u", u)
+    return Draft(SCALE, (((u, _MINUS), (u, _PLUS)),), _cosh_sinh("t", t))
+
+
+def _draft_translation(v):
+    U = 1.0 + translation_generator(_check_finite("v", v))
+    return Draft(TRANSLATION, ready=Versor(U, +1, TRANSLATION))
+
+
+def _draft_cotranslation(v):
+    return Draft(COTRANSLATION, ready=HodgeVersor(draft(TRANSLATION, v).ready.U, 1.0))
+
+
+def _draft_pseudo_perspective(n):
+    return draft(COTRANSLATION, _check_unit("n", n))
+
+
+def _draft_perspective(eye, n, c):
+    return Draft(PERSPECTIVE, ready=PerspectiveMap(eye, n, c))
+
+
+_DRAFTS = {
+    REFLECTION: _draft_reflection,
+    ROTATION: _draft_rotation,
+    HYPERBOLIC: _draft_hyperbolic,
+    SHEAR: _draft_shear,
+    SCALE: _draft_scale,
+    TRANSLATION: _draft_translation,
+    COTRANSLATION: _draft_cotranslation,
+    PSEUDO_PERSPECTIVE: _draft_pseudo_perspective,
+    PERSPECTIVE: _draft_perspective,
+}
+
+
+def draft(kind: str, *args) -> Draft:
+    """Check the preconditions of one transform of ``kind`` and lay out its
+    factors, with the arguments and errors of that kind's constructor
+    (``rotation_versor(u, v, theta)`` for ROTATION, ``PerspectiveMap(eye,
+    n, c)`` for PERSPECTIVE)."""
+    return _DRAFTS[kind](*args)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(left: tuple, right: tuple, count: int) -> ProductPlan:
+    """The plan of ``count`` products, row 2r (carrying only the grades
+    ``left``) times row 2r + 1 (only ``right``).  Built on first use, so
+    importing the package plans nothing, and kept in a bounded cache, since
+    the step count of a pipeline has no bound."""
+    return product_plan([left, right] * count, [(2 * r, 2 * r + 1, False) for r in range(count)])
+
+
+def _pair_products(rows, left: tuple, right: tuple) -> np.ndarray:
+    """Row 2r times row 2r + 1 of ``rows``, for every r, as (n, 64): one
+    planned product, byte-identical to ``*``.  Rows that are not all finite
+    go through ``*``, which keeps its NaN for every overflow."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
+    if not len(rows):
+        return rows
+    if not np.isfinite(rows).all():
+        pairs = zip(map(Multivector._raw, rows[::2]), map(Multivector._raw, rows[1::2]))
+        return np.array([(a * b).coeffs for a, b in pairs]).reshape(-1, BLADE_COUNT)
+    return planned_products(rows, _plan(left, right, len(rows) // 2))
+
+
+def _plus(c, row):
+    """``c + m`` for the multivector m of ``row``: c added to its scalar."""
+    row[0] += c
+    return row
+
+
+def _halves(d: Draft, products) -> tuple:
+    """U, or the two factors whose product is U, from the factor products
+    of a draft, in the arithmetic of the closed forms."""
+    if d.kind == REFLECTION:
+        return (products[0],)
+    if d.kind == SHEAR:
+        return (_plus(1.0, products[0] * d.scalars[0]),)
+    c, s = d.scalars
+    if d.kind == SCALE:
+        return (_plus(c, products[0] * s),)
+    if d.kind == ROTATION:
+        return _plus(c, products[0] * s), _plus(c, -(products[1] * s))
+    return _plus(c, products[0] * s), _plus(c, products[1] * s)
+
+
+#: Masks of e1+, e2+, e3+ and of e1-, e2-, e3-.
+_PLUS_BLADES = [1, 2, 4]
+_MINUS_BLADES = [8, 16, 32]
+#: For each of _PLUS, _MINUS, _SUM, _DIFF: the factors of v on the plus
+#: and on the minus generators.
+_ROW_FACTORS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+
+def _factor_rows(operands) -> np.ndarray:
+    """The (n, 64) grade-1 coefficient rows of (vector, row) operands.
+
+    Every nonzero coefficient is the one of the sector-vector arithmetic
+    (v+ + v- and v+ - v- included); only the sign of a zero may differ, and
+    no product sees it: a zero factor makes a zero term, which leaves a sum
+    that starts from +0 unchanged.
+    """
+    vectors, which = zip(*operands)
+    vectors = np.array(vectors)
+    factors = _ROW_FACTORS[list(which)]
+    rows = np.zeros((len(vectors), BLADE_COUNT))
+    rows[:, _PLUS_BLADES] = factors[:, :1] * vectors
+    rows[:, _MINUS_BLADES] = factors[:, 1:] * vectors
+    return rows
+
+
+def build(drafts) -> list:
+    """The transforms of ``drafts``, in order, byte-identical to the closed
+    forms evaluated with ``*``.
+
+    The grade-1 x grade-1 factor products of every draft are one planned
+    product, and the (0,2) x (0,2) products of the two factors of each
+    rotation and hyperbolic rotation a second one.
+    """
+    drafts = list(drafts)
+    operands = [operand for d in drafts for pair in d.factors for operand in pair]
+    if not operands:
+        return [d.ready for d in drafts]
+    first = _pair_products(_factor_rows(operands), (1,), (1,))
+    halves, start = [], 0
+    for d in drafts:
+        halves.append(_halves(d, first[start:start + len(d.factors)]) if d.factors else ())
+        start += len(d.factors)
+    second = iter(_pair_products([row for h in halves if len(h) == 2 for row in h],
+                                 (0, 2), (0, 2)))
+    out = []
+    for d, h in zip(drafts, halves):
+        if d.ready is not None:
+            out.append(d.ready)
+        else:
+            U = Multivector._raw(next(second) if len(h) == 2 else h[0])
+            out.append(Versor(U, -1 if d.kind == REFLECTION else +1, d.kind))
+    return out
+
+
+def _build_one(kind, *args):
+    (transform,) = build([draft(kind, *args)])
+    return transform
+
+
 # -- constructors (closed forms of the exponentials) -----------------------
 
 def reflection_versor(n) -> Versor:
-    """Reflection across the plane through the origin with unit normal n."""
-    return Versor(reflection_generator(n), -1, REFLECTION)
+    """Reflection across the plane through the origin with unit normal n:
+    U = n+ n-, epsilon = -1."""
+    return _build_one(REFLECTION, n)
 
 
 def rotation_versor(u, v, theta) -> Versor:
     """Rotation by theta in the plane of the orthonormal pair (u, v).
 
     The generator splits into commuting sector exponentials, each a circular
-    rotor; the resulting map takes v toward u for theta > 0
+    rotor, U = (c + s u+ v+)(c - s u- v-) with c, s = cos, sin(theta/2); the
+    resulting map takes v toward u for theta > 0
     (u -> cos(theta) u - sin(theta) v, v -> cos(theta) v + sin(theta) u).
     """
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
-    _check_orthogonal(u, v)
-    _check_finite("theta", theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    up, vp = sector_vector(u, +1), sector_vector(v, +1)
-    um, vm = sector_vector(u, -1), sector_vector(v, -1)
-    U = (c + s * (up * vp)) * (c - s * (um * vm))
-    return Versor(U, +1, ROTATION)
+    return _build_one(ROTATION, u, v, theta)
 
 
 def hyperbolic_versor(u, v, eta) -> Versor:
-    """Hyperbolic rotation by eta in the plane of the orthonormal pair (u, v)."""
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
-    _check_orthogonal(u, v)
-    ch, sh = _cosh_sinh("eta", eta)
-    um, vp = sector_vector(u, -1), sector_vector(v, +1)
-    vm, up = sector_vector(v, -1), sector_vector(u, +1)
-    U = (ch + sh * (um * vp)) * (ch + sh * (vm * up))
-    return Versor(U, +1, HYPERBOLIC)
+    """Hyperbolic rotation by eta in the plane of the orthonormal pair (u, v):
+    U = (ch + sh u- v+)(ch + sh v- u+) with ch, sh = cosh, sinh(eta/2)."""
+    return _build_one(HYPERBOLIC, u, v, eta)
 
 
 def shear_versor(u, v, t) -> Versor:
     """Shear p -> p + t p_v u in the plane of the orthogonal pair (u, v).
 
     The generator is nilpotent, so the exponential terminates after the
-    linear term.
+    linear term: U = 1 + shear_generator(u, v, t).
     """
-    u = _check_finite("u", u).reshape(3)
-    v = _check_finite("v", v).reshape(3)
-    _check_orthogonal(u, v)
-    _check_finite("t", t)
-    return Versor(1.0 + shear_generator(u, v, t), +1, SHEAR)
+    return _build_one(SHEAR, u, v, t)
 
 
 def scale_versor(u, t) -> Versor:
-    """Non-uniform scale by e^t along the unit direction u."""
-    u = _check_unit("u", u)
-    ch, sh = _cosh_sinh("t", t)
-    U = ch + sh * (sector_vector(u, -1) * sector_vector(u, +1))
-    return Versor(U, +1, SCALE)
+    """Non-uniform scale by e^t along the unit direction u:
+    U = ch + sh u- u+ with ch, sh = cosh, sinh(t/2)."""
+    return _build_one(SCALE, u, t)
 
 
 def translation_versor(v) -> Versor:
     """Translation by v; the generator v/2 squares to zero."""
-    return Versor(1.0 + translation_generator(_check_finite("v", v)), +1, TRANSLATION)
+    return _build_one(TRANSLATION, v)
 
 
 # -- application -----------------------------------------------------------
@@ -296,7 +512,7 @@ class HodgeVersor(Transform):
 
 def cotranslation_versor(v) -> HodgeVersor:
     """The translation versor of v packaged for star-sandwich application."""
-    return HodgeVersor(translation_versor(v).U, 1.0)
+    return _build_one(COTRANSLATION, v)
 
 
 def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
@@ -340,7 +556,7 @@ def apply_cotranslation(v, p: Paravector) -> Paravector:
 def pseudo_perspective_map(n) -> HodgeVersor:
     """Pseudo-perspective as a pipeline stage: cotranslation by the unit view
     direction n.  Raises DomainError when n is not a unit vector."""
-    return cotranslation_versor(_check_unit("n", n))
+    return _build_one(PSEUDO_PERSPECTIVE, n)
 
 
 def pseudo_perspective(n, p: Paravector) -> Paravector:
@@ -362,8 +578,10 @@ class PerspectiveMap(Transform):
     and a translation leaves weight-0 points unchanged.  This is the linear
     map, with no orientation conjugation, so that the action has a
     well-defined 4x4 matrix.  Raises DomainError when the eye is not an
-    affine point and DegenerateConfigurationError when it lies on the plane
-    (a = 0).  The two versors are built once, with the stage.
+    affine point, and DegenerateConfigurationError when every component of
+    n is zero (the weight row of the matrix would be zero, sending every
+    point to infinity) or when the eye lies on the plane (a = 0).  The two
+    versors are built once, with the stage.
     """
 
     eye: Paravector
@@ -380,6 +598,9 @@ class PerspectiveMap(Transform):
         e = self.eye.vector
         if abs(self.eye.weight - 1.0) > PRECONDITION_TOL:
             raise DomainError(f"eye must be an affine point, weight = {self.eye.weight:g}")
+        if not n.any():
+            raise DegenerateConfigurationError(
+                "the plane normal n is zero: every point would go to infinity")
         a = c - g(n, e)
         if abs(a) <= tolerance(max(abs(c), float(np.max(np.abs(n))), float(np.max(np.abs(e))))):
             raise DegenerateConfigurationError(
@@ -396,16 +617,19 @@ class PerspectiveMap(Transform):
         q = apply_hodge_sandwich(self.cotranslate, q)
         return apply_sandwich(self.from_eye, q)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """from_eye.matrix @ cotranslate.matrix @ S, with S the to-eye step of
+    def _parts(self):
+        return self.from_eye, self.cotranslate
+
+    def _assemble(self, reads):
+        """from_eye's matrix @ cotranslate's @ S, with S the to-eye step of
         ``apply`` in closed form (weight 1 - w_eye, column -eye); read-only.
         Raises DomainError when the arithmetic overflows."""
+        from_eye, cotranslate = reads
         to_eye = np.eye(4)
         to_eye[0, 0] -= self.eye.weight
         to_eye[1:, 0] = -self.eye.vector
         with np.errstate(over="ignore", invalid="ignore"):
-            m = self.from_eye.matrix @ self.cotranslate.matrix @ to_eye
+            m = from_eye @ cotranslate @ to_eye
         if not np.isfinite(m).all():
             raise DomainError("the perspective matrix is not finite: the arithmetic overflowed")
         m.flags.writeable = False
@@ -442,15 +666,27 @@ class Composed(Transform):
             p = stage.apply(p)
         return p
 
+    def _parts(self):
+        return None
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """Product of the stage matrices, the first stage rightmost; read-only.
-        Raises DomainError, naming the stage, when the arithmetic overflows."""
+        Raises DomainError, naming the stage, when the arithmetic overflows.
+
+        The images of every stage are read in one extract_points call.  When
+        that call fails, each stage reads its own, in order, so the error
+        names the stage it belongs to.
+        """
+        try:
+            reads = _read_parts(self.stages)
+        except ValueError:
+            reads = [None] * len(self.stages)
         m = np.eye(4)
-        for idx, stage in enumerate(self.stages, start=1):
+        for idx, (stage, read) in enumerate(zip(self.stages, reads), start=1):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    m = stage.matrix @ m
+                    m = (stage.matrix if read is None else stage._assemble(read)) @ m
             except DomainError as exc:
                 raise DomainError(f"stage {idx}: {exc}") from exc
             if not np.isfinite(m).all():
@@ -460,12 +696,31 @@ class Composed(Transform):
         return m
 
 
+#: Bit k of a blade's entry is set for a blade of grade k.
+_GRADE_BITS = 1 << GRADES
+#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
+_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
+
+
+def _fused(a: Multivector, b: Multivector) -> Multivector:
+    """a * b through a plan keyed by the grades a and b carry, byte for
+    byte; ``*`` itself when either is not finite."""
+    rows = np.concatenate((a.coeffs, b.coeffs)).reshape(2, BLADE_COUNT)
+    if not np.isfinite(rows).all():
+        return a * b
+    left, right = np.bitwise_or.reduce(np.where(rows != 0, _GRADE_BITS, 0), axis=1).tolist()
+    plan = _plan(_GRADE_SETS[left], _GRADE_SETS[right], 1)
+    return Multivector._raw(planned_products(rows, plan)[0])
+
+
 def _append(stages, stage):
     prev = stages[-1] if stages else None
     if isinstance(stage, Versor) and isinstance(prev, Versor):
-        return stages[:-1] + [Versor(stage.U * prev.U, stage.epsilon * prev.epsilon, COMPOSITE)]
+        U = _fused(stage.U, prev.U)
+        return stages[:-1] + [Versor(U, stage.epsilon * prev.epsilon, COMPOSITE)]
     if isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
-        return stages[:-1] + [HodgeVersor(stage.uprime * prev.uprime, stage.lam * prev.lam)]
+        return stages[:-1] + [HodgeVersor(_fused(stage.uprime, prev.uprime),
+                                          stage.lam * prev.lam)]
     return stages + [stage]
 
 

@@ -171,6 +171,87 @@ def test_exit_code_degenerate_geometry(tmp_path):
     assert run(tmp_path, "check", "--pipeline", pipe)[0] == 3
 
 
+def test_zero_perspective_normal_exits_3(tmp_path):
+    pts = write(tmp_path, "x.txt", "1 1 2 3\n")
+    pipe = write(tmp_path, "p.txt", "perspective eye=(0,0,0) n=(0,0,0) c=1\n")
+    want = "error: degenerate geometry: the plane normal n is zero: every point would go to infinity"
+    for argv in (("apply", "--points", pts), ("matrix",), ("check",)):
+        assert run(tmp_path, argv[0], "--pipeline", pipe, *argv[1:]) == (3, [want])
+    # a tiny nonzero normal is a valid far plane
+    pipe = write(tmp_path, "p.txt", "perspective eye=(0,0,0) n=(1e-300,0,0) c=1\n")
+    assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts) == \
+        (0, ["1e-300 1 2 3"])
+    assert run(tmp_path, "check", "--pipeline", pipe)[0] == 0
+
+
+def test_semantic_error_reported_before_a_later_syntax_error(tmp_path):
+    # every line is checked in file order before any versor is multiplied
+    pipe = write(tmp_path, "p.txt", "rotate u=(1,0,0) v=(0,1,0) theta=0.5\n"
+                                    "rotate u=(1,1,0) v=(0,1,0) theta=0.5\n"
+                                    "scale u=(1,0,0) t=0.1\n"
+                                    "translate v=(1,2\n")
+    pts = write(tmp_path, "x.txt", "1 1 2 3\n")
+    want = (2, ["error: line 2: u must be a unit vector, |u|^2 = 2"])
+    assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts) == want
+    assert run(tmp_path, "matrix", "--pipeline", pipe) == want
+    assert run(tmp_path, "check", "--pipeline", pipe) == want
+
+
+@pytest.mark.parametrize("step", ["hrotate u=(1,0,0) v=(0,1,0) eta=1000",
+                                  "scale u=(1,0,0) t=1400",
+                                  "shear u=(1,0,0) v=(0,1,0) t=1e300"])
+def test_overflowing_steps_keep_their_messages(tmp_path, step):
+    # finite parameters whose versor or its images overflow: exit 4 and the
+    # one line naming the stage, from each command
+    pipe = write(tmp_path, "p.txt", step + "\n")
+    pts = write(tmp_path, "x.txt", "1 1 2 3\n")
+    extracted = "error: stage 1: the extracted point is not finite: the arithmetic overflowed"
+    assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts) == (4, [extracted])
+    assert run(tmp_path, "matrix", "--pipeline", pipe) == (4, [extracted])
+    assert run(tmp_path, "check", "--pipeline", pipe) == (
+        4, ["error: stage 1 (sandwich): the scale of its versor is not finite: "
+            "the arithmetic overflowed"])
+
+
+BOM = "\ufeff"
+
+
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch):
+    source = "# view\nrotate u=(1,0,0) v=(0,1,0) theta=0.5\ntranslate v=(1,2,3)\n"
+    points = "1 0 0 0\n2 1 2 3\n1 -1 0.5 4\n"
+    plain = run(tmp_path, "apply", "--pipeline", write(tmp_path, "p.txt", source),
+                "--points", write(tmp_path, "x.txt", points))
+    assert plain[0] == 0 and len(plain[1]) == 3
+    pipe_bom = tmp_path / "pb.txt"
+    pipe_bom.write_text(BOM + source, encoding="utf-8")
+    pts_bom = tmp_path / "xb.txt"
+    pts_bom.write_text(BOM + points, encoding="utf-8")
+    # the BOM file still takes the bulk path: no line goes through the
+    # line-by-line parser
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_parse_points_by_line", lambda *a: pytest.fail("by line"))
+        assert run(tmp_path, "apply", "--pipeline", str(pipe_bom),
+                   "--points", str(pts_bom)) == plain
+    for command in ("matrix", "check"):
+        assert run(tmp_path, command, "--pipeline", str(pipe_bom)) == \
+            run(tmp_path, command, "--pipeline", write(tmp_path, "p.txt", source))
+
+
+def test_byte_order_mark_keeps_line_numbers(tmp_path):
+    pipe = tmp_path / "p.txt"
+    pipe.write_text(BOM + "translate v=(1,0,0)\nrotat u=(1,0,0)\n", encoding="utf-8")
+    pts = tmp_path / "x.txt"
+    pts.write_text(BOM + "1 0 0 0\n", encoding="utf-8")
+    code, lines = run(tmp_path, "apply", "--pipeline", str(pipe), "--points", str(pts))
+    assert (code, lines) == (2, ["error: line 2, column 1: unknown operation 'rotat'"])
+    pipe.write_text(BOM + "translate v=(1,0,0)\n", encoding="utf-8")
+    for text, line in (("1 2 3\n1 0 0 0\n", 1), ("1 0 0 0\n# c\n1 2 x 4\n", 3),
+                       ("1 0 0 0\n1e308 1e308 0 0\n", 2)):
+        pts.write_text(BOM + text, encoding="utf-8")
+        code, lines = run(tmp_path, "apply", "--pipeline", str(pipe), "--points", str(pts))
+        assert code in (2, 4) and f"line {line}" in lines[-1]
+
+
 def test_exit_code_non_finite_input(tmp_path):
     pts = write(tmp_path, "x.txt", "1 0 0 0\n")
     for src in ("rotate u=(1,0,0) v=(0,1,0) theta=1e400\n", "translate v=(1e400,0,0)\n"):

@@ -1,0 +1,335 @@
+"""Versors are built from checked drafts in two planned products, and fused
+through planned products: every versor, fused versor, stage matrix and
+pipeline matrix is byte-identical to the dense closed forms, the dense
+fusion and the per-stage extraction kept here as the oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cl33 import (
+    Composed,
+    DomainError,
+    HodgeVersor,
+    Multivector,
+    Paravector,
+    PerspectiveMap,
+    Versor,
+    compose,
+    cotranslation_versor,
+    hyperbolic_versor,
+    parse_pipeline,
+    pseudo_perspective_map,
+    reflection_versor,
+    rotation_versor,
+    scale_versor,
+    sector_vector,
+    shear_versor,
+    translation_versor,
+    versors,
+)
+from cl33.euclid import extract_points
+from cl33.versors import COMPOSITE, shear_generator, translation_generator
+
+# -- the oracle: dense closed forms, dense fusion, per-stage extraction ------------
+
+
+def dense_reflection(n):
+    return Versor(sector_vector(n, +1) * sector_vector(n, -1), -1, versors.REFLECTION)
+
+
+def dense_rotation(u, v, theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    up, vp = sector_vector(u, +1), sector_vector(v, +1)
+    um, vm = sector_vector(u, -1), sector_vector(v, -1)
+    return Versor((c + s * (up * vp)) * (c - s * (um * vm)), +1, versors.ROTATION)
+
+
+def dense_hyperbolic(u, v, eta):
+    ch, sh = math.cosh(eta / 2.0), math.sinh(eta / 2.0)
+    um, vp = sector_vector(u, -1), sector_vector(v, +1)
+    vm, up = sector_vector(v, -1), sector_vector(u, +1)
+    return Versor((ch + sh * (um * vp)) * (ch + sh * (vm * up)), +1, versors.HYPERBOLIC)
+
+
+def dense_shear(u, v, t):
+    return Versor(1.0 + shear_generator(u, v, t), +1, versors.SHEAR)
+
+
+def dense_scale(u, t):
+    ch, sh = math.cosh(t / 2.0), math.sinh(t / 2.0)
+    return Versor(ch + sh * (sector_vector(u, -1) * sector_vector(u, +1)), +1, versors.SCALE)
+
+
+def dense_translation(v):
+    return Versor(1.0 + translation_generator(v), +1, versors.TRANSLATION)
+
+
+def dense_cotranslation(v):
+    return HodgeVersor(dense_translation(v).U, 1.0)
+
+
+DENSE = {
+    "reflect": lambda p: dense_reflection(p["n"]),
+    "rotate": lambda p: dense_rotation(p["u"], p["v"], p["theta"]),
+    "hrotate": lambda p: dense_hyperbolic(p["u"], p["v"], p["eta"]),
+    "shear": lambda p: dense_shear(p["u"], p["v"], p["t"]),
+    "scale": lambda p: dense_scale(p["u"], p["t"]),
+    "translate": lambda p: dense_translation(p["v"]),
+    "cotranslate": lambda p: dense_cotranslation(p["v"]),
+    "pseudo": lambda p: dense_cotranslation(p["n"]),
+}
+
+
+def dense_append(stages, stage):
+    prev = stages[-1] if stages else None
+    if isinstance(stage, Versor) and isinstance(prev, Versor):
+        return stages[:-1] + [Versor(stage.U * prev.U, stage.epsilon * prev.epsilon, COMPOSITE)]
+    if isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
+        return stages[:-1] + [HodgeVersor(stage.uprime * prev.uprime, stage.lam * prev.lam)]
+    return stages + [stage]
+
+
+def dense_compose(transforms):
+    stages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in transforms:
+            stages = dense_append(stages, t)
+    return stages
+
+
+def quiet_compose(transforms):
+    """``compose``, without numpy's warnings for versors that overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return compose(transforms).stages
+
+
+def stage_matrix(stage):
+    """One stage's matrix read alone, extraction by extraction."""
+    if isinstance(stage, PerspectiveMap):
+        to_eye = np.eye(4)
+        to_eye[0, 0] -= stage.eye.weight
+        to_eye[1:, 0] = -stage.eye.vector
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = stage_matrix(stage.from_eye) @ stage_matrix(stage.cotranslate) @ to_eye
+        if not np.isfinite(m).all():
+            raise DomainError("the perspective matrix is not finite: the arithmetic overflowed")
+        return m
+    with np.errstate(over="ignore", invalid="ignore"):
+        return extract_points(stage.images()).T
+
+
+def pipeline_matrix(stages):
+    m = np.eye(4)
+    for idx, stage in enumerate(stages, start=1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = stage_matrix(stage) @ m
+        except DomainError as exc:
+            raise DomainError(f"stage {idx}: {exc}") from exc
+        if not np.isfinite(m).all():
+            raise DomainError(f"stage {idx}: the pipeline matrix through this stage "
+                              "is not finite: the arithmetic overflowed")
+    return m
+
+
+def outcome(fn):
+    """The bytes ``fn`` returns, or the type and text of what it raises."""
+    try:
+        return fn().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def same_versor(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Versor):
+        assert (got.epsilon, got.kind) == (want.epsilon, want.kind)
+        assert got.U.coeffs.tobytes() == want.U.coeffs.tobytes()
+    else:
+        assert got.lam == want.lam
+        assert got.uprime.coeffs.tobytes() == want.uprime.coeffs.tobytes()
+
+
+# -- drawn parameters: signed zeros, axis vectors, large magnitudes ----------------
+
+AXES = [np.array(row) for row in np.eye(3)]
+
+
+@st.composite
+def unit_vectors(draw):
+    """Unit vectors: signed axes (zeros of either sign) or normalized draws."""
+    if draw(st.booleans()):
+        axis = AXES[draw(st.integers(0, 2))] * draw(st.sampled_from((1.0, -1.0)))
+        zeros = draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=3, max_size=3))
+        return np.where(axis != 0, axis, zeros)
+    v = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0.1 else AXES[0]
+
+
+@st.composite
+def orthonormal_pairs(draw):
+    u = draw(unit_vectors())
+    w = draw(unit_vectors())
+    w = w - (w @ u) * u
+    if np.linalg.norm(w) < 0.1:
+        w = np.cross(u, AXES[np.argmin(np.abs(u))])
+    return u, w / np.linalg.norm(w)
+
+
+def numbers(bound):
+    return st.one_of(st.sampled_from((0.0, -0.0)),
+                     st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def steps(draw):
+    """(op, params) of one step, any of the nine operations."""
+    op = draw(st.sampled_from(("reflect", "rotate", "hrotate", "shear", "scale", "translate",
+                               "cotranslate", "perspective", "pseudo")))
+    if op in ("reflect", "pseudo"):
+        return op, {"n": draw(unit_vectors())}
+    if op in ("rotate", "hrotate"):
+        u, v = draw(orthonormal_pairs())
+        key, bound = ("theta", 1e6) if op == "rotate" else ("eta", 1400.0)
+        return op, {"u": u, "v": v, key: draw(numbers(bound))}
+    if op == "shear":
+        # axes of any length along coordinate axes (exactly orthogonal), or
+        # of moderate length in any direction
+        if draw(st.booleans()):
+            i, j = draw(st.permutations(range(3)))[:2]
+            u, v, bound = AXES[i], AXES[j], 1e200
+        else:
+            (u, v), bound = draw(orthonormal_pairs()), 1e3
+        a, b = draw(numbers(bound)), draw(numbers(bound))
+        return op, {"u": a * u, "v": b * v, "t": draw(numbers(1e300))}
+    if op == "scale":
+        return op, {"u": draw(unit_vectors()), "t": draw(numbers(1400.0))}
+    if op in ("translate", "cotranslate"):
+        scale = 10.0 ** draw(st.integers(-3, 160))
+        return op, {"v": scale * np.array([draw(numbers(1.0)) for _ in range(3)])}
+    eye = np.array([draw(numbers(3.0)) for _ in range(3)])
+    n = draw(unit_vectors()) * 10.0 ** draw(st.integers(-2, 100))
+    offset = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return op, {"eye": eye, "n": n, "c": float(n @ eye) + offset * np.max(np.abs(n))}
+
+
+def render(steps_):
+    num = lambda x: f"{float(x):.17g}"
+    lines = []
+    for op, params in steps_:
+        parts = [op]
+        for key, val in params.items():
+            parts.append(f"{key}=({','.join(map(num, val))})" if np.ndim(val)
+                         else f"{key}={num(val)}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def dense_step(op, params):
+    if op == "perspective":
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DENSE[op](params)
+
+
+# -- byte identity ----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(steps(), min_size=1, max_size=8))
+def test_pipeline_is_byte_identical_to_the_dense_oracle(steps_):
+    pipe = parse_pipeline(render(steps_))
+    transforms = pipe.transforms()
+    want = []
+    for step, got in zip(pipe.steps, transforms):
+        dense = dense_step(step.op, step.params)
+        if dense is None:
+            # the perspective's two translations
+            same_versor(got.from_eye, dense_translation(got.eye.vector))
+            same_versor(got.cotranslate, dense_cotranslation(got.n / got.a))
+            dense = got
+        else:
+            same_versor(got, dense)
+        want.append(dense)
+        assert outcome(lambda: got.matrix) == outcome(lambda: stage_matrix(got))
+    stages = quiet_compose(transforms)
+    dense_stages = dense_compose(want)
+    assert len(stages) == len(dense_stages)
+    for got, dense in zip(stages, dense_stages):
+        if isinstance(dense, (Versor, HodgeVersor)):
+            same_versor(got, dense)
+        else:
+            assert got is dense
+        assert outcome(lambda: got.matrix) == outcome(lambda: stage_matrix(dense))
+    assert outcome(lambda: Composed(tuple(stages)).matrix) == \
+        outcome(lambda: pipeline_matrix(dense_stages))
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthonormal_pairs(), numbers(1e6), numbers(1400.0), numbers(1e300), unit_vectors(),
+       st.floats(-1e300, 1e300))
+def test_constructors_are_byte_identical_to_the_dense_oracle(pair, theta, eta, t, n, x):
+    u, v = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        cases = [(reflection_versor(n), dense_reflection(n)),
+                 (rotation_versor(u, v, theta), dense_rotation(u, v, theta)),
+                 (hyperbolic_versor(u, v, eta), dense_hyperbolic(u, v, eta)),
+                 (shear_versor(u, v, t), dense_shear(u, v, t)),
+                 (shear_versor(x * AXES[0], AXES[2], t), dense_shear(x * AXES[0], AXES[2], t)),
+                 (scale_versor(u, eta), dense_scale(u, eta)),
+                 (translation_versor(x * n), dense_translation(x * n)),
+                 (cotranslation_versor(x * n), dense_cotranslation(x * n)),
+                 (pseudo_perspective_map(n), dense_cotranslation(n))]
+    for got, want in cases:
+        same_versor(got, want)
+        assert outcome(lambda: got.matrix) == outcome(lambda: stage_matrix(want))
+    fused = quiet_compose([got for got, _ in cases])
+    for got, want in zip(fused, dense_compose([want for _, want in cases])):
+        same_versor(got, want)
+
+
+def test_fusion_of_non_finite_versors_keeps_the_dense_bytes():
+    # an operand that is not finite goes through *, NaN payloads and all
+    rotation = rotation_versor(AXES[0], AXES[1], 0.3)
+    for value in (np.inf, -np.inf, np.nan):
+        coeffs = rotation.U.coeffs.copy()
+        coeffs[5] = value
+        bad = Versor(Multivector(coeffs), +1, versors.ROTATION)
+        for pair in ((bad, rotation), (rotation, bad), (bad, bad)):
+            got = quiet_compose(pair)[0].U.coeffs
+            want = dense_compose(pair)[0].U.coeffs
+            assert got.tobytes() == want.tobytes()
+
+
+def test_zero_operand_fuses_to_zero():
+    zero = Versor(Multivector(), +1, versors.ROTATION)
+    for pair in ((zero, translation_versor([1, 2, 3])), (translation_versor([1, 2, 3]), zero)):
+        got = compose(pair).stages[0].U.coeffs
+        assert got.tobytes() == (pair[1].U * pair[0].U).coeffs.tobytes()
+
+
+def test_batched_extraction_falls_back_to_the_stage_that_fails():
+    # stage 2 of 3 overflows: the error names it, as reading one stage at a
+    # time does, although all stages were read in one extraction first
+    stages = (rotation_versor(AXES[0], AXES[1], 0.3),
+              cotranslation_versor([1e200, 0, 0]),
+              translation_versor([1, 2, 3]))
+    with pytest.raises(DomainError) as got:
+        Composed(stages).matrix
+    assert str(got.value) == str(pytest.raises(DomainError, pipeline_matrix, stages).value)
+    assert str(got.value).startswith("stage 2: ")
+    # a perspective whose eye translation overflows, alone and as stage 2
+    far = PerspectiveMap(Paravector(1.0, [0, 0, 1e200]), [0, 0, 1], 0.0)
+    with pytest.raises(DomainError) as got:
+        far.matrix
+    assert str(got.value) == str(pytest.raises(DomainError, stage_matrix, far).value)
+    stages = (translation_versor([1, 2, 3]), far)
+    with pytest.raises(DomainError) as got:
+        Composed(stages).matrix
+    assert str(got.value) == str(pytest.raises(DomainError, pipeline_matrix, stages).value)
+    assert str(got.value).startswith("stage 2: ")

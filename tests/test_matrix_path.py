@@ -159,29 +159,30 @@ ALL_OPS = ("reflect n=(0,0,1)\n"
            "pseudo n=(0,0,1)\n"
            "perspective eye=(0,0,-3) n=(0,0,1) c=1\n")
 
-CONSTRUCTORS = ("reflection_versor", "rotation_versor", "hyperbolic_versor", "shear_versor",
-                "scale_versor", "translation_versor", "cotranslation_versor")
+def _count_drafts(m, counts):
+    """Count ``versors.draft`` calls by kind, in every module that calls it."""
+    draft = versors.draft
 
+    def counted(kind, *args):
+        counts[kind] = counts.get(kind, 0) + 1
+        return draft(kind, *args)
 
-def _count_calls(monkeypatch, counts, module, name, key):
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[key] = counts.get(key, 0) + 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
+    for module in (versors, pipeline):
+        m.setattr(module, "draft", counted)
 
 
 def _counted_apply(monkeypatch, source, rows, *flags):
-    """Multivector products and versor constructions during one apply."""
-    counts = {}
+    """Multivector products and step drafts, by kind, during one apply."""
+    counts = {"mul": 0}
+    mul = multivector.Multivector.__mul__
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
     with monkeypatch.context() as m:
-        _count_calls(m, counts, multivector.Multivector, "__mul__", "mul")
-        for name in CONSTRUCTORS:
-            for module in (versors, pipeline):
-                if hasattr(module, name):
-                    _count_calls(m, counts, module, name, name)
+        m.setattr(multivector.Multivector, "__mul__", counted_mul)
+        _count_drafts(m, counts)
         code, lines = _apply(source, rows, *flags)
     assert code == 0 and len(lines) == len(rows)
     return counts
@@ -193,23 +194,63 @@ def test_no_per_point_algebra(monkeypatch):
     many = np.column_stack((np.ones(1000), rng.uniform(-2, 2, (1000, 3))))
     small = _counted_apply(monkeypatch, ALL_OPS, few, "--normalize")
     large = _counted_apply(monkeypatch, ALL_OPS, many, "--normalize")
-    assert small["mul"] > 0 and small == large
+    assert small["mul"] == 0 and small == large
 
 
 def test_each_versor_built_once(monkeypatch, tmp_path):
+    # one draft per step per call; a perspective drafts its two translations
+    # (the second packaged as a cotranslation)
     rows = np.column_stack((np.ones(10), np.arange(30.0).reshape(10, 3)))
     counts = _counted_apply(monkeypatch, "rotate u=(1,0,0) v=(0,1,0) theta=0.5\n", rows)
-    assert counts["rotation_versor"] == 1
+    assert counts == {"mul": 0, versors.ROTATION: 1}
     perspective = "perspective eye=(0,0,0) n=(0,0,1) c=1\n"
+    want = {versors.PERSPECTIVE: 1, versors.COTRANSLATION: 1, versors.TRANSLATION: 2}
     counts = _counted_apply(monkeypatch, perspective, rows)
-    assert counts["translation_versor"] == 2
+    assert counts == {"mul": 0, **want}
     counts = {}
     with monkeypatch.context() as m:
-        _count_calls(m, counts, versors, "translation_versor", "translation_versor")
+        _count_drafts(m, counts)
         path = tmp_path / "p.txt"
         path.write_text(perspective)
         assert main(["matrix", "--pipeline", str(path)], _capture=[]) == 0
-    assert counts["translation_versor"] == 2
+    assert counts == want
+
+
+def _benchmark_shaped(rng):
+    """The 13 steps of a projective benchmark pipeline: rotate, translate,
+    perspective, cotranslate along its normal, the six sandwich ops in
+    seeded order, pseudo, scale, shear."""
+    n, eye = rand_unit(rng), rng.uniform(-1, 1, 3)
+    u, v = rand_orthonormal(rng)
+    middle = _six_ops(rng)
+    return "\n".join(
+        [f"rotate u={_vec(u)} v={_vec(v)} theta={rng.uniform(-3, 3):.17g}",
+         f"translate v={_vec(rng.uniform(-3, 3, 3))}",
+         f"perspective eye={_vec(eye)} n={_vec(n)} c={float(n @ eye) + 1.5:.17g}",
+         f"cotranslate v={_vec(0.2 * n)}",
+         *middle,
+         f"pseudo n={_vec(n)}",
+         f"scale u={_vec(u)} t={rng.uniform(-0.7, 0.7):.17g}",
+         f"shear u={_vec(u)} v={_vec(v)} t={rng.uniform(-1.5, 1.5):.17g}"]) + "\n"
+
+
+def test_projective_apply_makes_no_dense_product(monkeypatch):
+    # the benchmark's 13-step projective pipeline: its 14 versors are built
+    # in two planned products and fused in 7 more, with no Multivector
+    # product
+    rng = np.random.default_rng(41)
+    rows = np.column_stack((rng.uniform(0.5, 2, 50), rng.uniform(-3, 3, (50, 3))))
+    planned = multivector.planned_products
+    calls = []
+    monkeypatch.setattr(versors, "planned_products",
+                        lambda *args: calls.append(1) or planned(*args))
+    for _ in range(3):
+        source = _benchmark_shaped(rng)
+        assert len(source.splitlines()) == 13
+        calls.clear()
+        counts = _counted_apply(monkeypatch, source, rows, "--normalize")
+        assert counts["mul"] == 0
+        assert len(calls) == 2 + 7
 
 
 def test_stage_matrix_is_apply_on_basis():

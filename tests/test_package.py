@@ -53,3 +53,19 @@ def test_import_builds_no_residual_plan():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out.split("\n")[:2] == ["0 0", "1 1"]
+
+
+def test_import_builds_no_construction_or_fusion_plan():
+    # the plans that build and fuse versors are made on first use, as the
+    # residual plans are; a parse builds the two construction plans of its
+    # step count and composing adds the fusion plan
+    code = ("import cl33; from cl33 import versors as v; "
+            "print(v._plan.cache_info().currsize); "
+            "p = cl33.parse_pipeline('rotate u=(1,0,0) v=(0,1,0) theta=0.5\\n"
+            "rotate u=(0,1,0) v=(0,0,1) theta=0.25\\n'); "
+            "print(v._plan.cache_info().currsize); p.composed(); "
+            "print(v._plan.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.split("\n")[:3] == ["0", "2", "3"]

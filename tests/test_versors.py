@@ -336,6 +336,22 @@ def test_perspective_degenerate_and_bad_eye():
         perspective_project(Paravector(2.0, [0, 0, 0]), E3, 1.0, Paravector(1.0, [1, 1, 2]))
 
 
+def test_perspective_zero_normal_is_degenerate():
+    # an all-zero normal gives an all-zero weight row: every point would go
+    # to infinity, whatever c is
+    eye = Paravector(1.0, [0, 0, 0])
+    for n, c in (([0, 0, 0], 1.0), ([-0.0, 0.0, -0.0], -2.0), ([0, 0, 0], 0.0)):
+        with pytest.raises(DegenerateConfigurationError, match="normal n is zero"):
+            PerspectiveMap(eye, n, c)
+        with pytest.raises(DegenerateConfigurationError, match="normal n is zero"):
+            perspective_project(eye, n, c, Paravector(1.0, [1, 1, 2]))
+    # a tiny nonzero normal is a valid far plane
+    stage = PerspectiveMap(eye, [1e-300, 0, 0], 1.0)
+    assert stage.matrix[0, 1] == 1e-300 and np.isfinite(stage.matrix).all()
+    out = perspective_project(eye, [1e-300, 0, 0], 1.0, Paravector(1.0, [1, 1, 2]))
+    assert out.approx_eq(Paravector(1e-300, [1, 1, 2]))
+
+
 def test_pseudo_perspective_examples():
     out = pseudo_perspective(E3, Paravector(1.0, [0, 0, -1]))
     assert out.is_at_infinity
