@@ -18,6 +18,7 @@ from .errors import (
     NotHodgeCompatible,
     NotLinearError,
     PipelineError,
+    ResidualError,
 )
 from .multivector import (
     ATOL,

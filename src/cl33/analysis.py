@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import GRADE_SELECTORS, INVOLUTION_SIGNS
+from .blades import GRADE_SELECTORS, INVOLUTION_SIGNS, MINUS_BLADES, PLUS_BLADES
 from .errors import DomainError, NotLinearError
 from .euclid import (
     E,
@@ -241,7 +241,7 @@ _GRADE45 = GRADE_SELECTORS[4] | GRADE_SELECTORS[5]
 
 def _covector_part(images: np.ndarray) -> np.ndarray:
     """Covector components of the vector parts of (..., 64) image coefficients."""
-    return (images[..., [1, 2, 4]] - images[..., [8, 16, 32]]) @ _E_STAR_ROWS
+    return (images[..., PLUS_BLADES] - images[..., MINUS_BLADES]) @ _E_STAR_ROWS
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ BLADE_COUNT = 64
 #: Squares of the six generators, indexed by bit position.
 SQUARES = (1, 1, 1, -1, -1, -1)
 
+#: Masks of the generators e1p, e2p, e3p and of e1m, e2m, e3m: the
+#: coefficients of a vector over the plus and over the minus sector.
+PLUS_BLADES = np.array([1 << i for i, s in enumerate(SQUARES) if s > 0])
+MINUS_BLADES = np.array([1 << i for i, s in enumerate(SQUARES) if s < 0])
+
 
 def grade(mask: int) -> int:
     """Number of generator factors in the blade."""

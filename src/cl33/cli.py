@@ -9,8 +9,9 @@ Commands::
 
 Exit codes: 0 ok, 2 parse or semantic error (non-finite numbers included),
 3 degenerate geometry, 4 residue error (result left the point subspace),
-finite input whose arithmetic overflows (a stage matrix, an output point or
-the scale ``check`` holds a stage to) or a pipeline that ``matrix`` finds
+finite input whose arithmetic overflows (a stage matrix, an output point,
+the scale ``check`` holds a stage to or the versor of a star-sandwich stage
+that ``check`` skips) or a pipeline that ``matrix`` finds
 deviating from its own matrix, 5 preservation-condition failure.
 ``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
 ``apply`` and ``matrix`` do.  When the reader of stdout closes it early
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .euclid import at_infinity
 from .multivector import Multivector, tolerance
-from .versors import Composed, Versor
+from .versors import Composed, HodgeVersor, Versor
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -166,6 +167,9 @@ def _cmd_check(args, emit):
     checked = 0
     for idx, stage in enumerate(stages, start=1):
         if not isinstance(stage, Versor):
+            if isinstance(stage, HodgeVersor) and not np.isfinite(stage.uprime.coeffs).all():
+                raise DomainError(f"stage {idx} (star-sandwich): its versor is not "
+                                  "finite: the arithmetic overflowed")
             emit(f"stage {idx}: skipped (not a sandwich form)")
             continue
         checked += 1

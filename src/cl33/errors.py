@@ -9,29 +9,25 @@ class ConvergenceError(ArithmeticError):
     """A truncated series failed to reach its tolerance within the term budget."""
 
 
-class NonParavectorResidue(ValueError):
+class ResidualError(ValueError):
+    """A check failed by a measured amount, kept as ``residual`` when known."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class NonParavectorResidue(ResidualError):
     """A multivector expected to be weight + vector carries grade >= 2 residue."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class CovectorResidue(ValueError):
+class CovectorResidue(ResidualError):
     """The vector part of a would-be point contains covector components."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
-
-class NotHodgeCompatible(ValueError):
+class NotHodgeCompatible(ResidualError):
     """The versor does not satisfy the volume-scaling condition of the
     Hodge-conjugate construction (translations are the canonical offender)."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class DegenerateConfigurationError(ValueError):

@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blades import GRADES
+from .blades import GRADES, MINUS_BLADES, PLUS_BLADES
 from .errors import CovectorResidue, DomainError, NonParavectorResidue
 from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
 
-_HIGH_GRADE = GRADES >= 2
-#: Masks of e1p, e2p, e3p and of e1m, e2m, e3m.
-_PLUS = np.array([1, 2, 4])
-_MINUS = np.array([8, 16, 32])
+_HIGH_GRADE_BLADES = np.flatnonzero(GRADES >= 2)
+#: The blades a point is read from, and their factors: w is the scalar
+#: part and p_i twice the e_i+ coefficient.
+_POINT_BLADES = np.array([0, *PLUS_BLADES])
+_POINT_SCALES = np.array([1.0, 2.0, 2.0, 2.0])
 
 _EP = GENERATORS[:3]
 _EM = GENERATORS[3:]
@@ -146,50 +147,45 @@ def embed_paravector(p: Paravector) -> Multivector:
 
 
 def extract_paravector(a: Multivector) -> Paravector:
-    """Read a weighted point back out of a multivector.
-
-    The weight is the scalar part and p_i is twice the e_i+ coefficient.
-    Raises DomainError when a coefficient is not finite (the arithmetic that
-    produced it overflowed), NonParavectorResidue when any grade >= 2
-    coefficient exceeds the tolerance, and CovectorResidue when the e_i+ and
-    e_i- coefficients disagree (the vector part then contains a covector
-    component).
-    """
-    if not np.isfinite(a.coeffs).all():
-        raise DomainError("the extracted point is not finite: the arithmetic overflowed")
-    tol = tolerance(a.max_abs())
-    worst = float(np.max(np.abs(a.coeffs[_HIGH_GRADE]), initial=0.0))
-    if worst > tol:
-        raise NonParavectorResidue(
-            f"grade >= 2 residue {worst:.3e} exceeds tolerance {tol:.3e}", residual=worst)
-    plus = a.coeffs[_PLUS]
-    minus = a.coeffs[_MINUS]
-    mismatch = float(np.max(np.abs(plus - minus), initial=0.0))
-    if mismatch > tol:
-        raise CovectorResidue(
-            f"covector residue {mismatch:.3e} exceeds tolerance {tol:.3e}", residual=mismatch)
-    return Paravector(a.coeffs[0], 2.0 * plus)
+    """Read a weighted point back out of a multivector: extract_points of
+    its coefficients as one row, with the same errors."""
+    (point,) = extract_points(a.coeffs[None])
+    return Paravector(point[0], point[1:])
 
 
 def extract_points(rows) -> np.ndarray:
-    """``extract_paravector`` of each row of (n, 64) coefficients, as (n, 4)
+    """Read weighted points back out of (n, 64) coefficient rows, as (n, 4)
     rows (w, x, y, z).
 
-    The checks of extract_paravector run on all rows at once, each row held
-    to the tolerance of its own largest coefficient.  When one fails, the
-    rows go through extract_paravector in order, which raises its error for
-    the first row that fails.
+    The weight is the scalar part and p_i is twice the e_i+ coefficient.
+    Each row is held to the tolerance of its own largest coefficient, and
+    the first row that fails raises: DomainError when a coefficient is not
+    finite (the arithmetic that produced it overflowed), NonParavectorResidue
+    when a grade >= 2 coefficient exceeds the tolerance, and CovectorResidue
+    when the e_i+ and e_i- coefficients disagree (the vector part then
+    contains a covector component).  A residue error carries the row's
+    offending magnitude as ``residual``.
     """
     rows = np.asarray(rows)
-    if np.isfinite(rows).all():
-        mags = np.abs(rows)
-        plus = rows[:, _PLUS]
-        worst = np.maximum(np.max(mags[:, _HIGH_GRADE], axis=1),
-                           np.max(np.abs(plus - rows[:, _MINUS]), axis=1))
-        if (worst <= tolerance(np.max(mags, axis=1))).all():
-            return np.column_stack((rows[:, 0], 2.0 * plus))
-    points = [extract_paravector(Multivector._raw(row)) for row in rows]
-    return np.array([[q.weight, *q.vector] for q in points])
+    mags = np.abs(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        covector = np.abs(rows.take(PLUS_BLADES, 1) - rows.take(MINUS_BLADES, 1)).max(axis=1)
+    high = mags.take(_HIGH_GRADE_BLADES, 1).max(axis=1)
+    # inf or NaN exactly for the rows that hold a coefficient that is not finite
+    tol = tolerance(mags.max(axis=1))
+    passed = (np.maximum(high, covector) <= tol) & (tol < np.inf)
+    if not passed.all():
+        i = int(np.argmin(passed))
+        if not tol[i] < np.inf:
+            raise DomainError("the extracted point is not finite: the arithmetic overflowed")
+        if high[i] > tol[i]:
+            raise NonParavectorResidue(
+                f"grade >= 2 residue {high[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+                residual=float(high[i]))
+        raise CovectorResidue(
+            f"covector residue {covector[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+            residual=float(covector[i]))
+    return rows.take(_POINT_BLADES, 1) * _POINT_SCALES
 
 
 def normalize_point(p: Paravector) -> Paravector:

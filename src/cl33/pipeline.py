@@ -12,8 +12,8 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .versors import (
     SCALE,
     SHEAR,
     TRANSLATION,
-    Transform,
     build,
     compose,
     draft,
@@ -65,26 +64,19 @@ class PipelineStep:
     params: dict
     line: int
 
-    @cached_property
-    def transform(self) -> Transform:
-        """The step's transform, built on first use (``parse_pipeline``
-        builds those of a whole file at once) and kept.  A versor whose
-        products overflow keeps its non-finite coefficients, with no warning:
-        the stage matrix and ``check`` report them."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            (transform,) = build([_STEP_DRAFTS[self.op](self.params)])
-        return transform
-
 
 @dataclass(frozen=True)
 class Pipeline:
+    """Steps and, in the same order, their transforms."""
+
     steps: tuple
+    step_transforms: tuple = field(repr=False)
 
     def transforms(self) -> list:
-        return [s.transform for s in self.steps]
+        return list(self.step_transforms)
 
     def composed(self):
-        return compose(self.transforms())
+        return compose(self.step_transforms)
 
     def __eq__(self, other):
         if not isinstance(other, Pipeline):
@@ -168,6 +160,17 @@ def _parse_step(raw: str, lineno: int):
         raise PipelineError(str(exc), lineno) from exc
 
 
+def _built(pairs) -> Pipeline:
+    """The pipeline of ``(step, draft)`` pairs, every step's transform made
+    by one ``versors.build`` call.  ``pairs`` is consumed with numpy's
+    overflow warnings off: a versor whose products overflow keeps its
+    non-finite coefficients, which the stage matrix and ``check`` report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = list(pairs)
+        transforms = build(d for _, d in pairs)
+    return Pipeline(tuple(step for step, _ in pairs), tuple(transforms))
+
+
 def parse_pipeline(text: str) -> Pipeline:
     """Parse pipeline source; raises PipelineError with line/column on
     syntax errors and line on semantic (precondition) errors.
@@ -176,12 +179,7 @@ def parse_pipeline(text: str) -> Pipeline:
     first bad line is the one reported; then one ``versors.build`` call
     makes every step's transform, with two batched products for the file.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        parsed = [_parse_step(body, lineno) for lineno, body in _data_lines(text)]
-        transforms = build(d for _, d in parsed)
-    for (step, _), transform in zip(parsed, transforms):
-        step.__dict__["transform"] = transform  # what the cached property would keep
-    return Pipeline(tuple(step for step, _ in parsed))
+    return _built(_parse_step(body, lineno) for lineno, body in _data_lines(text))
 
 
 def _fmt(x) -> str:
@@ -216,12 +214,13 @@ _INVERTERS = {
 def inverse_pipeline(p: Pipeline) -> Pipeline:
     """Steps reversed with negated parameters (reflection is its own
     inverse).  Projections are not invertible and raise PipelineError."""
-    steps = []
+    pairs = []
     for s in reversed(p.steps):
         if s.op not in _INVERTERS:
             raise PipelineError(f"operation {s.op!r} is not invertible", s.line)
-        steps.append(PipelineStep(s.op, _INVERTERS[s.op](s.params), s.line))
-    return Pipeline(tuple(steps))
+        params = _INVERTERS[s.op](s.params)
+        pairs.append((PipelineStep(s.op, params, s.line), _STEP_DRAFTS[s.op](params)))
+    return _built(pairs)
 
 
 def _parse_points_by_line(text: str, first: int = 1) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blades import BLADE_COUNT, GRADES
+from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
@@ -132,20 +132,14 @@ class Transform:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
 
         Column j is row j of ``images`` read through extract_points, so every
-        residue check of extract_paravector runs once per stage; the sandwich
-        and star-sandwich are linear in P, so a basis whose images extract
+        residue check of extraction runs once per stage; the sandwich and
+        star-sandwich are linear in P, so a basis whose images extract
         cleanly covers every point.  Computed on first use and kept.  Raises
         DomainError when the arithmetic overflows.  A transform of several
-        parts reads them in one extract_points call; when that fails, it
-        reads them one at a time, so the first part's error is raised.
+        parts reads them in one extract_points call, which raises the error
+        of the first part that fails.
         """
-        parts = self._parts()
-        try:
-            (reads,) = _read_parts([self])
-        except ValueError:
-            if len(parts) == 1:
-                raise
-            reads = [part.matrix for part in parts]
+        (reads,) = _read_parts([self])
         return self._assemble(reads)
 
 
@@ -339,14 +333,17 @@ def _plan(left: tuple, right: tuple, count: int) -> ProductPlan:
 def _pair_products(rows, left: tuple, right: tuple) -> np.ndarray:
     """Row 2r times row 2r + 1 of ``rows``, for every r, as (n, 64): one
     planned product, byte-identical to ``*``.  Rows that are not all finite
-    go through ``*``, which keeps its NaN for every overflow."""
+    go through ``*``, which keeps its NaN for every overflow.  Overflow
+    warnings are off: a product that overflows keeps its non-finite
+    coefficients, which the stage matrix and ``check`` report."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
     if not len(rows):
         return rows
-    if not np.isfinite(rows).all():
-        pairs = zip(map(Multivector._raw, rows[::2]), map(Multivector._raw, rows[1::2]))
-        return np.array([(a * b).coeffs for a, b in pairs]).reshape(-1, BLADE_COUNT)
-    return planned_products(rows, _plan(left, right, len(rows) // 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(rows).all():
+            pairs = zip(map(Multivector._raw, rows[::2]), map(Multivector._raw, rows[1::2]))
+            return np.array([(a * b).coeffs for a, b in pairs]).reshape(-1, BLADE_COUNT)
+        return planned_products(rows, _plan(left, right, len(rows) // 2))
 
 
 def _plus(c, row):
@@ -370,9 +367,6 @@ def _halves(d: Draft, products) -> tuple:
     return _plus(c, products[0] * s), _plus(c, products[1] * s)
 
 
-#: Masks of e1+, e2+, e3+ and of e1-, e2-, e3-.
-_PLUS_BLADES = [1, 2, 4]
-_MINUS_BLADES = [8, 16, 32]
 #: For each of _PLUS, _MINUS, _SUM, _DIFF: the factors of v on the plus
 #: and on the minus generators.
 _ROW_FACTORS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
@@ -390,8 +384,8 @@ def _factor_rows(operands) -> np.ndarray:
     vectors = np.array(vectors)
     factors = _ROW_FACTORS[list(which)]
     rows = np.zeros((len(vectors), BLADE_COUNT))
-    rows[:, _PLUS_BLADES] = factors[:, :1] * vectors
-    rows[:, _MINUS_BLADES] = factors[:, 1:] * vectors
+    rows[:, PLUS_BLADES] = factors[:, :1] * vectors
+    rows[:, MINUS_BLADES] = factors[:, 1:] * vectors
     return rows
 
 
@@ -703,14 +697,10 @@ _GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits
 
 
 def _fused(a: Multivector, b: Multivector) -> Multivector:
-    """a * b through a plan keyed by the grades a and b carry, byte for
-    byte; ``*`` itself when either is not finite."""
+    """a * b through _pair_products, planned for the grades a and b carry."""
     rows = np.concatenate((a.coeffs, b.coeffs)).reshape(2, BLADE_COUNT)
-    if not np.isfinite(rows).all():
-        return a * b
     left, right = np.bitwise_or.reduce(np.where(rows != 0, _GRADE_BITS, 0), axis=1).tolist()
-    plan = _plan(_GRADE_SETS[left], _GRADE_SETS[right], 1)
-    return Multivector._raw(planned_products(rows, plan)[0])
+    return Multivector._raw(_pair_products(rows, _GRADE_SETS[left], _GRADE_SETS[right])[0])
 
 
 def _append(stages, stage):
@@ -779,8 +769,8 @@ def sector_image(versor: Versor) -> SectorReport:
     sector's vector span, within tolerance.
     """
     images = np.abs(versor.sandwiches(_SECTOR_TABLES))
-    plus = float(np.max(np.delete(images[:4], [0, 1, 2, 4], axis=1)))
-    minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, 8, 16, 32], axis=1)))
+    plus = float(np.max(np.delete(images[:4], [0, *PLUS_BLADES], axis=1)))
+    minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, *MINUS_BLADES], axis=1)))
     tol = tolerance(max(1.0, versor.U.max_abs() ** 2))
     return SectorReport(
         plus_off_sector=plus,

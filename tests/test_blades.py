@@ -3,6 +3,8 @@ import pytest
 
 from cl33.blades import (
     BLADE_COUNT,
+    MINUS_BLADES,
+    PLUS_BLADES,
     PRODUCT_MASKS,
     PRODUCT_SIGNS,
     SQUARES,
@@ -63,3 +65,11 @@ def test_mask_range_validation():
         blade_geometric_product(-1, 0)
     with pytest.raises(ValueError):
         blade_geometric_product(0, 64)
+
+
+def test_generator_layout():
+    # e1p e2p e3p square to +1, e1m e2m e3m to -1, both sectors in axis order
+    assert [blade_name(m) for m in PLUS_BLADES] == ["e1p", "e2p", "e3p"]
+    assert [blade_name(m) for m in MINUS_BLADES] == ["e1m", "e2m", "e3m"]
+    for masks, square in ((PLUS_BLADES, 1.0), (MINUS_BLADES, -1.0)):
+        assert [blade_geometric_product(m, m) for m in masks] == [(square, 0)] * 3

@@ -427,6 +427,46 @@ def test_overflowing_versor_prints_only_the_error(tmp_path, step, command):
     assert proc.stderr == f"error: {what} is not finite: the arithmetic overflowed\n"
 
 
+FUSED_OVERFLOWS = {
+    "hrotate-scale": "hrotate u=(1,0,0) v=(0,1,0) eta=1000\nscale u=(1,0,0) t=1\n",
+    "shear-shear": "shear u=(1e200,0,0) v=(0,1e200,0) t=1\n" * 2,
+    "cotranslate-cotranslate": "cotranslate v=(1e200,0,0)\n" * 2,
+    "scale-scale": "scale u=(1,0,0) t=1400\nscale u=(1,0,0) t=-1400\n",
+}
+
+
+@pytest.mark.parametrize("source", FUSED_OVERFLOWS.values(), ids=list(FUSED_OVERFLOWS))
+@pytest.mark.parametrize("command", ["apply", "matrix", "check"])
+def test_fused_overflow_raises_no_numpy_warning(tmp_path, source, command):
+    # the fused versor of two steps overflows; with numpy's RuntimeWarnings
+    # turned into errors, each command still ends with its one error line
+    argv = [command, "--pipeline", write(tmp_path, "p.txt", source)]
+    if command == "apply":
+        argv += ["--points", write(tmp_path, "x.txt", "1 1 2 3\n")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cl33", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_RESIDUE == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_check_rejects_an_overflowed_star_sandwich(tmp_path):
+    # two cotranslations fuse into one star-sandwich stage whose versor
+    # overflows; a finite one is still skipped with the same line
+    rotate = "rotate u=(1,0,0) v=(0,1,0) theta=0.5\n"
+    pipe = write(tmp_path, "p.txt", rotate + "cotranslate v=(1e200,0,0)\n" * 2)
+    code, lines = run(tmp_path, "check", "--pipeline", pipe)
+    assert code == cli.EXIT_RESIDUE == 4
+    assert lines[0].startswith("stage 1 (sandwich): ")
+    assert lines[1:] == ["error: stage 2 (star-sandwich): its versor is not finite: "
+                         "the arithmetic overflowed"]
+    pipe = write(tmp_path, "q.txt", "cotranslate v=(1,0,0)\ncotranslate v=(0,2,0)\n")
+    assert run(tmp_path, "check", "--pipeline", pipe) == (
+        0, ["stage 1: skipped (not a sandwich form)", "no sandwich stages; PASS"])
+
+
 def test_apply_into_a_closed_pipe_exits_quietly(tmp_path):
     # the reader takes one line and closes the pipe while apply still writes
     pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")

@@ -5,6 +5,7 @@ import pytest
 
 from cl33 import (
     CovectorResidue,
+    DomainError,
     E,
     E_STAR,
     GENERATORS,
@@ -23,6 +24,7 @@ from cl33 import (
     sector_vector,
     star_conjugate,
 )
+from cl33.euclid import extract_points
 
 EP1, EP2, EP3, EM1, EM2, EM3 = GENERATORS
 
@@ -91,6 +93,37 @@ def test_extract_covector_residue():
 def test_extract_high_grade_residue():
     with pytest.raises(NonParavectorResidue):
         extract_paravector(1.0 + EP1 * EP2)
+
+
+def test_extract_points_raises_the_first_failing_row():
+    # each row is held to its own tolerance: the first bad row's error and
+    # figures are raised, not those of the worst row
+    valid = embed_paravector(Paravector(2.0, [1e6, -3.0, 5.0])).coeffs
+    covector_bad = (1.0 + 1e-6 * E_STAR[0]).coeffs
+    grade2_bad = (1.0 + 1e-6 * EP1 * EP2).coeffs
+    non_finite = valid.copy()
+    non_finite[0] = np.inf
+    with pytest.raises(CovectorResidue) as exc:
+        extract_points([valid, covector_bad, non_finite])
+    assert str(exc.value) == str(_alone(covector_bad))
+    assert str(exc.value) == "covector residue 1.000e-06 exceeds tolerance 1.001e-09"
+    assert exc.value.residual == _alone(covector_bad).residual == 1e-6
+    # the first row's tolerance (5e-4) would pass the second row, and the
+    # third row's residue (1e-3) is the worst
+    with pytest.raises(NonParavectorResidue) as exc:
+        extract_points([valid, grade2_bad, 1e3 * covector_bad])
+    assert str(exc.value) == str(_alone(grade2_bad))
+    assert exc.value.residual == 1e-6
+    with pytest.raises(DomainError, match="not finite"):
+        extract_points([valid, non_finite, covector_bad])
+    rows = extract_points([valid, valid])
+    assert rows.tobytes() == np.array([[2.0, 1e6, -3.0, 5.0]] * 2).tobytes()
+
+
+def _alone(row):
+    with pytest.raises((CovectorResidue, NonParavectorResidue)) as exc:
+        extract_paravector(Multivector(row))
+    return exc.value
 
 
 def test_normalize_point():

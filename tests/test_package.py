@@ -69,3 +69,13 @@ def test_import_builds_no_construction_or_fusion_plan():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out.split("\n")[:3] == ["0", "2", "3"]
+
+
+def test_residue_errors_share_one_base():
+    # the errors that carry a residual magnitude hold it in one base class
+    for cls in (cl33.NonParavectorResidue, cl33.CovectorResidue, cl33.NotHodgeCompatible):
+        assert issubclass(cls, cl33.ResidualError) and issubclass(cls, ValueError)
+        assert "__init__" not in vars(cls)
+        exc = cls("message", residual=0.5)
+        assert str(exc) == "message" and exc.residual == 0.5
+        assert cls("message").residual is None

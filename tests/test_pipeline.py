@@ -123,6 +123,25 @@ def test_inverse_pipeline_rejects_projections():
         inverse_pipeline(parse_pipeline("perspective eye=(0,0,0) n=(0,0,1) c=1\n"))
 
 
+def test_each_pipeline_is_built_by_one_build_call(monkeypatch):
+    # parse_pipeline and inverse_pipeline build all their steps in one call;
+    # reading the transforms back builds nothing more
+    calls = []
+    build = pipeline.build
+    monkeypatch.setattr(pipeline, "build", lambda drafts: calls.append(1) or build(drafts))
+    pipe = parse_pipeline(FULL_SOURCE)
+    assert len(calls) == 1
+    affine = parse_pipeline("\n".join(FULL_SOURCE.splitlines()[:8]))
+    assert len(calls) == 2
+    inverse = inverse_pipeline(affine)
+    assert len(calls) == 3
+    assert len(pipe.transforms()) == 9 and len(inverse.transforms()) == 7
+    pipe.composed()
+    inverse.composed()
+    assert len(calls) == 3
+    assert not hasattr(pipe.steps[0], "transform")
+
+
 def test_points_round_trip():
     text = "1 0 0 0\n# comment\n2.5 1 -2 3e-1\n\n0 0 0 -1\n"
     pts = parse_points(text)
