@@ -52,7 +52,7 @@ from .multivector import (
     reversion,
     tolerance,
 )
-from .versors import COMPOSITE, Transform, Versor
+from .versors import COMPOSITE, Transform, Versor, check_finite
 
 #: Classification thresholds: residuals at or below ACCEPT_FACTOR * scale are
 #: exact-to-rounding; residuals above REJECT_FACTOR * scale^2 are genuine.
@@ -204,14 +204,6 @@ def _grade_rows(coeffs) -> np.ndarray:
     return np.where(_GRADE_ROWS, coeffs, 0.0)[:, None]
 
 
-def _check_finite(name: str, x):
-    """DomainError naming x (a multivector or an array) when a value of it
-    is not finite."""
-    values = x.coeffs if isinstance(x, Multivector) else np.asarray(x, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DomainError(f"{name} must be finite, got {x!r}")
-
-
 def _check_residuals(*values):
     if not all(np.isfinite(v).all() for v in values):
         raise DomainError("the preservation residuals of psi overflow: its coefficients "
@@ -280,8 +272,8 @@ def paravector_conditions(psi: Multivector, p) -> ConditionReport:
     The per-probe reference for ``worst_residuals``, from the same formulas.
     Raises DomainError when psi or p is not finite or a residual overflows.
     """
-    _check_finite("psi", psi)
-    _check_finite("p", p)
+    check_finite("psi", psi)
+    check_finite("p", p)
     pm = embed_vector(p)
     with np.errstate(over="ignore", invalid="ignore"):
         r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), pm.coeffs[None])[:4]
@@ -336,7 +328,7 @@ def worst_residuals(psi: Multivector) -> dict:
 
 def _residuals_and_images(psi: Multivector):
     """``worst_residuals(psi)`` and the ``_probe_images(psi)`` it reads."""
-    _check_finite("psi", psi)
+    check_finite("psi", psi)
     with np.errstate(over="ignore", invalid="ignore"):
         r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), _E_ROWS)[:4]
         probes = _probe_rows()[:, 1:]
@@ -371,7 +363,7 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     reports an inconclusive verdict instead of guessing.  Raises DomainError
     when psi is not finite, k is not a grade, or a residual overflows.
     """
-    _check_finite("psi", psi)
+    check_finite("psi", psi)
     if not psi.is_homogeneous(k, tol=tolerance(psi.max_abs())):
         raise ValueError(f"psi must be homogeneous of grade {k}")
     phi = 1.0 + 0.01 * psi

@@ -10,8 +10,8 @@ Commands::
 Exit codes: 0 ok, 2 parse or semantic error (non-finite numbers included),
 3 degenerate geometry, 4 residue error (result left the point subspace),
 finite input whose arithmetic overflows (a stage matrix, an output point,
-the scale ``check`` holds a stage to or the versor of a star-sandwich stage
-that ``check`` skips) or a pipeline that ``matrix`` finds
+or the scale ``check`` holds every stage to: a sandwich, a star-sandwich
+or either versor of a perspective) or a pipeline that ``matrix`` finds
 deviating from its own matrix, 5 preservation-condition failure.
 ``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
 ``apply`` and ``matrix`` do.  When the reader of stdout closes it early
@@ -160,6 +160,17 @@ def _cmd_matrix(args, emit):
     return EXIT_OK
 
 
+def _scale_tolerance(idx, form, U) -> float:
+    """The tolerance ``check`` holds a stage's versor U to, 2 s^2 for its
+    scale s; DomainError when it or a coefficient of U is not finite."""
+    scale = max(1.0, U.max_abs())
+    tol = tolerance(2.0 * scale * scale)
+    if not (math.isfinite(tol) and np.isfinite(U.coeffs).all()):
+        raise DomainError(f"stage {idx} ({form}): the scale of its versor is not "
+                          "finite: the arithmetic overflowed")
+    return tol
+
+
 def _cmd_check(args, emit):
     pipe = pipeline.parse_pipeline(_read(args.pipeline))
     stages = _perturbed_stages(pipe, _parse_perturbations(args.perturb)).stages
@@ -167,20 +178,20 @@ def _cmd_check(args, emit):
     checked = 0
     for idx, stage in enumerate(stages, start=1):
         if not isinstance(stage, Versor):
-            if isinstance(stage, HodgeVersor) and not np.isfinite(stage.uprime.coeffs).all():
-                raise DomainError(f"stage {idx} (star-sandwich): its versor is not "
-                                  "finite: the arithmetic overflowed")
+            if isinstance(stage, HodgeVersor):
+                if not np.isfinite(stage.uprime.coeffs).all():
+                    raise DomainError(f"stage {idx} (star-sandwich): its versor is not "
+                                      "finite: the arithmetic overflowed")
+                _scale_tolerance(idx, "star-sandwich", stage.uprime)
+            else:
+                for U in (stage.from_eye.U, stage.cotranslate.uprime):
+                    _scale_tolerance(idx, "perspective", U)
             emit(f"stage {idx}: skipped (not a sandwich form)")
             continue
         checked += 1
-        psi = stage.U
-        scale = max(1.0, psi.max_abs())
-        tol = tolerance(2.0 * scale * scale)
-        if not (math.isfinite(tol) and np.isfinite(psi.coeffs).all()):
-            raise DomainError(f"stage {idx} (sandwich): the scale of its versor is not "
-                              "finite: the arithmetic overflowed")
+        tol = _scale_tolerance(idx, "sandwich", stage.U)
         verdicts = []
-        for name, worst in analysis.worst_residuals(psi).items():
+        for name, worst in analysis.worst_residuals(stage.U).items():
             ok = worst <= tol
             failed |= not ok
             verdicts.append(f"{name} {'PASS' if ok else 'FAIL'}")

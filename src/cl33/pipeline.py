@@ -44,25 +44,38 @@ POINT_CHUNK_CHARS = 1 << 18
 POINT_CHUNK_ROWS = 4096
 _POINT_LINE = "%.17g %.17g %.17g %.17g\n"
 
-#: op name -> (vector params, scalar params)
+#: op name -> (draft kind, parameter names in the draft's argument order,
+#: vectors then scalars; the parameters its inverse negates, or None when
+#: the op has no inverse)
 GRAMMAR = {
-    "reflect": (("n",), ()),
-    "rotate": (("u", "v"), ("theta",)),
-    "hrotate": (("u", "v"), ("eta",)),
-    "shear": (("u", "v"), ("t",)),
-    "scale": (("u",), ("t",)),
-    "translate": (("v",), ()),
-    "cotranslate": (("v",), ()),
-    "perspective": (("eye", "n"), ("c",)),
-    "pseudo": (("n",), ()),
+    "reflect": (REFLECTION, ("n",), ()),
+    "rotate": (ROTATION, ("u", "v", "theta"), ("theta",)),
+    "hrotate": (HYPERBOLIC, ("u", "v", "eta"), ("eta",)),
+    "shear": (SHEAR, ("u", "v", "t"), ("t",)),
+    "scale": (SCALE, ("u", "t"), ("t",)),
+    "translate": (TRANSLATION, ("v",), ("v",)),
+    "cotranslate": (COTRANSLATION, ("v",), ("v",)),
+    "perspective": (PERSPECTIVE, ("eye", "n", "c"), None),
+    "pseudo": (PSEUDO_PERSPECTIVE, ("n",), None),
 }
+#: The parameters that are numbers; every other parameter is a vector.
+_SCALARS = frozenset({"theta", "eta", "t", "c"})
 
 
 @dataclass(frozen=True)
 class PipelineStep:
+    """One parsed line; equal steps have the same op and parameter values,
+    whatever their line."""
+
     op: str
     params: dict
     line: int
+
+    def __eq__(self, other):
+        if not isinstance(other, PipelineStep):
+            return NotImplemented
+        return (self.op == other.op and self.params.keys() == other.params.keys()
+                and all(np.array_equal(x, other.params[k]) for k, x in self.params.items()))
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class Pipeline:
     """Steps and, in the same order, their transforms."""
 
     steps: tuple
-    step_transforms: tuple = field(repr=False)
+    step_transforms: tuple = field(repr=False, compare=False)
 
     def transforms(self) -> list:
         return list(self.step_transforms)
@@ -78,31 +91,14 @@ class Pipeline:
     def composed(self):
         return compose(self.step_transforms)
 
-    def __eq__(self, other):
-        if not isinstance(other, Pipeline):
-            return NotImplemented
-        if len(self.steps) != len(other.steps):
-            return False
-        for a, b in zip(self.steps, other.steps):
-            if a.op != b.op or a.params.keys() != b.params.keys():
-                return False
-            for k in a.params:
-                if not np.array_equal(np.asarray(a.params[k]), np.asarray(b.params[k])):
-                    return False
-        return True
 
-
-_STEP_DRAFTS = {
-    "reflect": lambda p: draft(REFLECTION, p["n"]),
-    "rotate": lambda p: draft(ROTATION, p["u"], p["v"], p["theta"]),
-    "hrotate": lambda p: draft(HYPERBOLIC, p["u"], p["v"], p["eta"]),
-    "shear": lambda p: draft(SHEAR, p["u"], p["v"], p["t"]),
-    "scale": lambda p: draft(SCALE, p["u"], p["t"]),
-    "translate": lambda p: draft(TRANSLATION, p["v"]),
-    "cotranslate": lambda p: draft(COTRANSLATION, p["v"]),
-    "perspective": lambda p: draft(PERSPECTIVE, Paravector(1.0, p["eye"]), p["n"], p["c"]),
-    "pseudo": lambda p: draft(PSEUDO_PERSPECTIVE, p["n"]),
-}
+def _draft(op: str, params: dict):
+    """The draft of a step's transform, from its op and checked parameters."""
+    kind, names, _ = GRAMMAR[op]
+    args = [params[k] for k in names]
+    if kind == PERSPECTIVE:
+        args[0] = Paravector(1.0, args[0])
+    return draft(kind, *args)
 
 
 def _strip_comment(line: str) -> str:
@@ -126,7 +122,7 @@ def _parse_step(raw: str, lineno: int):
     op, col = tokens[0]
     if op not in GRAMMAR:
         raise PipelineError(f"unknown operation {op!r}", lineno, col)
-    vec_keys, num_keys = GRAMMAR[op]
+    names = GRAMMAR[op][1]
     params = {}
     for tok, col in tokens[1:]:
         if "=" not in tok:
@@ -134,28 +130,28 @@ def _parse_step(raw: str, lineno: int):
         key, _, val = tok.partition("=")
         if key in params:
             raise PipelineError(f"duplicate parameter {key!r}", lineno, col)
-        if key in vec_keys:
+        if key not in names:
+            raise PipelineError(f"operation {op!r} takes no parameter {key!r}", lineno, col)
+        if key not in _SCALARS:
             m = _VEC_RE.match(val)
             if not m:
                 raise PipelineError(
                     f"parameter {key!r} must be a vector (x,y,z), got {val!r}", lineno, col)
             params[key] = np.array([float(m.group(i)) for i in (1, 2, 3)])
-        elif key in num_keys:
+        else:
             if not _NUM_RE.match(val):
                 raise PipelineError(
                     f"parameter {key!r} must be a number, got {val!r}", lineno, col)
             params[key] = float(val)
-        else:
-            raise PipelineError(f"operation {op!r} takes no parameter {key!r}", lineno, col)
         if not np.isfinite(params[key]).all():
             raise PipelineError(f"parameter {key!r} must be finite, got {val!r}", lineno, col)
-    missing = [k for k in (*vec_keys, *num_keys) if k not in params]
+    missing = [k for k in names if k not in params]
     if missing:
         raise PipelineError(f"operation {op!r} missing parameter(s) {missing}", lineno, col)
     step = PipelineStep(op, params, lineno)
     try:
         # semantic validation (unit length, orthogonality)
-        return step, _STEP_DRAFTS[op](params)
+        return step, _draft(op, params)
     except DomainError as exc:
         raise PipelineError(str(exc), lineno) from exc
 
@@ -189,26 +185,12 @@ def _fmt(x) -> str:
 def format_pipeline(p: Pipeline) -> str:
     lines = []
     for s in p.steps:
-        vec_keys, num_keys = GRAMMAR[s.op]
         parts = [s.op]
-        for k in vec_keys:
-            x, y, z = s.params[k]
-            parts.append(f"{k}=({_fmt(x)},{_fmt(y)},{_fmt(z)})")
-        for k in num_keys:
-            parts.append(f"{k}={_fmt(s.params[k])}")
+        for k in GRAMMAR[s.op][1]:
+            x = s.params[k]
+            parts.append(f"{k}={_fmt(x)}" if k in _SCALARS else f"{k}=({','.join(map(_fmt, x))})")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-_INVERTERS = {
-    "reflect": lambda p: p,
-    "rotate": lambda p: {**p, "theta": -p["theta"]},
-    "hrotate": lambda p: {**p, "eta": -p["eta"]},
-    "shear": lambda p: {**p, "t": -p["t"]},
-    "scale": lambda p: {**p, "t": -p["t"]},
-    "translate": lambda p: {"v": -p["v"]},
-    "cotranslate": lambda p: {"v": -p["v"]},
-}
 
 
 def inverse_pipeline(p: Pipeline) -> Pipeline:
@@ -216,10 +198,11 @@ def inverse_pipeline(p: Pipeline) -> Pipeline:
     inverse).  Projections are not invertible and raise PipelineError."""
     pairs = []
     for s in reversed(p.steps):
-        if s.op not in _INVERTERS:
+        negated = GRAMMAR[s.op][2]
+        if negated is None:
             raise PipelineError(f"operation {s.op!r} is not invertible", s.line)
-        params = _INVERTERS[s.op](s.params)
-        pairs.append((PipelineStep(s.op, params, s.line), _STEP_DRAFTS[s.op](params)))
+        params = {k: -x if k in negated else x for k, x in s.params.items()}
+        pairs.append((PipelineStep(s.op, params, s.line), _draft(s.op, params)))
     return _built(pairs)
 
 

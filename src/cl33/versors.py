@@ -57,16 +57,17 @@ COMPOSITE = "composite"
 IDENTITY = "identity"
 
 
-def _check_finite(name, x) -> np.ndarray:
-    """x as a float array; DomainError naming it when a value is not finite."""
-    arr = np.asarray(x, dtype=np.float64)
+def check_finite(name, x) -> np.ndarray:
+    """x (a multivector's coefficients, or an array) as a float array;
+    DomainError naming it when a value is not finite."""
+    arr = np.asarray(x.coeffs if isinstance(x, Multivector) else x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {arr}")
     return arr
 
 
 def _check_unit(name, v):
-    v = _check_finite(name, v).reshape(3)
+    v = check_finite(name, v).reshape(3)
     if abs(g(v, v) - 1.0) > PRECONDITION_TOL:
         raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {g(v, v):.12g}")
     return v
@@ -75,7 +76,7 @@ def _check_unit(name, v):
 def _cosh_sinh(name, x):
     """cosh(x/2) and sinh(x/2); DomainError naming x when it is not finite
     or they overflow."""
-    _check_finite(name, x)
+    check_finite(name, x)
     try:
         return math.cosh(x / 2.0), math.sinh(x / 2.0)
     except OverflowError:
@@ -238,53 +239,60 @@ class Draft(NamedTuple):
 
     ``factors`` lists the grade-1 operands of its factor products, as
     ((left vector, row), (right vector, row)) with the row one of _PLUS,
-    _MINUS, _SUM, _DIFF, and ``scalars`` the numbers of its closed form; a
-    transform that needs no product is ``ready``.  ``build`` finishes it.
+    _MINUS, _SUM, _DIFF.  ``halves`` is its closed form: for each factor
+    product F the pair (a, b) of the half a + b F, so that U is the one
+    half, or the product of the two.  ``epsilon`` is the sign of its
+    sandwich.  A transform that needs no product is ``ready``.  ``build``
+    finishes it.
     """
 
     kind: str
     factors: tuple = ()
-    scalars: tuple = ()
+    halves: tuple = ()
+    epsilon: int = +1
     ready: Transform | None = None
 
 
 def _draft_reflection(n):
     n = _check_unit("n", n)
-    return Draft(REFLECTION, (((n, _PLUS), (n, _MINUS)),))
+    # n+ n- has no scalar term, so 0 + 1 F is F byte for byte
+    return Draft(REFLECTION, (((n, _PLUS), (n, _MINUS)),), ((0.0, 1.0),), -1)
 
 
 def _draft_rotation(u, v, theta):
     u = _check_unit("u", u)
     v = _check_unit("v", v)
     _check_orthogonal(u, v)
-    _check_finite("theta", theta)
+    check_finite("theta", theta)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return Draft(ROTATION, (((u, _PLUS), (v, _PLUS)), ((u, _MINUS), (v, _MINUS))),
-                 (math.cos(theta / 2.0), math.sin(theta / 2.0)))
+                 ((c, s), (c, -s)))
 
 
 def _draft_hyperbolic(u, v, eta):
     u = _check_unit("u", u)
     v = _check_unit("v", v)
     _check_orthogonal(u, v)
+    half = _cosh_sinh("eta", eta)
     return Draft(HYPERBOLIC, (((u, _MINUS), (v, _PLUS)), ((v, _MINUS), (u, _PLUS))),
-                 _cosh_sinh("eta", eta))
+                 (half, half))
 
 
 def _draft_shear(u, v, t):
-    u = _check_finite("u", u).reshape(3)
-    v = _check_finite("v", v).reshape(3)
+    u = check_finite("u", u).reshape(3)
+    v = check_finite("v", v).reshape(3)
     _check_orthogonal(u, v)
-    _check_finite("t", t)
-    return Draft(SHEAR, (((u, _SUM), (v, _DIFF)),), (t / 4.0,))
+    check_finite("t", t)
+    return Draft(SHEAR, (((u, _SUM), (v, _DIFF)),), ((1.0, t / 4.0),))
 
 
 def _draft_scale(u, t):
     u = _check_unit("u", u)
-    return Draft(SCALE, (((u, _MINUS), (u, _PLUS)),), _cosh_sinh("t", t))
+    return Draft(SCALE, (((u, _MINUS), (u, _PLUS)),), (_cosh_sinh("t", t),))
 
 
 def _draft_translation(v):
-    U = 1.0 + translation_generator(_check_finite("v", v))
+    U = 1.0 + translation_generator(check_finite("v", v))
     return Draft(TRANSLATION, ready=Versor(U, +1, TRANSLATION))
 
 
@@ -346,25 +354,11 @@ def _pair_products(rows, left: tuple, right: tuple) -> np.ndarray:
         return planned_products(rows, _plan(left, right, len(rows) // 2))
 
 
-def _plus(c, row):
-    """``c + m`` for the multivector m of ``row``: c added to its scalar."""
-    row[0] += c
+def _half(a, b, product):
+    """The half a + b F of a closed form, from the coefficients of F."""
+    row = product * b
+    row[0] += a
     return row
-
-
-def _halves(d: Draft, products) -> tuple:
-    """U, or the two factors whose product is U, from the factor products
-    of a draft, in the arithmetic of the closed forms."""
-    if d.kind == REFLECTION:
-        return (products[0],)
-    if d.kind == SHEAR:
-        return (_plus(1.0, products[0] * d.scalars[0]),)
-    c, s = d.scalars
-    if d.kind == SCALE:
-        return (_plus(c, products[0] * s),)
-    if d.kind == ROTATION:
-        return _plus(c, products[0] * s), _plus(c, -(products[1] * s))
-    return _plus(c, products[0] * s), _plus(c, products[1] * s)
 
 
 #: For each of _PLUS, _MINUS, _SUM, _DIFF: the factors of v on the plus
@@ -394,18 +388,16 @@ def build(drafts) -> list:
     forms evaluated with ``*``.
 
     The grade-1 x grade-1 factor products of every draft are one planned
-    product, and the (0,2) x (0,2) products of the two factors of each
-    rotation and hyperbolic rotation a second one.
+    product; each makes a half a + b F of its draft's closed form, and the
+    (0,2) x (0,2) products of the halves of each draft that has two are a
+    second one.
     """
     drafts = list(drafts)
     operands = [operand for d in drafts for pair in d.factors for operand in pair]
     if not operands:
         return [d.ready for d in drafts]
-    first = _pair_products(_factor_rows(operands), (1,), (1,))
-    halves, start = [], 0
-    for d in drafts:
-        halves.append(_halves(d, first[start:start + len(d.factors)]) if d.factors else ())
-        start += len(d.factors)
+    first = iter(_pair_products(_factor_rows(operands), (1,), (1,)))
+    halves = [[_half(a, b, next(first)) for a, b in d.halves] for d in drafts]
     second = iter(_pair_products([row for h in halves if len(h) == 2 for row in h],
                                  (0, 2), (0, 2)))
     out = []
@@ -414,7 +406,7 @@ def build(drafts) -> list:
             out.append(d.ready)
         else:
             U = Multivector._raw(next(second) if len(h) == 2 else h[0])
-            out.append(Versor(U, -1 if d.kind == REFLECTION else +1, d.kind))
+            out.append(Versor(U, d.epsilon, d.kind))
     return out
 
 
@@ -586,9 +578,9 @@ class PerspectiveMap(Transform):
     from_eye: Versor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_finite("eye", [self.eye.weight, *self.eye.vector])
-        n = _check_finite("n", self.n).reshape(3)
-        c = float(_check_finite("c", self.c))
+        check_finite("eye", [self.eye.weight, *self.eye.vector])
+        n = check_finite("n", self.n).reshape(3)
+        c = float(check_finite("c", self.c))
         e = self.eye.vector
         if abs(self.eye.weight - 1.0) > PRECONDITION_TOL:
             raise DomainError(f"eye must be an affine point, weight = {self.eye.weight:g}")

@@ -467,6 +467,27 @@ def test_check_rejects_an_overflowed_star_sandwich(tmp_path):
         0, ["stage 1: skipped (not a sandwich form)", "no sandwich stages; PASS"])
 
 
+SKIPPED_SCALE_OVERFLOWS = {
+    "cotranslate": ("cotranslate v=(1e160,0,0)\n", "star-sandwich"),
+    "pseudo-cotranslate": ("pseudo n=(0,0,1)\ncotranslate v=(1e200,0,0)\n", "star-sandwich"),
+    "perspective": ("perspective eye=(1e200,0,0) n=(1e200,0,0) c=1\n", "perspective"),
+}
+
+
+@pytest.mark.parametrize("source, form", SKIPPED_SCALE_OVERFLOWS.values(),
+                         ids=list(SKIPPED_SCALE_OVERFLOWS))
+def test_check_holds_skipped_stages_to_the_scale_test(tmp_path, source, form):
+    # each versor is finite but its scale overflows: check exits 4 before the
+    # skip line, as apply and matrix do on the same stage
+    pipe = write(tmp_path, "p.txt", source)
+    pts = write(tmp_path, "x.txt", "1 1 2 3\n")
+    assert run(tmp_path, "check", "--pipeline", pipe) == (
+        4, [f"error: stage 1 ({form}): the scale of its versor is not finite: "
+            "the arithmetic overflowed"])
+    assert run(tmp_path, "apply", "--pipeline", pipe, "--points", pts)[0] == 4
+    assert run(tmp_path, "matrix", "--pipeline", pipe)[0] == 4
+
+
 def test_apply_into_a_closed_pipe_exits_quietly(tmp_path):
     # the reader takes one line and closes the pipe while apply still writes
     pipe = write(tmp_path, "p.txt", "translate v=(1,0,0)\n")

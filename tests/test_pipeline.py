@@ -114,6 +114,15 @@ def test_inverse_pipeline_round_trip():
         p = Paravector(1.0, rng.uniform(-2, 2, 3))
         q = bwd.apply(fwd.apply(p))
         assert q.approx_eq(p, atol=1e-10, rtol=1e-9)
+    assert inverse_pipeline(inverse_pipeline(pipe)) == pipe
+
+
+def test_steps_compare_by_op_and_values():
+    a = parse_pipeline("translate v=(1,2,3)\n").steps[0]
+    b = parse_pipeline("\ntranslate v=(1,2,3)\n").steps[0]
+    assert a.line != b.line and a == b
+    assert a != parse_pipeline("translate v=(1,2,4)\n").steps[0]
+    assert a != parse_pipeline("cotranslate v=(1,2,3)\n").steps[0]
 
 
 def test_inverse_pipeline_rejects_projections():
