@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blades import GRADES, MINUS_BLADES, PLUS_BLADES
+from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES
 from .errors import CovectorResidue, DomainError, NonParavectorResidue
 from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
 
@@ -144,6 +144,21 @@ def at_infinity(weight, vector):
 def embed_paravector(p: Paravector) -> Multivector:
     """w + embedded vector."""
     return p.weight + embed_vector(p.vector)
+
+
+def embed_points(rows) -> np.ndarray:
+    """The (n, 64) coefficient rows of (n, 4) weighted points (w, x, y, z):
+    w on the scalar blade and p_i/2 on the e_i+ and e_i- blades.
+
+    Every nonzero coefficient is the one ``embed_paravector`` gives; only
+    the sign of a zero may differ, which no product sees (a zero term
+    leaves a sum that starts from +0 unchanged).
+    """
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    out = np.zeros((len(rows), BLADE_COUNT))
+    out[:, 0] = rows[:, 0]
+    out[:, PLUS_BLADES] = out[:, MINUS_BLADES] = rows[:, 1:] * 0.5
+    return out
 
 
 def extract_paravector(a: Multivector) -> Paravector:

@@ -23,6 +23,7 @@ from .euclid import (
     POINT_BASIS,
     Paravector,
     embed_paravector,
+    embed_points,
     embed_vector,
     extract_paravector,
     extract_points,
@@ -102,11 +103,33 @@ def _sandwich_rows(U: Multivector, tables) -> np.ndarray:
                           product_tables(reversion(U).coeffs))
 
 
+def _sandwich_points(U: Multivector, rows) -> np.ndarray:
+    """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows: one
+    planned product of U by every row, for the grades each side carries, and
+    one by the table of rev U; byte-identical to ``U * m * reversion(U)``."""
+    pairs = np.empty((2 * len(rows), BLADE_COUNT))
+    pairs[::2], pairs[1::2] = U.coeffs, rows
+    first = _pair_products(pairs, _grade_set(U.coeffs), _grade_set(rows))
+    return table_products(first, product_tables(reversion(U).coeffs))
+
+
 class Transform:
     """A point transformation; concrete forms below."""
 
     def apply(self, p: Paravector) -> Paravector:
         raise NotImplementedError
+
+    def apply_points(self, rows) -> np.ndarray:
+        """``apply`` of each (w, x, y, z) row of an (n, 4) array, as (n, 4)
+        rows, byte for byte.  The stages of this module take every row
+        through each step at once; this default applies one point at a time.
+        A batch of one raises what ``apply`` raises; when several rows fail,
+        the error may be another row's than the first's.  Overflow warnings
+        are off."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [self.apply(Paravector(r[0], r[1:])) for r in rows]
+        return np.array([[q.weight, *q.vector] for q in out]).reshape(-1, 4)
 
     def images(self) -> np.ndarray:
         """The action on POINT_BASIS before extraction, as (4, 64)
@@ -140,23 +163,18 @@ class Transform:
         parts reads them in one extract_points call, which raises the error
         of the first part that fails.
         """
-        (reads,) = _read_parts([self])
-        return self._assemble(reads)
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = [t.images() for t in self._parts()]
+        return self._assemble(_reads(images))
 
 
-def _read_parts(stages) -> list:
-    """For each stage, the 4x4 reads of the images of its ``_parts`` (None
-    for a stage without parts), all from one extract_points call: each read
-    is byte for byte what that part's own extraction gives.  Raises what
-    ``images`` or extract_points raises."""
-    parts = [stage._parts() for stage in stages]
-    transforms = [t for p in parts if p is not None for t in p]
-    if not transforms:
-        return parts
+def _reads(images) -> list:
+    """The 4x4 read of each (4, 64) array of ``images``, all from one
+    extract_points call: each read is byte for byte what that array's own
+    extraction gives.  Raises what extract_points raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        points = extract_points(np.concatenate([t.images() for t in transforms]))
-    reads = iter([points[i:i + 4].T for i in range(0, len(points), 4)])
-    return [None if p is None else [next(reads) for _ in p] for p in parts]
+        points = extract_points(np.concatenate(images))
+    return [points[i:i + 4].T for i in range(0, len(points), 4)]
 
 
 @dataclass(frozen=True)
@@ -188,6 +206,11 @@ class Versor(Transform):
 
     def apply(self, p: Paravector) -> Paravector:
         return apply_sandwich(self, p)
+
+    def apply_points(self, rows) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _sandwich_points(self.U, embed_points(rows))
+            return extract_points(-out if self.epsilon < 0 else out)
 
 
 def identity_versor() -> Versor:
@@ -327,6 +350,19 @@ def draft(kind: str, *args) -> Draft:
     (``rotation_versor(u, v, theta)`` for ROTATION, ``PerspectiveMap(eye,
     n, c)`` for PERSPECTIVE)."""
     return _DRAFTS[kind](*args)
+
+
+#: Bit k of a blade's entry is set for a blade of grade k.
+_GRADE_BITS = 1 << GRADES
+#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
+_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
+
+
+def _grade_set(rows) -> tuple:
+    """The grades that the nonzero coefficients of ``rows`` (one row of 64,
+    or several) carry, as a key of ``_plan``; (0,) when there are none."""
+    bits = np.bitwise_or.reduce(np.where(np.asarray(rows) != 0, _GRADE_BITS, 0), axis=None)
+    return _GRADE_SETS[int(bits)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -495,6 +531,11 @@ class HodgeVersor(Transform):
     def apply(self, p: Paravector) -> Paravector:
         return apply_hodge_sandwich(self, p)
 
+    def apply_points(self, rows) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stars = hodge_star_rows(embed_points(rows))
+            return extract_points(hodge_star_rows(_sandwich_points(self.uprime, stars)))
+
 
 def cotranslation_versor(v) -> HodgeVersor:
     """The translation versor of v packaged for star-sandwich application."""
@@ -603,6 +644,13 @@ class PerspectiveMap(Transform):
         q = apply_hodge_sandwich(self.cotranslate, q)
         return apply_sandwich(self.from_eye, q)
 
+    def apply_points(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        w = rows[:, :1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.hstack((w - w * self.eye.weight, rows[:, 1:] - w * self.eye.vector))
+        return self.from_eye.apply_points(self.cotranslate.apply_points(q))
+
     def _parts(self):
         return self.from_eye, self.cotranslate
 
@@ -642,8 +690,10 @@ def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
 @dataclass(frozen=True)
 class Composed(Transform):
     """Stages applied in order.  ``apply`` runs the versor chain point by
-    point and is the reference; ``matrix`` is the product of the stage
-    matrices, for applying the whole pipeline to many points at once."""
+    point and is the reference; ``apply_points`` takes a batch of points
+    through each stage together, byte-identical to it; ``matrix`` is the
+    product of the stage matrices, for applying the whole pipeline to many
+    points at once."""
 
     stages: tuple
 
@@ -651,6 +701,12 @@ class Composed(Transform):
         for stage in self.stages:
             p = stage.apply(p)
         return p
+
+    def apply_points(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        for stage in self.stages:
+            rows = stage.apply_points(rows)
+        return rows
 
     def _parts(self):
         return None
@@ -660,19 +716,38 @@ class Composed(Transform):
         """Product of the stage matrices, the first stage rightmost; read-only.
         Raises DomainError, naming the stage, when the arithmetic overflows.
 
-        The images of every stage are read in one extract_points call.  When
-        that call fails, each stage reads its own, in order, so the error
-        names the stage it belongs to.
+        Each stage builds its images once, in order, and the images of every
+        stage are read in one extract_points call.  When that call fails,
+        each stage reads its own images in turn, so the error is the one that
+        stage raises alone, prefixed with its number.  An ``images`` call
+        that raises ends the building; its error is raised at its stage,
+        after the stages before it are read.
         """
-        try:
-            reads = _read_parts(self.stages)
-        except ValueError:
-            reads = [None] * len(self.stages)
-        m = np.eye(4)
-        for idx, (stage, read) in enumerate(zip(self.stages, reads), start=1):
+        built = []
+        for stage in self.stages:
+            parts = stage._parts()
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    m = (stage.matrix if read is None else stage._assemble(read)) @ m
+                    built.append(None if parts is None else [t.images() for t in parts])
+            except ValueError as exc:
+                built.append(exc)
+                break
+        flat = [x for b in built if isinstance(b, list) for x in b]
+        try:
+            reads = iter(_reads(flat)) if flat else None
+        except ValueError:
+            reads = None
+        m = np.eye(4)
+        for idx, (stage, images) in enumerate(zip(self.stages, built), start=1):
+            try:
+                if isinstance(images, ValueError):
+                    raise images
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if images is None:
+                        m = stage.matrix @ m
+                    else:
+                        read = [next(reads) for _ in images] if reads else _reads(images)
+                        m = stage._assemble(read) @ m
             except DomainError as exc:
                 raise DomainError(f"stage {idx}: {exc}") from exc
             if not np.isfinite(m).all():
@@ -682,17 +757,10 @@ class Composed(Transform):
         return m
 
 
-#: Bit k of a blade's entry is set for a blade of grade k.
-_GRADE_BITS = 1 << GRADES
-#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
-_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
-
-
 def _fused(a: Multivector, b: Multivector) -> Multivector:
     """a * b through _pair_products, planned for the grades a and b carry."""
     rows = np.concatenate((a.coeffs, b.coeffs)).reshape(2, BLADE_COUNT)
-    left, right = np.bitwise_or.reduce(np.where(rows != 0, _GRADE_BITS, 0), axis=1).tolist()
-    return Multivector._raw(_pair_products(rows, _GRADE_SETS[left], _GRADE_SETS[right])[0])
+    return Multivector._raw(_pair_products(rows, _grade_set(a.coeffs), _grade_set(b.coeffs))[0])
 
 
 def _append(stages, stage):

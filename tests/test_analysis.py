@@ -10,6 +10,7 @@ from cl33 import (
     I_FULL,
     DomainError,
     Multivector,
+    NonParavectorResidue,
     NotLinearError,
     OMEGA_V,
     POINT_BASIS,
@@ -24,6 +25,7 @@ from cl33 import (
     embed_covector,
     embed_paravector,
     embed_vector,
+    extract_paravector,
     correction_terms,
     g,
     grade_parts,
@@ -384,6 +386,29 @@ def test_matrix_probe_rejects_nonlinear():
 
     with pytest.raises(NotLinearError):
         projective_matrix_probe(Quadratic())
+
+
+def test_matrix_probe_raises_the_first_points_error():
+    # point 3 fails extraction and point 1 deviates: the batch raises point
+    # 3's residue, and the probe raises what checking the points one at a
+    # time raises, point 1's NotLinearError
+    rows = analysis._matrix_probe_rows()
+
+    class Faulty(Transform):
+        def apply(self, p):
+            if p.weight == rows[2, 0]:
+                return extract_paravector(embed_paravector(p) + Multivector.blade(0b11))
+            if p.weight == rows[0, 0]:
+                return Paravector(p.weight + 1.0, p.vector)
+            return p
+
+        def images(self):
+            return np.array([b.coeffs for b in POINT_BASIS])
+
+    with pytest.raises(NonParavectorResidue):
+        Faulty().apply_points(rows)
+    with pytest.raises(NotLinearError, match="deviates from its probe matrix by 1.0"):
+        projective_matrix_probe(Faulty())
 
 
 # -- identities and reports ------------------------------------------------------------

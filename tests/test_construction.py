@@ -333,3 +333,43 @@ def test_batched_extraction_falls_back_to_the_stage_that_fails():
         Composed(stages).matrix
     assert str(got.value) == str(pytest.raises(DomainError, pipeline_matrix, stages).value)
     assert str(got.value).startswith("stage 2: ")
+
+
+def _counted_images(monkeypatch):
+    """Count the ``images`` calls of every Versor and HodgeVersor."""
+    calls = []
+    for cls in (Versor, HodgeVersor):
+        images = cls.images
+        monkeypatch.setattr(cls, "images",
+                            lambda self, images=images: calls.append(1) or images(self))
+    return calls
+
+
+def test_failing_pipeline_builds_each_image_once(monkeypatch):
+    # 3 stages and 4 versors: the failing extraction is named from the
+    # images already built, not from a second build of every stage
+    stages = parse_pipeline("rotate u=(1,0,0) v=(0,1,0) theta=0.3\n"
+                            "perspective eye=(0,0,-3) n=(0,0,1) c=1\n"
+                            "cotranslate v=(1e200,0,0)\n"
+                            "cotranslate v=(1e200,0,0)\n").composed().stages
+    want = str(pytest.raises(DomainError, pipeline_matrix, stages).value)
+    calls = _counted_images(monkeypatch)
+    with pytest.raises(DomainError) as got:
+        Composed(stages).matrix
+    assert str(got.value) == want
+    assert want.startswith("stage 3: the extracted point is not finite")
+    assert len(calls) == 4
+
+
+def test_images_that_raise_name_their_stage():
+    # hodge_star_rows raises inside images(): the error carries the stage
+    # number, after the stages before it are read as usual
+    uprime = 1.0 + 0.2 * Multivector.blade(0b001111) + 0.3 * Multivector.blade(0b010111)
+    bad = HodgeVersor(uprime, 1.0)
+    overflowing = cotranslation_versor([1e200, 0, 0])
+    for stages, prefix in (((rotation_versor(AXES[0], AXES[1], 0.3), bad), "stage 2: "),
+                           ((overflowing, bad), "stage 1: ")):
+        want = pytest.raises(DomainError, pipeline_matrix, stages).value
+        with pytest.raises(DomainError) as got:
+            Composed(stages).matrix
+        assert str(got.value) == str(want) and str(want).startswith(prefix)

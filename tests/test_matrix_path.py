@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cl33 import (
@@ -63,10 +63,11 @@ def orthonormal_pairs(draw):
 
 
 @st.composite
-def steps(draw):
-    """One DSL line, any of the nine operations, with moderate parameters."""
-    op = draw(st.sampled_from(("reflect", "rotate", "hrotate", "shear", "scale",
-                               "translate", "cotranslate", "perspective", "pseudo")))
+def steps(draw, ops=("reflect", "rotate", "hrotate", "shear", "scale",
+                     "translate", "cotranslate", "perspective", "pseudo")):
+    """One DSL line, any of ``ops`` (by default all nine operations), with
+    moderate parameters."""
+    op = draw(st.sampled_from(ops))
     num = lambda lo, hi: draw(st.floats(lo, hi))
     vec = lambda r: np.array([num(-r, r) for _ in range(3)])
     if op in ("reflect", "pseudo"):
@@ -251,6 +252,80 @@ def test_projective_apply_makes_no_dense_product(monkeypatch):
         counts = _counted_apply(monkeypatch, source, rows, "--normalize")
         assert counts["mul"] == 0
         assert len(calls) == 2 + 7
+
+
+def test_matrix_makes_no_dense_product(monkeypatch):
+    # the probe of `cl33 matrix` takes its ten points through each stage
+    # together, in planned and tabled products
+    rng = np.random.default_rng(43)
+    calls = []
+    mul = multivector.Multivector.__mul__
+    monkeypatch.setattr(multivector.Multivector, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for _ in range(3):
+        source = _benchmark_shaped(rng)
+        with tempfile.TemporaryDirectory() as tmp:
+            pipe = Path(tmp) / "pipe.txt"
+            pipe.write_text(source)
+            lines = []
+            code = main(["matrix", "--pipeline", str(pipe)], _capture=lines)
+        assert code == 0 and len(lines) == 4
+        assert calls == []
+
+
+def _point(transform, row):
+    """``transform.apply`` of one (w, x, y, z) row, as a row."""
+    q = transform.apply(Paravector(row[0], row[1:]))
+    return np.array([q.weight, *q.vector])
+
+
+def _outcome(fn):
+    """The bytes ``fn`` returns, or the type and text of what it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn().tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+MAGNITUDE = st.tuples(st.floats(-1, 1), st.integers(0, 300)).map(lambda t: t[0] * 10.0 ** t[1])
+big_points = st.lists(st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE, MAGNITUDE),
+                      min_size=1, max_size=6).map(lambda rows: np.array(rows).reshape(-1, 4))
+projective_pipelines = st.tuples(
+    st.lists(steps(), max_size=4), steps(("perspective",)), steps(("pseudo",)),
+    steps(("cotranslate",))).flatmap(
+        lambda t: st.permutations(t[0] + list(t[1:]))).map(lambda lines: "\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_pipelines, big_points)
+@example("scale u=(1,0,0) t=700\n", np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e300, 0.0, 0.0]]))
+@example("rotate u=(1,0,0) v=(0,1,0) theta=0.3\ntranslate v=(1e8,0,0)\n",
+         np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e5, -1e5, 3.0]]))
+def test_apply_points_is_apply_byte_for_byte(source, rows):
+    chain = parse_pipeline(source).composed()
+    want = [_outcome(lambda: _point(chain, row)) for row in rows]
+    # a batch of one: the same row, or the same error type and text
+    assert [_outcome(lambda: chain.apply_points(row[None])[0]) for row in rows] == want
+    if all(isinstance(w, bytes) for w in want):
+        assert _outcome(lambda: chain.apply_points(rows)) == b"".join(want)
+    else:
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            chain.apply_points(rows)
+
+
+def test_apply_points_of_one_raises_what_apply_raises():
+    # a star-sandwich whose middle product carries grade > 3, and a
+    # translation perturbed as --perturb 7:0.01 perturbs it
+    uprime = 1.0 + 0.2 * Multivector.blade(0b001111) + 0.3 * Multivector.blade(0b010111)
+    coeffs = translation_versor([1, 0, 0]).U.coeffs.copy()
+    coeffs[7] += 0.01
+    rows = np.array([[1.0, 1.0, 2.0, 3.0], [0.0, -1.0, 0.5, 2.0]])
+    for stage in (HodgeVersor(uprime, 1.0), Versor(Multivector(coeffs), +1, "translation")):
+        for row in rows:
+            want = _outcome(lambda: _point(stage, row))
+            assert isinstance(want, tuple)
+            assert _outcome(lambda: stage.apply_points(row[None])[0]) == want
 
 
 def test_stage_matrix_is_apply_on_basis():

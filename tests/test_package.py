@@ -58,17 +58,19 @@ def test_import_builds_no_residual_plan():
 def test_import_builds_no_construction_or_fusion_plan():
     # the plans that build and fuse versors are made on first use, as the
     # residual plans are; a parse builds the two construction plans of its
-    # step count and composing adds the fusion plan
-    code = ("import cl33; from cl33 import versors as v; "
-            "print(v._plan.cache_info().currsize); "
+    # step count and composing adds the fusion plan.  The matrix probe's
+    # points and the plan of its one stage are made on the first probe
+    code = ("import cl33; from cl33 import analysis as a, versors as v; "
+            "print(v._plan.cache_info().currsize, a._matrix_probe_rows.cache_info().currsize); "
             "p = cl33.parse_pipeline('rotate u=(1,0,0) v=(0,1,0) theta=0.5\\n"
             "rotate u=(0,1,0) v=(0,0,1) theta=0.25\\n'); "
-            "print(v._plan.cache_info().currsize); p.composed(); "
-            "print(v._plan.cache_info().currsize)")
+            "print(v._plan.cache_info().currsize); c = p.composed(); "
+            "print(v._plan.cache_info().currsize); a.projective_matrix_probe(c); "
+            "print(v._plan.cache_info().currsize, a._matrix_probe_rows.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:3] == ["0", "2", "3"]
+    assert out.split("\n")[:4] == ["0 0", "2", "3", "4 1"]
 
 
 def test_residue_errors_share_one_base():
