@@ -439,11 +439,10 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
     basis of (weight, vector) space), verified on 10 seeded random weighted
     points to a relative 1e-9.  Raises NotLinearError on mismatch.
 
-    The points go through ``transform.apply_points`` in one batch, which is
-    byte-identical to ``transform.apply`` point by point.  When the batch
-    raises or a point deviates, the points go through ``apply`` one at a
-    time, the reference, which raises the error of the first point that
-    fails.
+    The points go through ``transform.apply_points`` in one batch.  When
+    the batch raises or a point deviates, the points go through ``apply``,
+    the batch of one, one at a time, which raises the error of the first
+    point that fails.
     """
     m = transform.matrix
     rows = _matrix_probe_rows()

@@ -22,10 +22,8 @@ from .euclid import (
     OMEGA_V,
     POINT_BASIS,
     Paravector,
-    embed_paravector,
     embed_points,
     embed_vector,
-    extract_paravector,
     extract_points,
     g,
     sector_vector,
@@ -117,15 +115,21 @@ class Transform:
     """A point transformation; concrete forms below."""
 
     def apply(self, p: Paravector) -> Paravector:
-        raise NotImplementedError
+        """The image of one weighted point: ``apply_points`` of its one row,
+        with the same bytes and errors."""
+        (row,) = self.apply_points([[p.weight, *p.vector]])
+        return Paravector(row[0], row[1:])
 
     def apply_points(self, rows) -> np.ndarray:
-        """``apply`` of each (w, x, y, z) row of an (n, 4) array, as (n, 4)
-        rows, byte for byte.  The stages of this module take every row
-        through each step at once; this default applies one point at a time.
-        A batch of one raises what ``apply`` raises; when several rows fail,
-        the error may be another row's than the first's.  Overflow warnings
-        are off."""
+        """The images of the (w, x, y, z) rows of an (n, 4) array, as (n, 4)
+        rows.  The stages of this module take every row through each step
+        at once, and raise the error of a failing row; when several rows
+        fail, it may be another row's than the first's.  Overflow warnings
+        are off.  This default serves a subclass that defines only
+        ``apply``: it applies one point at a time."""
+        if type(self).apply is Transform.apply:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither apply nor apply_points")
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
         with np.errstate(over="ignore", invalid="ignore"):
             out = [self.apply(Paravector(r[0], r[1:])) for r in rows]
@@ -133,11 +137,12 @@ class Transform:
 
     def images(self) -> np.ndarray:
         """The action on POINT_BASIS before extraction, as (4, 64)
-        coefficients: row j is ``sandwich(b)`` of basis element j, byte for
-        byte, the sandwich of a Versor or the star-sandwich of a
-        HodgeVersor, computed for all four rows at once from tables of the
-        basis.  PerspectiveMap and Composed build their matrices from their
-        stages' instead."""
+        coefficients: row j is, for basis element b_j, the sandwich
+        epsilon U b_j (rev U) of a Versor or the star-sandwich
+        star(U' (star b_j) (rev U')) of a HodgeVersor, byte-identical to the
+        products of multivectors and computed for all four rows at once from
+        tables of the basis.  PerspectiveMap and Composed build their
+        matrices from their stages' instead."""
         raise NotImplementedError
 
     def _parts(self) -> tuple | None:
@@ -183,29 +188,22 @@ class Versor(Transform):
 
     Constructed versors satisfy epsilon * U * (reversed U) = 1; for
     reflection U (reversed U) = -1 and epsilon = -1.  As a transform it maps
-    P to epsilon U P (reversed U).
+    P to epsilon U P (reversed U), for a batch of points in two batched
+    products (``apply_points``).
     """
 
     U: Multivector
     epsilon: int
     kind: str
 
-    def sandwich(self, m: Multivector) -> Multivector:
-        """epsilon U m (rev U)."""
-        out = self.U * m * reversion(self.U)
-        return -out if self.epsilon < 0 else out
-
     def sandwiches(self, tables) -> np.ndarray:
-        """``sandwich(b).coeffs`` for each right factor b tabled by
-        ``product_tables``, as (n, 64) rows, byte for byte."""
+        """epsilon U b (rev U) for each right factor b tabled by
+        ``product_tables``, as (n, 64) rows, byte-identical to ``*``."""
         out = _sandwich_rows(self.U, tables)
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
         return self.sandwiches(_BASIS_TABLES)
-
-    def apply(self, p: Paravector) -> Paravector:
-        return apply_sandwich(self, p)
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -505,7 +503,7 @@ def apply_sandwich(versor: Versor, p: Paravector) -> Paravector:
     preserve the point subspace (it does for every constructed versor), and
     DomainError when the arithmetic overflows.
     """
-    return extract_paravector(versor.sandwich(embed_paravector(p)))
+    return versor.apply(p)
 
 
 # -- Hodge-conjugate form ---------------------------------------------------
@@ -521,15 +519,8 @@ class HodgeVersor(Transform):
     uprime: Multivector
     lam: float
 
-    def sandwich(self, m: Multivector) -> Multivector:
-        """The star-sandwich star(U' (star m) (rev U'))."""
-        return hodge_star(self.uprime * hodge_star(m) * reversion(self.uprime))
-
     def images(self) -> np.ndarray:
         return hodge_star_rows(_sandwich_rows(self.uprime, _STAR_BASIS_TABLES))
-
-    def apply(self, p: Paravector) -> Paravector:
-        return apply_hodge_sandwich(self, p)
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -548,12 +539,17 @@ def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
     U* is the pseudoscalar conjugate of U, and lam^2 is read off
     (reversed U*) Omega_V U* = lam^2 Omega_V.  When the left side is not
     proportional to Omega_V (translations), raises NotHodgeCompatible with
-    the offending residual magnitude attached.
+    the offending residual magnitude attached; DomainError when the product
+    or lam^2 is not finite (the arithmetic overflowed).
     """
-    ustar = star_conjugate(versor.U)
-    m = reversion(ustar) * OMEGA_V * ustar
     om = OMEGA_V.coeffs
-    lam2 = float(np.dot(m.coeffs, om) / np.dot(om, om))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ustar = star_conjugate(versor.U)
+        m = reversion(ustar) * OMEGA_V * ustar
+        lam2 = float(np.dot(m.coeffs, om) / np.dot(om, om))
+    if not (np.isfinite(m.coeffs).all() and math.isfinite(lam2)):
+        raise DomainError(f"the volume-scaling product of kind={versor.kind!r} is not "
+                          "finite: the arithmetic overflowed")
     residual = m - lam2 * OMEGA_V
     worst = residual.max_abs()
     tol = tolerance(max(1.0, m.max_abs()))
@@ -567,7 +563,7 @@ def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
 
 def apply_hodge_sandwich(h: HodgeVersor, p: Paravector) -> Paravector:
     """star^-1[U' (star P) (reversed U')] extracted back to a point."""
-    return extract_paravector(h.sandwich(embed_paravector(p)))
+    return h.apply(p)
 
 
 def apply_cotranslation(v, p: Paravector) -> Paravector:
@@ -638,12 +634,6 @@ class PerspectiveMap(Transform):
         object.__setattr__(self, "cotranslate", cotranslation_versor(n / a))
         object.__setattr__(self, "from_eye", translation_versor(e))
 
-    def apply(self, p: Paravector) -> Paravector:
-        e = self.eye.vector
-        q = Paravector(p.weight - p.weight * self.eye.weight, p.vector - p.weight * e)
-        q = apply_hodge_sandwich(self.cotranslate, q)
-        return apply_sandwich(self.from_eye, q)
-
     def apply_points(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
         w = rows[:, :1]
@@ -656,7 +646,7 @@ class PerspectiveMap(Transform):
 
     def _assemble(self, reads):
         """from_eye's matrix @ cotranslate's @ S, with S the to-eye step of
-        ``apply`` in closed form (weight 1 - w_eye, column -eye); read-only.
+        ``apply_points`` in closed form (weight 1 - w_eye, column -eye); read-only.
         Raises DomainError when the arithmetic overflows."""
         from_eye, cotranslate = reads
         to_eye = np.eye(4)
@@ -689,18 +679,11 @@ def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
 
 @dataclass(frozen=True)
 class Composed(Transform):
-    """Stages applied in order.  ``apply`` runs the versor chain point by
-    point and is the reference; ``apply_points`` takes a batch of points
-    through each stage together, byte-identical to it; ``matrix`` is the
-    product of the stage matrices, for applying the whole pipeline to many
-    points at once."""
+    """Stages applied in order.  ``apply_points`` takes a batch of points
+    through each stage together; ``matrix`` is the product of the stage
+    matrices, for applying the whole pipeline to many points at once."""
 
     stages: tuple
-
-    def apply(self, p: Paravector) -> Paravector:
-        for stage in self.stages:
-            p = stage.apply(p)
-        return p
 
     def apply_points(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
@@ -826,12 +809,17 @@ def sector_image(versor: Versor) -> SectorReport:
     The sandwich is linear, so the images of 1 and of a sector's three
     generators cover every point whose vector part lives in that sector.  A
     sector is preserved when these four images stay inside scalar + that
-    sector's vector span, within tolerance.
+    sector's vector span, within tolerance.  Raises DomainError when the
+    images or the scale |U|^2 of the tolerance are not finite.
     """
-    images = np.abs(versor.sandwiches(_SECTOR_TABLES))
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.abs(versor.sandwiches(_SECTOR_TABLES))
+        scale = np.float64(versor.U.max_abs()) ** 2
+    if not (np.isfinite(images).all() and np.isfinite(scale)):
+        raise DomainError("the sector images are not finite: the arithmetic overflowed")
     plus = float(np.max(np.delete(images[:4], [0, *PLUS_BLADES], axis=1)))
     minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, *MINUS_BLADES], axis=1)))
-    tol = tolerance(max(1.0, versor.U.max_abs() ** 2))
+    tol = tolerance(max(1.0, float(scale)))
     return SectorReport(
         plus_off_sector=plus,
         minus_off_sector=minus,

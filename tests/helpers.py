@@ -5,6 +5,16 @@ import io
 
 import numpy as np
 
+from cl33 import (
+    Composed,
+    HodgeVersor,
+    Paravector,
+    PerspectiveMap,
+    embed_paravector,
+    extract_paravector,
+    hodge_star,
+    reversion,
+)
 from cl33.blades import BLADE_COUNT
 from cl33.selftest import naive_blade_product
 
@@ -21,6 +31,32 @@ def naive_geometric_product(x, y):
             sign, mask = naive_blade_product(a, b)
             out[mask] += sign * x[a] * y[b]
     return out
+
+
+def dense_sandwich(stage, m):
+    """The sandwich epsilon U m (rev U) of a Versor, or the star-sandwich
+    star(U' (star m) (rev U')) of a HodgeVersor, through dense products."""
+    if isinstance(stage, HodgeVersor):
+        return hodge_star(stage.uprime * hodge_star(m) * reversion(stage.uprime))
+    out = stage.U * m * reversion(stage.U)
+    return -out if stage.epsilon < 0 else out
+
+
+def dense_apply(stage, p):
+    """A stage's image of one point through dense products, one point at a
+    time: the extracted (star-)sandwich of a Versor or HodgeVersor, the
+    to-eye step and the two versors of a PerspectiveMap, and the stages of
+    a Composed in turn."""
+    if isinstance(stage, Composed):
+        for s in stage.stages:
+            p = dense_apply(s, p)
+        return p
+    if isinstance(stage, PerspectiveMap):
+        e = stage.eye.vector
+        q = Paravector(p.weight - p.weight * stage.eye.weight, p.vector - p.weight * e)
+        q = dense_apply(stage.cotranslate, q)
+        return dense_apply(stage.from_eye, q)
+    return extract_paravector(dense_sandwich(stage, embed_paravector(p)))
 
 
 def householder(n):

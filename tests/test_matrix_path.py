@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cl33 import (
     POINT_BASIS,
+    Composed,
     CovectorResidue,
     DomainError,
     HodgeVersor,
@@ -37,6 +38,7 @@ from cl33 import (
 )
 from cl33.cli import main
 from cl33.selftest import matrix_through_apply, rand_orthonormal, rand_unit
+from helpers import dense_apply, dense_sandwich
 
 COORD = st.integers(-16, 16).map(lambda k: k / 8)
 SANDWICH_OPS = ("reflect", "rotate", "hrotate", "shear", "scale", "translate")
@@ -112,7 +114,7 @@ def _close(got, want):
 @given(pipelines, points)
 def test_matrix_path_agrees_with_versor_chain(source, rows):
     chain = parse_pipeline(source).composed()
-    images = [chain.apply(Paravector(w, (x, y, z))) for w, x, y, z in rows]
+    images = [dense_apply(chain, Paravector(w, (x, y, z))) for w, x, y, z in rows]
     want = np.array([[q.weight, *q.vector] for q in images]).reshape(-1, 4)
 
     code, lines = _apply(source, rows)
@@ -273,9 +275,10 @@ def test_matrix_makes_no_dense_product(monkeypatch):
         assert calls == []
 
 
-def _point(transform, row):
-    """``transform.apply`` of one (w, x, y, z) row, as a row."""
-    q = transform.apply(Paravector(row[0], row[1:]))
+def _point(transform, row, apply=dense_apply):
+    """The image of one (w, x, y, z) row through ``apply(transform, p)``, by
+    default the dense oracle, as a row."""
+    q = apply(transform, Paravector(row[0], row[1:]))
     return np.array([q.weight, *q.vector])
 
 
@@ -291,6 +294,18 @@ def _outcome(fn):
 MAGNITUDE = st.tuples(st.floats(-1, 1), st.integers(0, 300)).map(lambda t: t[0] * 10.0 ** t[1])
 big_points = st.lists(st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE, MAGNITUDE),
                       min_size=1, max_size=6).map(lambda rows: np.array(rows).reshape(-1, 4))
+
+
+@st.composite
+def odd_points(draw):
+    """``big_points`` with up to two entries set to inf, -inf or NaN."""
+    rows = draw(big_points)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        rows[i, j] = draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+    return rows
+
+
 projective_pipelines = st.tuples(
     st.lists(steps(), max_size=4), steps(("perspective",)), steps(("pseudo",)),
     steps(("cotranslate",))).flatmap(
@@ -298,14 +313,18 @@ projective_pipelines = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(projective_pipelines, big_points)
+@given(projective_pipelines, odd_points())
 @example("scale u=(1,0,0) t=700\n", np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e300, 0.0, 0.0]]))
 @example("rotate u=(1,0,0) v=(0,1,0) theta=0.3\ntranslate v=(1e8,0,0)\n",
          np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e5, -1e5, 3.0]]))
+@example("perspective eye=(0,0,5) n=(0,0,1) c=1\ncotranslate v=(1,0,0)\n",
+         np.array([[np.inf, 1.0, 2.0, 3.0], [1.0, np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]]))
 def test_apply_points_is_apply_byte_for_byte(source, rows):
     chain = parse_pipeline(source).composed()
     want = [_outcome(lambda: _point(chain, row)) for row in rows]
-    # a batch of one: the same row, or the same error type and text
+    # apply and a batch of one each give the dense oracle's row, or the
+    # same error type and text
+    assert [_outcome(lambda: _point(chain, row, Composed.apply)) for row in rows] == want
     assert [_outcome(lambda: chain.apply_points(row[None])[0]) for row in rows] == want
     if all(isinstance(w, bytes) for w in want):
         assert _outcome(lambda: chain.apply_points(rows)) == b"".join(want)
@@ -325,6 +344,7 @@ def test_apply_points_of_one_raises_what_apply_raises():
         for row in rows:
             want = _outcome(lambda: _point(stage, row))
             assert isinstance(want, tuple)
+            assert _outcome(lambda: _point(stage, row, type(stage).apply)) == want
             assert _outcome(lambda: stage.apply_points(row[None])[0]) == want
 
 
@@ -407,7 +427,7 @@ def test_images_are_the_sandwiches_byte_for_byte():
     for trial in range(16):
         lines = _projective(rng) if trial % 2 else _six_ops(rng)
         for stage in _versor_stages("\n".join(lines) + "\n"):
-            want = np.array([stage.sandwich(b).coeffs for b in POINT_BASIS])
+            want = np.array([dense_sandwich(stage, b).coeffs for b in POINT_BASIS])
             assert stage.images().tobytes() == want.tobytes(), stage
             assert stage.matrix.tobytes() == matrix_through_apply(stage).tobytes(), stage
             kinds[type(stage)] += 1
@@ -418,7 +438,7 @@ def _per_row_error(stage):
     """The error of reading the basis images one sandwich at a time."""
     try:
         for b in POINT_BASIS:
-            extract_paravector(stage.sandwich(b))
+            extract_paravector(dense_sandwich(stage, b))
     except ValueError as exc:
         return exc
     raise AssertionError(f"{stage} reads cleanly")
@@ -464,7 +484,7 @@ def test_star_sandwich_above_grade_3_keeps_its_error():
     residues = []
     for b in POINT_BASIS:
         try:
-            stage.sandwich(b)
+            dense_sandwich(stage, b)
         except DomainError as exc:
             residues.append(str(exc))
     assert len(set(residues)) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,13 +46,14 @@ from cl33 import versors
 from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import (
     SectorReport,
+    Transform,
     hyperbolic_generator,
     rotation_generator,
     scale_generator,
     shear_generator,
     translation_generator,
 )
-from helpers import householder, perspective_oracle_matrix
+from helpers import dense_sandwich, householder, perspective_oracle_matrix
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -415,6 +418,22 @@ def test_translation_is_not_hodge_compatible():
         with pytest.raises(NotHodgeCompatible) as info:
             hodge_conjugate_versor(translation_versor(v))
         assert info.value.residual > 1e-6
+    # a translation this large still has a finite product, and fails the
+    # condition rather than overflowing
+    with pytest.raises(NotHodgeCompatible):
+        hodge_conjugate_versor(translation_versor([1e150, 0, 0]))
+
+
+@pytest.mark.parametrize("versor", [
+    lambda: scale_versor([1, 0, 0], 1000.0),
+    lambda: translation_versor([1e200, 0, 0]),
+], ids=["scale", "translation"])
+def test_hodge_conjugate_of_an_overflowing_versor_raises(versor):
+    versor = versor()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite: the arithmetic overflowed"):
+            hodge_conjugate_versor(versor)
 
 
 def test_hodge_sandwich_respects_volume_condition_residual():
@@ -511,6 +530,38 @@ def test_overflow_raises_domain_error():
             apply_cotranslation([1e200, 0, 0], Paravector(1.0, [1e200, 0, 0]))
 
 
+P123 = Paravector(1.0, [1, 2, 3])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: apply_sandwich(translation_versor([1e200, 0, 0]), P123),
+    lambda: scale_versor([1, 0, 0], 1400.0).apply(P123),
+    lambda: apply_cotranslation([1e200, 0, 0], P123),
+    lambda: apply_hodge_sandwich(cotranslation_versor([1e200, 0, 0]), P123),
+    lambda: perspective_project(Paravector(1.0, [1e200, 0, 0]), [1, 0, 0], 0.0, P123),
+    lambda: compose([rotation_versor([1, 0, 0], [0, 1, 0], 0.3),
+                     cotranslation_versor([1, 0, 0]),
+                     translation_versor([1e200, 0, 0])]).apply(P123),
+], ids=["sandwich", "scale", "cotranslation", "hodge-sandwich", "perspective", "composed"])
+def test_overflow_raises_without_warnings(run):
+    # finite input whose arithmetic overflows: the DomainError, and no
+    # numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the extracted point is not finite"):
+            run()
+
+
+def test_transform_without_a_point_map_raises_not_implemented():
+    class Bare(Transform):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().apply(P123)
+    with pytest.raises(NotImplementedError):
+        Bare().apply_points([[1.0, 0.0, 0.0, 0.0]])
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda: translation_versor([np.inf, 0, 0]), "v"),
     (lambda: cotranslation_versor([np.inf, 0, 0]), "v"),
@@ -553,6 +604,19 @@ def test_sector_reports():
         assert min(rep.plus_off_sector, rep.minus_off_sector) > 1e-6
 
 
+@pytest.mark.parametrize("versor", [
+    lambda: scale_versor([1, 0, 0], 1000.0),
+    lambda: translation_versor([1e200, 0, 0]),
+    lambda: hyperbolic_versor([1, 0, 0], [0, 1, 0], 1400.0),
+], ids=["scale", "translation", "hyperbolic"])
+def test_sector_image_of_an_overflowing_versor_raises(versor):
+    versor = versor()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite: the arithmetic overflowed"):
+            sector_image(versor)
+
+
 def test_sector_image_matches_the_per_row_sandwich():
     rng = np.random.default_rng(23)
     u, v = rand_orthonormal(rng)
@@ -563,7 +627,7 @@ def test_sector_image_matches_the_per_row_sandwich():
                          reflection_versor(v)]).stages[0]]
     for versor in versors_:
         factors = (Multivector.scalar(1.0), *GENERATORS)
-        images = np.abs([versor.sandwich(b).coeffs for b in factors])
+        images = np.abs([dense_sandwich(versor, b).coeffs for b in factors])
         plus = float(np.max(np.delete(images[:4], [0, 1, 2, 4], axis=1)))
         minus = float(np.max(np.delete(images[[0, 4, 5, 6]], [0, 8, 16, 32], axis=1)))
         tol = tolerance(max(1.0, versor.U.max_abs() ** 2))
