@@ -178,8 +178,9 @@ def extract_points(rows) -> np.ndarray:
     finite (the arithmetic that produced it overflowed), NonParavectorResidue
     when a grade >= 2 coefficient exceeds the tolerance, and CovectorResidue
     when the e_i+ and e_i- coefficients disagree (the vector part then
-    contains a covector component).  A residue error carries the row's
-    offending magnitude as ``residual``.
+    contains a covector component).  Every error carries the index of that
+    row as ``row``, and a residue error the row's offending magnitude as
+    ``residual``.
     """
     rows = np.asarray(rows)
     mags = np.abs(rows)
@@ -192,14 +193,17 @@ def extract_points(rows) -> np.ndarray:
     if not passed.all():
         i = int(np.argmin(passed))
         if not tol[i] < np.inf:
-            raise DomainError("the extracted point is not finite: the arithmetic overflowed")
-        if high[i] > tol[i]:
-            raise NonParavectorResidue(
+            exc = DomainError("the extracted point is not finite: the arithmetic overflowed")
+        elif high[i] > tol[i]:
+            exc = NonParavectorResidue(
                 f"grade >= 2 residue {high[i]:.3e} exceeds tolerance {tol[i]:.3e}",
                 residual=float(high[i]))
-        raise CovectorResidue(
-            f"covector residue {covector[i]:.3e} exceeds tolerance {tol[i]:.3e}",
-            residual=float(covector[i]))
+        else:
+            exc = CovectorResidue(
+                f"covector residue {covector[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+                residual=float(covector[i]))
+        exc.row = i
+        raise exc
     return rows.take(_POINT_BLADES, 1) * _POINT_SCALES
 
 

@@ -94,21 +94,21 @@ _BASIS_TABLES = product_tables([b.coeffs for b in POINT_BASIS])
 _STAR_BASIS_TABLES = product_tables([hodge_star(b).coeffs for b in POINT_BASIS])
 
 
-def _sandwich_rows(U: Multivector, tables) -> np.ndarray:
+def _sandwich_rows(U: Multivector, reverse, tables) -> np.ndarray:
     """U b (rev U) for each right factor b of ``tables``, as (n, 64) rows:
-    two batched products, byte-identical to ``U * b * reversion(U)``."""
-    return table_products(table_products(U.coeffs, tables),
-                          product_tables(reversion(U).coeffs))
+    two batched products, the second by ``reverse``, the table of rev U;
+    byte-identical to ``U * b * reversion(U)``."""
+    return table_products(table_products(U.coeffs, tables), reverse)
 
 
-def _sandwich_points(U: Multivector, rows) -> np.ndarray:
+def _sandwich_points(U: Multivector, reverse, rows) -> np.ndarray:
     """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows: one
     planned product of U by every row, for the grades each side carries, and
-    one by the table of rev U; byte-identical to ``U * m * reversion(U)``."""
+    one by ``reverse``, the table of rev U; byte-identical to ``U * m * reversion(U)``."""
     pairs = np.empty((2 * len(rows), BLADE_COUNT))
     pairs[::2], pairs[1::2] = U.coeffs, rows
     first = _pair_products(pairs, _grade_set(U.coeffs), _grade_set(rows))
-    return table_products(first, product_tables(reversion(U).coeffs))
+    return table_products(first, reverse)
 
 
 class Transform:
@@ -125,34 +125,21 @@ class Transform:
         rows.  The stages of this module take every row through each step
         at once, and raise the error of a failing row; when several rows
         fail, it may be another row's than the first's.  Overflow warnings
-        are off.  This default serves a subclass that defines only
-        ``apply``: it applies one point at a time."""
-        if type(self).apply is Transform.apply:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither apply nor apply_points")
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = [self.apply(Paravector(r[0], r[1:])) for r in rows]
-        return np.array([[q.weight, *q.vector] for q in out]).reshape(-1, 4)
-
-    def images(self) -> np.ndarray:
-        """The action on POINT_BASIS before extraction, as (4, 64)
-        coefficients: row j is, for basis element b_j, the sandwich
-        epsilon U b_j (rev U) of a Versor or the star-sandwich
-        star(U' (star b_j) (rev U')) of a HodgeVersor, byte-identical to the
-        products of multivectors and computed for all four rows at once from
-        tables of the basis.  PerspectiveMap and Composed build their
-        matrices from their stages' instead."""
+        are off."""
         raise NotImplementedError
 
-    def _parts(self) -> tuple | None:
-        """The transforms whose ``images`` make up the matrix, or None when
-        the matrix is built otherwise."""
-        return (self,)
+    def images(self) -> np.ndarray:
+        """The action on POINT_BASIS of each of the transform's k versors
+        before extraction, as (4k, 64) coefficients: row j of a versor's
+        four is, for basis element b_j, the sandwich epsilon U b_j (rev U)
+        of a Versor or the star-sandwich star(U' (star b_j) (rev U')) of a
+        HodgeVersor, byte-identical to the products of multivectors and
+        computed for all four rows at once from tables of the basis."""
+        raise NotImplementedError
 
-    def _assemble(self, reads) -> np.ndarray:
-        """The matrix from the 4x4 reads of the images of ``_parts``."""
-        (m,) = reads
+    def _assemble(self, points) -> np.ndarray:
+        """The matrix from the (4k, 4) points extracted from ``images``."""
+        m = points.T
         m.flags.writeable = False
         return m
 
@@ -160,26 +147,16 @@ class Transform:
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
 
-        Column j is row j of ``images`` read through extract_points, so every
-        residue check of extraction runs once per stage; the sandwich and
-        star-sandwich are linear in P, so a basis whose images extract
-        cleanly covers every point.  Computed on first use and kept.  Raises
-        DomainError when the arithmetic overflows.  A transform of several
-        parts reads them in one extract_points call, which raises the error
-        of the first part that fails.
+        It is assembled from the rows of ``images`` read through one
+        extract_points call, so every residue check of extraction runs on
+        every versor; the sandwich and star-sandwich are linear in P, so a
+        basis whose images extract cleanly covers every point.  Column j of
+        a single versor's matrix is its row j.  Computed on first use and
+        kept.  Raises what extract_points raises: DomainError when the
+        arithmetic overflows.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            images = [t.images() for t in self._parts()]
-        return self._assemble(_reads(images))
-
-
-def _reads(images) -> list:
-    """The 4x4 read of each (4, 64) array of ``images``, all from one
-    extract_points call: each read is byte for byte what that array's own
-    extraction gives.  Raises what extract_points raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = extract_points(np.concatenate(images))
-    return [points[i:i + 4].T for i in range(0, len(points), 4)]
+            return self._assemble(extract_points(self.images()))
 
 
 @dataclass(frozen=True)
@@ -196,10 +173,15 @@ class Versor(Transform):
     epsilon: int
     kind: str
 
+    @cached_property
+    def _reverse(self) -> np.ndarray:
+        """The table of rev U, built once for the stage's images and points."""
+        return product_tables(reversion(self.U).coeffs)
+
     def sandwiches(self, tables) -> np.ndarray:
         """epsilon U b (rev U) for each right factor b tabled by
         ``product_tables``, as (n, 64) rows, byte-identical to ``*``."""
-        out = _sandwich_rows(self.U, tables)
+        out = _sandwich_rows(self.U, self._reverse, tables)
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
@@ -207,7 +189,7 @@ class Versor(Transform):
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _sandwich_points(self.U, embed_points(rows))
+            out = _sandwich_points(self.U, self._reverse, embed_points(rows))
             return extract_points(-out if self.epsilon < 0 else out)
 
 
@@ -519,13 +501,19 @@ class HodgeVersor(Transform):
     uprime: Multivector
     lam: float
 
+    @cached_property
+    def _reverse(self) -> np.ndarray:
+        """The table of rev U', built once for the stage's images and points."""
+        return product_tables(reversion(self.uprime).coeffs)
+
     def images(self) -> np.ndarray:
-        return hodge_star_rows(_sandwich_rows(self.uprime, _STAR_BASIS_TABLES))
+        return hodge_star_rows(_sandwich_rows(self.uprime, self._reverse, _STAR_BASIS_TABLES))
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             stars = hodge_star_rows(embed_points(rows))
-            return extract_points(hodge_star_rows(_sandwich_points(self.uprime, stars)))
+            return extract_points(hodge_star_rows(
+                _sandwich_points(self.uprime, self._reverse, stars)))
 
 
 def cotranslation_versor(v) -> HodgeVersor:
@@ -641,14 +629,15 @@ class PerspectiveMap(Transform):
             q = np.hstack((w - w * self.eye.weight, rows[:, 1:] - w * self.eye.vector))
         return self.from_eye.apply_points(self.cotranslate.apply_points(q))
 
-    def _parts(self):
-        return self.from_eye, self.cotranslate
+    def images(self) -> np.ndarray:
+        """from_eye's four images, then cotranslate's four."""
+        return np.concatenate((self.from_eye.images(), self.cotranslate.images()))
 
-    def _assemble(self, reads):
+    def _assemble(self, points):
         """from_eye's matrix @ cotranslate's @ S, with S the to-eye step of
         ``apply_points`` in closed form (weight 1 - w_eye, column -eye); read-only.
         Raises DomainError when the arithmetic overflows."""
-        from_eye, cotranslate = reads
+        from_eye, cotranslate = points[:4].T, points[4:].T
         to_eye = np.eye(4)
         to_eye[0, 0] -= self.eye.weight
         to_eye[1:, 0] = -self.eye.vector
@@ -691,51 +680,46 @@ class Composed(Transform):
             rows = stage.apply_points(rows)
         return rows
 
-    def _parts(self):
-        return None
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Product of the stage matrices, the first stage rightmost; read-only.
-        Raises DomainError, naming the stage, when the arithmetic overflows.
 
-        Each stage builds its images once, in order, and the images of every
-        stage are read in one extract_points call.  When that call fails,
-        each stage reads its own images in turn, so the error is the one that
-        stage raises alone, prefixed with its number.  An ``images`` call
-        that raises ends the building; its error is raised at its stage,
-        after the stages before it are read.
+        Each stage builds its images once, in order, until an ``images``
+        call raises, and all are read in one extract_points call, whose
+        failing row names the failing stage.  The stages before it are
+        assembled, then its error is raised: a DomainError (overflow)
+        prefixed with the stage number, any other error unchanged.
         """
-        built = []
-        for stage in self.stages:
-            parts = stage._parts()
+        images, failure = [], None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stage in self.stages:
+                try:
+                    images.append(stage.images())
+                except ValueError as exc:
+                    failure = exc
+                    break
+            rows = np.concatenate(images) if images else np.empty((0, BLADE_COUNT))
+            bounds = np.cumsum([0, *map(len, images)])
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    built.append(None if parts is None else [t.images() for t in parts])
+                points = extract_points(rows)
             except ValueError as exc:
-                built.append(exc)
-                break
-        flat = [x for b in built if isinstance(b, list) for x in b]
-        try:
-            reads = iter(_reads(flat)) if flat else None
-        except ValueError:
-            reads = None
-        m = np.eye(4)
-        for idx, (stage, images) in enumerate(zip(self.stages, built), start=1):
-            try:
-                if isinstance(images, ValueError):
-                    raise images
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if images is None:
-                        m = stage.matrix @ m
-                    else:
-                        read = [next(reads) for _ in images] if reads else _reads(images)
-                        m = stage._assemble(read) @ m
-            except DomainError as exc:
-                raise DomainError(f"stage {idx}: {exc}") from exc
-            if not np.isfinite(m).all():
-                raise DomainError(f"stage {idx}: the pipeline matrix through this stage "
-                                  "is not finite: the arithmetic overflowed")
+                failure = exc
+                bounds = bounds[:np.searchsorted(bounds, exc.row, side="right")]
+                points = extract_points(rows[:bounds[-1]])
+            m = np.eye(4)
+            for idx, (stage, start, end) in enumerate(zip(self.stages, bounds, bounds[1:]),
+                                                      start=1):
+                try:
+                    m = stage._assemble(points[start:end]) @ m
+                except DomainError as exc:
+                    raise DomainError(f"stage {idx}: {exc}") from exc
+                if not np.isfinite(m).all():
+                    raise DomainError(f"stage {idx}: the pipeline matrix through this stage "
+                                      "is not finite: the arithmetic overflowed")
+        if isinstance(failure, DomainError):
+            raise DomainError(f"stage {len(bounds)}: {failure}") from failure
+        if failure is not None:
+            raise failure
         m.flags.writeable = False
         return m
 

@@ -378,8 +378,9 @@ def test_matrix_probe_idempotent():
 
 def test_matrix_probe_rejects_nonlinear():
     class Quadratic(Transform):
-        def apply(self, p):
-            return Paravector(p.weight, p.vector * float(np.sum(p.vector)))
+        def apply_points(self, points):
+            points = np.asarray(points, dtype=np.float64).reshape(-1, 4)
+            return np.array([[r[0], *(r[1:] * float(np.sum(r[1:])))] for r in points])
 
         def images(self):
             return np.array([b.coeffs for b in POINT_BASIS])
@@ -395,12 +396,16 @@ def test_matrix_probe_raises_the_first_points_error():
     rows = analysis._matrix_probe_rows()
 
     class Faulty(Transform):
-        def apply(self, p):
-            if p.weight == rows[2, 0]:
-                return extract_paravector(embed_paravector(p) + Multivector.blade(0b11))
-            if p.weight == rows[0, 0]:
-                return Paravector(p.weight + 1.0, p.vector)
-            return p
+        def apply_points(self, points):
+            out = []
+            for r in np.asarray(points, dtype=np.float64).reshape(-1, 4):
+                p = Paravector(r[0], r[1:])
+                if p.weight == rows[2, 0]:
+                    p = extract_paravector(embed_paravector(p) + Multivector.blade(0b11))
+                elif p.weight == rows[0, 0]:
+                    p = Paravector(p.weight + 1.0, p.vector)
+                out.append([p.weight, *p.vector])
+            return np.array(out).reshape(-1, 4)
 
         def images(self):
             return np.array([b.coeffs for b in POINT_BASIS])

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from cl33 import (
     Composed,
+    CovectorResidue,
     DomainError,
     HodgeVersor,
     Multivector,
+    NonParavectorResidue,
     Paravector,
     PerspectiveMap,
     Versor,
@@ -313,9 +315,9 @@ def test_zero_operand_fuses_to_zero():
         assert got.tobytes() == (pair[1].U * pair[0].U).coeffs.tobytes()
 
 
-def test_batched_extraction_falls_back_to_the_stage_that_fails():
+def test_batched_extraction_names_the_stage_that_fails():
     # stage 2 of 3 overflows: the error names it, as reading one stage at a
-    # time does, although all stages were read in one extraction first
+    # time does, although all stages were read in one extraction
     stages = (rotation_versor(AXES[0], AXES[1], 0.3),
               cotranslation_versor([1e200, 0, 0]),
               translation_versor([1, 2, 3]))
@@ -373,3 +375,29 @@ def test_images_that_raise_name_their_stage():
         with pytest.raises(DomainError) as got:
             Composed(stages).matrix
         assert str(got.value) == str(want) and str(want).startswith(prefix)
+
+
+def test_residue_errors_pass_through_the_pipeline_matrix():
+    # a stage whose images are not points, at each position of 4 stages:
+    # the pipeline raises that stage's residue error unprefixed, with the
+    # type, text and residual that reading one stage at a time gives, also
+    # when a later stage overflows
+    rotation = rotation_versor(AXES[0], AXES[1], 0.3)
+    coeffs = rotation.U.coeffs.copy()
+    coeffs[0b000111] += 0.01
+    grade3 = Versor(Multivector(coeffs), +1, versors.ROTATION)
+    covector = Versor(1.0 + 0.01 * sector_vector(AXES[0], +1), +1, versors.ROTATION)
+    healthy = (rotation, cotranslation_versor([0.1, 0.2, 0.3]),
+               PerspectiveMap(Paravector(1.0, [0, 0, -3]), [0, 0, 1], 1.0),
+               translation_versor([1, 2, 3]))
+    overflowing = cotranslation_versor([1e200, 0, 0])
+    for bad, error in ((grade3, NonParavectorResidue), (covector, CovectorResidue)):
+        for i in range(4):
+            for tail in (healthy[i + 1:], (overflowing,) * (3 - i)):
+                stages = (*healthy[:i], bad, *tail)
+                want = pytest.raises(error, pipeline_matrix, stages).value
+                with pytest.raises(error) as got:
+                    Composed(stages).matrix
+                assert type(got.value) is type(want) is error
+                assert str(got.value) == str(want) and not str(want).startswith("stage")
+                assert got.value.residual == want.residual

@@ -121,9 +121,32 @@ def test_extract_points_raises_the_first_failing_row():
 
 
 def _alone(row):
-    with pytest.raises((CovectorResidue, NonParavectorResidue)) as exc:
+    with pytest.raises((CovectorResidue, NonParavectorResidue, DomainError)) as exc:
         extract_paravector(Multivector(row))
     return exc.value
+
+
+def test_extract_points_errors_carry_the_first_failing_row():
+    # one bad row, or two of different kinds, at the first, a middle and the
+    # last place of 5 rows: ``row`` is the index of the first, and the text
+    # is the one that row raises alone
+    valid = embed_paravector(Paravector(2.0, [1e6, -3.0, 5.0])).coeffs
+    non_finite = valid.copy()
+    non_finite[0] = np.inf
+    bad = [(CovectorResidue, (1.0 + 1e-6 * E_STAR[0]).coeffs),
+           (NonParavectorResidue, (1.0 + 1e-6 * EP1 * EP2).coeffs),
+           (DomainError, non_finite)]
+    for k, (error, row) in enumerate(bad):
+        other = bad[(k + 1) % 3][1]
+        for places in ((0,), (2,), (4,), (0, 4), (2, 3), (1, 4)):
+            rows = [valid] * 5
+            for place, r in zip(places, (row, other)):
+                rows[place] = r
+            with pytest.raises(error) as exc:
+                extract_points(rows)
+            assert type(exc.value) is error
+            assert exc.value.row == places[0]
+            assert str(exc.value) == str(_alone(row))
 
 
 def test_normalize_point():

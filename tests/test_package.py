@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -81,3 +82,17 @@ def test_residue_errors_share_one_base():
         exc = cls("message", residual=0.5)
         assert str(exc) == "message" and exc.residual == 0.5
         assert cls("message").residual is None
+
+
+def test_perfbench_spans_resolve():
+    # the benchmark's traced run wraps these functions by name and fails
+    # obscurely when one is gone; read its table without importing it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (table,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["FUNCTIONS"]]
+    missing = [f"{module}.{name}" for module, name, _ in table
+               if not hasattr(importlib.import_module(module), name)]
+    assert table
+    assert missing == []
