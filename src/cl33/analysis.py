@@ -16,9 +16,12 @@ holds the operator products and the products of a grade part with p, the
 second everything that multiplies a result of the first.  Each call's plan
 skips the blade pairs in which a factor is zero by grade, and is built on
 first use.  ``paravector_conditions`` evaluates the formulas at one probe;
-``worst_residuals`` evaluates them at the three axes E[0..2], reads the
-image at POINT_BASIS (``Versor.images``), and reaches the 12 probe points by
-linearity.
+``worst_residuals_of`` evaluates them for several operators at once, at the
+three axes E[0..2], reads their images at POINT_BASIS
+(``versors.basis_images``), and reaches the 12 probe points by linearity.
+The operators share the two planned products, laid side by side, and each
+keeps its own results, so ``worst_residuals``, its case of one operator,
+gives every value byte for byte.
 
 For finite Psi every residual is byte for byte what the same formulas give
 through ``Multivector`` products.  Psi must be finite: a non-finite operator,
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blades import GRADE_SELECTORS, INVOLUTION_SIGNS, MINUS_BLADES, PLUS_BLADES
+from .blades import BLADE_COUNT, GRADE_SELECTORS, INVOLUTION_SIGNS, MINUS_BLADES, PLUS_BLADES
 from .errors import DomainError, NotLinearError
 from .euclid import (
     E,
@@ -46,13 +49,14 @@ from .euclid import (
 )
 from .multivector import (
     Multivector,
+    ProductPlan,
     outer_product,
     planned_products,
     product_plan,
     reversion,
     tolerance,
 )
-from .versors import COMPOSITE, Transform, Versor, check_finite
+from .versors import Transform, basis_images, check_finite
 
 #: Classification thresholds: residuals at or below ACCEPT_FACTOR * scale are
 #: exact-to-rounding; residuals above REJECT_FACTOR * scale^2 are genuine.
@@ -107,8 +111,8 @@ _PER_PROBE = frozenset({"p", "P1p", "P2p", "P3p", "P4p", "p.P5", "p.P6"})
 
 
 def _layer(products, grades, m):
-    """One layer at m probes: its product plan, its operand names in row
-    order, and the row slice of each product's results."""
+    """One layer at m probes, for one operator: its product plan, its
+    operand names in row order, and the row slice of each product's results."""
     names = list(dict.fromkeys(n for a, _, b in products for n in (a, b)))
     sizes = [m if n in _PER_PROBE else 1 for n in names]
     start = dict(zip(names, np.cumsum([0] + sizes).tolist()))
@@ -124,7 +128,7 @@ def _layer(products, grades, m):
 
 @functools.cache
 def _layers(m: int):
-    """The two layers of ``_conditions`` at m probes.
+    """The two layers of ``_conditions`` at m probes, for one operator.
 
     Built on first use, like ``_probe_rows``: importing the package plans
     nothing.  The grades of a second-layer operand are those of the
@@ -145,11 +149,41 @@ def _layers(m: int):
     return first, _layer(_SECOND, grades, m)
 
 
+def _side_by_side(plan: ProductPlan, rows: int, count: int) -> ProductPlan:
+    """``count`` copies of the plan of one operator, whose operands take
+    ``rows`` rows: copy s reads the operand rows of block s and writes
+    result rows of its own, with the terms of each result in the same order,
+    so every operator's results are byte for byte those of ``plan`` alone."""
+    block = np.arange(count)[:, None]
+    return ProductPlan((plan.left + block * rows * BLADE_COUNT).ravel(),
+                       (plan.right + block * rows * BLADE_COUNT).ravel(),
+                       np.tile(plan.signs, count),
+                       (plan.bins + block * plan.count * BLADE_COUNT).ravel(),
+                       plan.count * count, plan.grades * count)
+
+
+@functools.lru_cache(maxsize=64)
+def _plans(m: int, count: int):
+    """The two layers of ``_conditions`` at m probes for ``count``
+    operators: ``_layers(m)`` with each plan laid ``count`` times side by
+    side.  Built on first use and kept in a bounded cache, since the stage
+    count of a pipeline has no bound."""
+    if count == 1:
+        return _layers(m)
+    out = []
+    for plan, names, slices in _layers(m):
+        rows = sum(m if n in _PER_PROBE else 1 for n in names)
+        out.append((_side_by_side(plan, rows, count), names, slices))
+    return tuple(out)
+
+
 def _evaluate(layer, operands) -> dict:
-    """Results of one layer, keyed by product, from its named operand rows."""
+    """Results of one layer for S operators, keyed by product, from its
+    named operand rows, each of shape (S, rows, 64)."""
     plan, names, slices = layer
-    out = planned_products(np.concatenate([operands[n] for n in names]), plan)
-    return {key: out[rows] for key, rows in slices.items()}
+    rows = np.concatenate([operands[n] for n in names], axis=1)
+    out = planned_products(rows, plan).reshape(len(rows), -1, BLADE_COUNT)
+    return {key: out[:, index] for key, index in slices.items()}
 
 
 def _grade(rows, k):
@@ -158,22 +192,29 @@ def _grade(rows, k):
 
 def _conditions(P, probes):
     """The condition left-hand sides r1, r2, r3, r4 and their correction
-    terms d1, d2, d3, d4, as coefficient rows.
+    terms d1, d2, d3, d4 of S operators, as coefficient rows.
 
-    ``P`` holds the grade parts of Psi, shape (7, 1, 64); ``probes`` the
-    embedded grade-1 probes, shape (m, 64).  The operator terms r1, r2, d1,
-    d2 come out as one row, the probe terms as one row per probe.
+    ``P`` holds the grade parts of each Psi, shape (7, S, 1, 64);
+    ``probes`` the embedded grade-1 probes, shape (m, 64).  For each
+    operator the operator terms r1, r2, d1, d2 come out as one row, shape
+    (S, 1, 64), the probe terms as one row per probe, (S, m, 64).  All S
+    operators share the two planned products, and each keeps its own
+    results: they are byte for byte those of the operator alone.
     """
-    first, second = _layers(len(probes))
-    iP = P * INVOLUTION_SIGNS
+    count = P.shape[1]
+    first, second = _plans(len(probes), count)
     ops = {f"P{k}": P[k] for k in range(7)}
     ops.update({"P4-P6": P[4] - P[6], "-P3+P5": -1 * P[3] + P[5],
-                "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": iP[5], "iP6": iP[6], "p": probes})
+                "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": P[5] * INVOLUTION_SIGNS,
+                "iP6": P[6] * INVOLUTION_SIGNS,
+                "p": np.repeat(probes[None], count, axis=0)})
     one = _evaluate(first, ops)
-    d1 = (2 * _grade(one["P1", "*", "P5"], 4) + 2 * _grade(one["P2", "*", "P4-P6"], 4)
-          + _grade(one["P3", "*", "-P3+2P5"], 4) + _grade(one["P4", "*", "P4"], 4))
-    d2 = (2 * _grade(one["P1", "*", "P4-P6"], 5) + 2 * _grade(one["P2", "*", "-P3+P5"], 5)
-          + 2 * _grade(one["P3", "*", "P4"], 5))
+    # each correction term is the grade part of a sum, taken once: in that
+    # grade every coefficient is the sum of the terms' coefficients
+    d1 = _grade(2 * one["P1", "*", "P5"] + 2 * one["P2", "*", "P4-P6"]
+                + one["P3", "*", "-P3+2P5"] + one["P4", "*", "P4"], 4)
+    d2 = _grade(2 * one["P1", "*", "P4-P6"] + 2 * one["P2", "*", "-P3+P5"]
+                + 2 * one["P3", "*", "P4"], 5)
     ops.update({f"P{k}p": one[f"P{k}", "*", "p"] for k in range(1, 5)})
     ops.update({"2P0P3": 2 * one["P0", "*", "P3"], "2P1^P2": 2 * one["P1", "^", "P2"],
                 "2P0P4": 2 * one["P0", "*", "P4"], "P2^P2": one["P2", "^", "P2"],
@@ -184,10 +225,10 @@ def _conditions(P, probes):
     r1 = ops["2P0P4"] - ops["P2^P2"] - ops["2P1^P3"] + d1
     r2 = 2 * one["P0", "*", "P5"] + d2
     two = _evaluate(second, ops)
-    d3 = (2 * _grade(two["P1p", "*", "P4-P6"], 4) + 2 * _grade(two["P2p", "*", "-P3+P5"], 4)
-          + 2 * _grade(two["P3p", "*", "P4-P6"], 4) + 2 * _grade(two["P4p", "*", "P5"], 4))
-    d4 = (2 * _grade(two["P1p", "*", "P5"], 5) + 2 * _grade(two["P2p", "*", "P4-P6"], 5)
-          + _grade(two["P3p", "*", "-P3+2P5"], 5) + _grade(two["P4p", "*", "P4"], 5))
+    d3 = _grade(2 * two["P1p", "*", "P4-P6"] + 2 * two["P2p", "*", "-P3+P5"]
+                + 2 * two["P3p", "*", "P4-P6"] + 2 * two["P4p", "*", "P5"], 4)
+    d4 = _grade(2 * two["P1p", "*", "P5"] + 2 * two["P2p", "*", "P4-P6"]
+                + two["P3p", "*", "-P3+2P5"] + two["P4p", "*", "P4"], 5)
     # the scalar/grade-5 cross term completes the third condition; without it
     # operators carrying both parts (e.g. rotation composed with translation)
     # would be flagged even though their images stay points
@@ -199,15 +240,19 @@ def _conditions(P, probes):
 
 
 def _grade_rows(coeffs) -> np.ndarray:
-    """Grade k of row k of ``coeffs`` (one row for all seven grades, or
-    seven rows), as (7, 1, 64) coefficient rows."""
-    return np.where(_GRADE_ROWS, coeffs, 0.0)[:, None]
+    """The grade parts of S operators as (7, S, 1, 64) coefficient rows:
+    grade k of each of the (S, 64) rows of ``coeffs``, or grade k of row k
+    of (7, 1, 64) rows, the seven parts of one operator."""
+    return np.where(_GRADE_ROWS[:, None], coeffs, 0.0)[:, :, None]
+
+
+_OVERFLOW = ("the preservation residuals of psi overflow: its coefficients are too large "
+             "in magnitude")
 
 
 def _check_residuals(*values):
     if not all(np.isfinite(v).all() for v in values):
-        raise DomainError("the preservation residuals of psi overflow: its coefficients "
-                          "are too large in magnitude")
+        raise DomainError(_OVERFLOW)
 
 
 def correction_terms(parts, p: Multivector):
@@ -219,7 +264,8 @@ def correction_terms(parts, p: Multivector):
     """
     if not p.is_homogeneous(1, tol=tolerance(p.max_abs())):
         raise DomainError("the probe p must be of grade 1")
-    d = _conditions(_grade_rows([part.coeffs for part in parts]), p.grade(1).coeffs[None])[4:]
+    rows = np.array([part.coeffs for part in parts])[:, None]
+    d = _conditions(_grade_rows(rows), p.grade(1).coeffs[None])[4:]
     return tuple(Multivector._raw(x) for x in d)
 
 
@@ -276,7 +322,7 @@ def paravector_conditions(psi: Multivector, p) -> ConditionReport:
     check_finite("p", p)
     pm = embed_vector(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), pm.coeffs[None])[:4]
+        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs[None]), pm.coeffs[None])[:4]
         image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
         cov = Multivector._raw(_covector_part(image.coeffs))
     report = ConditionReport(*(Multivector._raw(x) for x in (r1, r2, r3, r4)),
@@ -312,32 +358,56 @@ def _probe_images(psi: Multivector) -> np.ndarray:
     """Psi (1 + p) (reversed Psi) at every probe point, as (12, 64)
     coefficients: the sandwich is linear in 1 + p, so the images of
     POINT_BASIS cover all probes."""
-    return _probe_rows() @ Versor(psi, +1, COMPOSITE).images()
+    return _probe_rows() @ basis_images(psi.coeffs)[0]
 
 
 def worst_residuals(psi: Multivector) -> dict:
     """Worst value of each preservation residual of Psi over probe_points(),
-    keyed by the names in RESIDUALS.
+    keyed by the names in RESIDUALS: ``worst_residuals_of([psi])[0]``.
 
     The operator terms are evaluated once and the probe terms at the three
     axes, then combined for every probe point; the result equals the maximum
     of ``paravector_conditions(psi, p).residuals()`` to rounding.  Raises
     DomainError when psi is not finite or a residual overflows."""
-    return _residuals_and_images(psi)[0]
+    (worst,) = worst_residuals_of([psi])
+    return worst
 
 
-def _residuals_and_images(psi: Multivector):
-    """``worst_residuals(psi)`` and the ``_probe_images(psi)`` it reads."""
-    check_finite("psi", psi)
+def worst_residuals_of(psis) -> list:
+    """``worst_residuals`` of each operator of ``psis``, in order.
+
+    The condition formulas of all operators share the two planned products,
+    and their images of POINT_BASIS two batched products, yet each
+    operator keeps its own results: every value is byte for byte the one of
+    the operator alone.  Raises DomainError when an operator is not finite,
+    before any product, or when the residuals of one overflow; the error of
+    the first such operator carries its index as ``row``.
+    """
+    return _residuals_and_images(psis)[0]
+
+
+def _residuals_and_images(psis):
+    """``worst_residuals_of(psis)`` and the probe images it reads: those of
+    operator s, ``_probe_images`` of it, are row s of an (S, 12, 64) array."""
+    rows = np.array([check_finite("psi", psi) for psi in psis]).reshape(-1, BLADE_COUNT)
+    if not len(rows):
+        return [], []
+    probes = _probe_rows()
     with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs), _E_ROWS)[:4]
-        probes = _probe_rows()[:, 1:]
-        images = _probe_images(psi)
-        worst = (np.max(np.abs(r1)), np.max(np.abs(r2)), np.max(np.abs(probes @ r3)),
-                 np.max(np.abs(probes @ r4)), np.max(np.abs(_covector_part(images))),
-                 np.max(np.abs(images[:, _GRADE45])))
-    _check_residuals(worst, images)
-    return dict(zip(RESIDUALS, map(float, worst))), images
+        r1, r2, r3, r4 = _conditions(_grade_rows(rows), _E_ROWS)[:4]
+        # each operator's matrix products are the 2-d ones it makes alone
+        images = np.array([probes @ basis for basis in basis_images(rows)])
+        r3 = np.array([probes[:, 1:] @ r for r in r3])
+        r4 = np.array([probes[:, 1:] @ r for r in r4])
+        covector = np.array([_covector_part(image) for image in images])
+        parts = (r1, r2, r3, r4, covector, images[..., _GRADE45])
+        worst = np.column_stack([np.abs(x).max(axis=(1, 2)) for x in parts])
+        finite = np.isfinite(worst).all(axis=1) & np.isfinite(images).all(axis=(1, 2))
+    if not finite.all():
+        exc = DomainError(_OVERFLOW)
+        exc.row = int(np.argmin(finite))
+        raise exc
+    return [dict(zip(RESIDUALS, w)) for w in worst.tolist()], images
 
 
 ACCEPT = "accept"
@@ -368,7 +438,7 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
         raise ValueError(f"psi must be homogeneous of grade {k}")
     phi = 1.0 + 0.01 * psi
     scale = max(1.0, phi.max_abs())
-    residuals, images = _residuals_and_images(phi)
+    (residuals,), (images,) = _residuals_and_images([phi])
     worst = max(residuals.values())
     if worst <= ACCEPT_FACTOR * scale:
         basis = np.array([b.coeffs for b in POINT_BASIS])

@@ -171,32 +171,65 @@ def _scale_tolerance(idx, form, U) -> float:
     return tol
 
 
+def _stage_tolerance(idx, stage):
+    """The tolerance ``check`` holds a sandwich stage to, or None for a
+    stage of another form; DomainError when the stage fails the scale test."""
+    if isinstance(stage, Versor):
+        return _scale_tolerance(idx, "sandwich", stage.U)
+    if isinstance(stage, HodgeVersor):
+        if not np.isfinite(stage.uprime.coeffs).all():
+            raise DomainError(f"stage {idx} (star-sandwich): its versor is not "
+                              "finite: the arithmetic overflowed")
+        _scale_tolerance(idx, "star-sandwich", stage.uprime)
+    else:
+        for U in (stage.from_eye.U, stage.cotranslate.uprime):
+            _scale_tolerance(idx, "perspective", U)
+    return None
+
+
 def _cmd_check(args, emit):
+    """Hold every sandwich stage to the preservation conditions.
+
+    The stages are held to the scale test in order, up to the first that
+    fails it; the residuals of the sandwich stages before it are evaluated
+    in one batch.  Then each stage's line is emitted in order, and the
+    first error, of the scale test or of residuals that overflow, is raised
+    after the lines of the stages before it.
+    """
     pipe = pipeline.parse_pipeline(_read(args.pipeline))
     stages = _perturbed_stages(pipe, _parse_perturbations(args.perturb)).stages
-    failed = False
-    checked = 0
+    tolerances, failure = [], None
     for idx, stage in enumerate(stages, start=1):
-        if not isinstance(stage, Versor):
-            if isinstance(stage, HodgeVersor):
-                if not np.isfinite(stage.uprime.coeffs).all():
-                    raise DomainError(f"stage {idx} (star-sandwich): its versor is not "
-                                      "finite: the arithmetic overflowed")
-                _scale_tolerance(idx, "star-sandwich", stage.uprime)
-            else:
-                for U in (stage.from_eye.U, stage.cotranslate.uprime):
-                    _scale_tolerance(idx, "perspective", U)
+        try:
+            tolerances.append(_stage_tolerance(idx, stage))
+        except DomainError as exc:
+            failure = exc
+            break
+    sandwiches = [stage.U for stage, tol in zip(stages, tolerances) if tol is not None]
+    try:
+        residuals = analysis.worst_residuals_of(sandwiches)
+    except DomainError as exc:
+        # the stages up to the one whose residuals overflow, then its error
+        residuals = analysis.worst_residuals_of(sandwiches[:exc.row])
+        failure = exc
+    residuals = iter(residuals)
+    failed = False
+    for idx, tol in enumerate(tolerances, start=1):
+        if tol is None:
             emit(f"stage {idx}: skipped (not a sandwich form)")
             continue
-        checked += 1
-        tol = _scale_tolerance(idx, "sandwich", stage.U)
+        worst = next(residuals, None)
+        if worst is None:
+            break
         verdicts = []
-        for name, worst in analysis.worst_residuals(stage.U).items():
-            ok = worst <= tol
+        for name, value in worst.items():
+            ok = value <= tol
             failed |= not ok
             verdicts.append(f"{name} {'PASS' if ok else 'FAIL'}")
         emit(f"stage {idx} (sandwich): " + "  ".join(verdicts))
-    if checked == 0:
+    if failure is not None:
+        raise failure
+    if not sandwiches:
         emit("no sandwich stages; PASS")
     return EXIT_CONDITION if failed else EXIT_OK
 

@@ -37,30 +37,37 @@ _SECTOR_ROWS = np.array([[e.coeffs for e in _EP], [e.coeffs for e in _EM]])
 
 
 def _sector_copies(v) -> np.ndarray:
-    """Coefficients of v+ and v- as a (2, 64) array.
+    """Coefficients of v+ and v- of the 3-vectors of ``v`` (shape (..., 3)),
+    as (..., 2, 64) arrays.
 
     Each row is the generator sum v0 g0 + v1 g1 + v2 g2 computed as array
     arithmetic in the same order, so every coefficient, signed zeros
     included, is the one the multivector sum gives.
     """
-    t = _vec3(v)[:, None] * _SECTOR_ROWS
-    return t[:, 0] + t[:, 1] + t[:, 2]
+    t = np.asarray(v, dtype=np.float64)[..., None, :, None] * _SECTOR_ROWS
+    return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
 
 
 def sector_vector(v, sector: int) -> Multivector:
     """The copy of the 3-vector over one generator sector: v+ or v-."""
-    return Multivector._raw(_sector_copies(v)[0 if sector > 0 else 1])
+    return Multivector._raw(_sector_copies(_vec3(v))[0 if sector > 0 else 1])
+
+
+def embed_vectors(vectors) -> np.ndarray:
+    """The (n, 64) coefficient rows (v+ + v-)/2 of the 3-vectors of an
+    (n, 3) array, each byte for byte ``embed_vector`` of its row."""
+    copies = _sector_copies(vectors)
+    return (copies[:, 0] + copies[:, 1]) * 0.5
 
 
 def embed_vector(v) -> Multivector:
     """v = (v+ + v-)/2; squares to zero."""
-    plus, minus = _sector_copies(v)
-    return Multivector._raw((plus + minus) * 0.5)
+    return Multivector._raw(embed_vectors(_vec3(v)[None])[0])
 
 
 def embed_covector(v) -> Multivector:
     """v* = (v+ - v-)/2."""
-    plus, minus = _sector_copies(v)
+    plus, minus = _sector_copies(_vec3(v))
     return Multivector._raw((plus - minus) * 0.5)
 
 

@@ -92,6 +92,19 @@ class Multivector:
         object.__setattr__(mv, "coeffs", arr)
         return mv
 
+    @classmethod
+    def _raw_rows(cls, rows) -> list:
+        """Adopt each row of a freshly computed (n, 64) array without
+        copying, as ``_raw`` of each row does."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
+        rows.setflags(write=False)
+        out = []
+        for row in rows:
+            mv = cls.__new__(cls)
+            object.__setattr__(mv, "coeffs", row)
+            out.append(mv)
+        return out
+
     # -- inspection ----------------------------------------------------
 
     def coeff(self, mask: int) -> float:
@@ -209,9 +222,11 @@ def product_tables(rows) -> np.ndarray:
 
 
 def table_products(a, tables) -> np.ndarray:
-    """Products of coefficient rows ``a`` (shape (n, 64), or one row) by
-    right factors tabled by ``product_tables`` (n tables, or one for every
-    row), as (n, 64) coefficients.
+    """Products of coefficient rows ``a`` (shape (..., 64), or one row) by
+    right factors tabled by ``product_tables``, as coefficients of shape
+    (..., 64).  The tables, shape (64, ..., 64), broadcast against the rows:
+    (n, 64) rows take n tables, or one for every row, and (S, n, 64) rows
+    take (64, S, 1, 64) tables, one for each block of n.
 
     Byte-identical to ``Multivector.__mul__``: a_i times the signed
     coefficient is the signed product, the terms are added in ascending i
@@ -220,7 +235,10 @@ def table_products(a, tables) -> np.ndarray:
     (numpy 2 already starts the sum from +0; earlier versions start from the
     first term, which may be -0).
     """
-    terms = np.multiply(np.asarray(a).T.reshape(BLADE_COUNT, -1, 1), tables, order="C")
+    a = np.asarray(a)
+    lead = a.shape[:-1] or (1,)
+    terms = np.multiply(a.reshape(-1, BLADE_COUNT).T.reshape(BLADE_COUNT, *lead, 1), tables,
+                        order="C")
     return np.add.reduce(terms, axis=0) + 0.0
 
 
@@ -278,7 +296,9 @@ def planned_products(rows, plan: ProductPlan) -> np.ndarray:
     zero, so ±0, and adding ±0 leaves a sum that starts from +0 unchanged.
     """
     flat = np.ravel(rows)
-    terms = flat[plan.left] * flat[plan.right] * plan.signs
+    terms = flat[plan.left]
+    terms *= flat[plan.right]
+    terms *= plan.signs
     return np.bincount(plan.bins, weights=terms,
                        minlength=plan.count * BLADE_COUNT).reshape(plan.count, BLADE_COUNT)
 

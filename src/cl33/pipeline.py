@@ -35,8 +35,8 @@ from .versors import (
 )
 
 _FLOAT = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_VEC_RE = re.compile(rf"^\(({_FLOAT}),({_FLOAT}),({_FLOAT})\)$")
-_NUM_RE = re.compile(rf"^{_FLOAT}$")
+_VEC_RE = re.compile(rf"\(({_FLOAT}),({_FLOAT}),({_FLOAT})\)")
+_NUM_RE = re.compile(_FLOAT)
 
 #: Characters of point-file text read and converted per chunk.
 POINT_CHUNK_CHARS = 1 << 18
@@ -93,7 +93,7 @@ class Pipeline:
 
 
 def _draft(op: str, params: dict):
-    """The draft of a step's transform, from its op and checked parameters."""
+    """The draft of a step's transform, from its op and finite parameters."""
     kind, names, _ = GRAMMAR[op]
     args = [params[k] for k in names]
     if kind == PERSPECTIVE:
@@ -114,40 +114,54 @@ def _data_lines(text: str, first: int = 1):
             yield lineno, body
 
 
+def _column(raw: str, index: int) -> int:
+    """The 1-based column of the token ``index`` of ``raw.split()``."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", raw)][index]
+
+
 def _parse_step(raw: str, lineno: int):
-    """The step of one line and its checked draft."""
-    tokens = []
-    for m in re.finditer(r"\S+", raw):
-        tokens.append((m.group(0), m.start() + 1))
-    op, col = tokens[0]
+    """The step of one line and its checked draft.
+
+    The line is cut with ``str.split``; a token's column is worked out only
+    for the error that names it.  Each number is read into a Python float
+    and checked with ``math.isfinite``, and each vector is one array.
+    """
+    tokens = raw.split()
+
+    def error(message, index):
+        return PipelineError(message, lineno, _column(raw, index))
+
+    op = tokens[0]
     if op not in GRAMMAR:
-        raise PipelineError(f"unknown operation {op!r}", lineno, col)
+        raise error(f"unknown operation {op!r}", 0)
     names = GRAMMAR[op][1]
     params = {}
-    for tok, col in tokens[1:]:
-        if "=" not in tok:
-            raise PipelineError(f"expected key=value, got {tok!r}", lineno, col)
-        key, _, val = tok.partition("=")
+    for index, tok in enumerate(tokens[1:], start=1):
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise error(f"expected key=value, got {tok!r}", index)
         if key in params:
-            raise PipelineError(f"duplicate parameter {key!r}", lineno, col)
+            raise error(f"duplicate parameter {key!r}", index)
         if key not in names:
-            raise PipelineError(f"operation {op!r} takes no parameter {key!r}", lineno, col)
-        if key not in _SCALARS:
-            m = _VEC_RE.match(val)
-            if not m:
-                raise PipelineError(
-                    f"parameter {key!r} must be a vector (x,y,z), got {val!r}", lineno, col)
-            params[key] = np.array([float(m.group(i)) for i in (1, 2, 3)])
+            raise error(f"operation {op!r} takes no parameter {key!r}", index)
+        if key in _SCALARS:
+            if not _NUM_RE.fullmatch(val):
+                raise error(f"parameter {key!r} must be a number, got {val!r}", index)
+            value = float(val)
+            finite = math.isfinite(value)
         else:
-            if not _NUM_RE.match(val):
-                raise PipelineError(
-                    f"parameter {key!r} must be a number, got {val!r}", lineno, col)
-            params[key] = float(val)
-        if not np.isfinite(params[key]).all():
-            raise PipelineError(f"parameter {key!r} must be finite, got {val!r}", lineno, col)
+            m = _VEC_RE.fullmatch(val)
+            if not m:
+                raise error(f"parameter {key!r} must be a vector (x,y,z), got {val!r}", index)
+            x, y, z = map(float, m.groups())
+            finite = math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
+            value = np.array((x, y, z))
+        if not finite:
+            raise error(f"parameter {key!r} must be finite, got {val!r}", index)
+        params[key] = value
     missing = [k for k in names if k not in params]
     if missing:
-        raise PipelineError(f"operation {op!r} missing parameter(s) {missing}", lineno, col)
+        raise error(f"operation {op!r} missing parameter(s) {missing}", len(tokens) - 1)
     step = PipelineStep(op, params, lineno)
     try:
         # semantic validation (unit length, orthogonality)
@@ -173,7 +187,9 @@ def parse_pipeline(text: str) -> Pipeline:
 
     Each line is parsed and its preconditions checked in file order, so the
     first bad line is the one reported; then one ``versors.build`` call
-    makes every step's transform, with two batched products for the file.
+    makes every step's transform, a perspective's two versors included:
+    two batched products for the file, and one array expression for the
+    U = 1 + v/2 of every translation, cotranslation and pseudo-perspective.
     """
     return _built(_parse_step(body, lineno) for lineno, body in _data_lines(text))
 

@@ -12,11 +12,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES
+from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES, REVERSION_SIGNS
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
@@ -24,8 +24,8 @@ from .euclid import (
     Paravector,
     embed_points,
     embed_vector,
+    embed_vectors,
     extract_points,
-    g,
     sector_vector,
     star_conjugate,
 )
@@ -65,17 +65,31 @@ def check_finite(name, x) -> np.ndarray:
     return arr
 
 
+def _vector(name, v) -> np.ndarray:
+    """v as a float 3-vector; DomainError naming it when a value is not finite."""
+    return check_finite(name, v).reshape(3)
+
+
+def _scalar(name, x):
+    """x, once check_finite has passed it."""
+    check_finite(name, x)
+    return x
+
+
+# The checks below take what the constructors and the pipeline parser have
+# already made finite float 3-vectors, so they only take dot products: the
+# np.dot of euclid.g, whose value every verdict and message uses.
+
 def _check_unit(name, v):
-    v = check_finite(name, v).reshape(3)
-    if abs(g(v, v) - 1.0) > PRECONDITION_TOL:
-        raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {g(v, v):.12g}")
+    norm2 = float(np.dot(v, v))
+    if abs(norm2 - 1.0) > PRECONDITION_TOL:
+        raise DomainError(f"{name} must be a unit vector, |{name}|^2 = {norm2:.12g}")
     return v
 
 
 def _cosh_sinh(name, x):
-    """cosh(x/2) and sinh(x/2); DomainError naming x when it is not finite
-    or they overflow."""
-    check_finite(name, x)
+    """cosh(x/2) and sinh(x/2) of a finite x; DomainError naming x when
+    they overflow."""
     try:
         return math.cosh(x / 2.0), math.sinh(x / 2.0)
     except OverflowError:
@@ -84,8 +98,9 @@ def _cosh_sinh(name, x):
 
 
 def _check_orthogonal(u, v):
-    if abs(g(u, v)) > PRECONDITION_TOL:
-        raise DomainError(f"u and v must be orthogonal, g(u, v) = {g(u, v):.12g}")
+    dot = float(np.dot(u, v))
+    if abs(dot) > PRECONDITION_TOL:
+        raise DomainError(f"u and v must be orthogonal, g(u, v) = {dot:.12g}")
 
 
 #: Right-multiplication tables of POINT_BASIS and of its Hodge stars: the
@@ -94,11 +109,21 @@ _BASIS_TABLES = product_tables([b.coeffs for b in POINT_BASIS])
 _STAR_BASIS_TABLES = product_tables([hodge_star(b).coeffs for b in POINT_BASIS])
 
 
-def _sandwich_rows(U: Multivector, reverse, tables) -> np.ndarray:
-    """U b (rev U) for each right factor b of ``tables``, as (n, 64) rows:
-    two batched products, the second by ``reverse``, the table of rev U;
-    byte-identical to ``U * b * reversion(U)``."""
-    return table_products(table_products(U.coeffs, tables), reverse)
+def _sandwich_rows(U, reverse, tables) -> np.ndarray:
+    """U b (rev U) for each of S operators U, given as (S, 64) coefficient
+    rows, and each of the n right factors b of ``tables``, as (S, n, 64)
+    rows: two batched products for all, the second by ``reverse``, the
+    (64, S, 64) tables of the rev U; byte-identical to ``U * b * reversion(U)``."""
+    first = table_products(U, tables.reshape(BLADE_COUNT, 1, -1))
+    return table_products(first.reshape(len(U), -1, BLADE_COUNT), reverse[:, :, None])
+
+
+def basis_images(rows) -> np.ndarray:
+    """U b (rev U) for each of the (S, 64) coefficient rows U and each b of
+    POINT_BASIS, as (S, 4, 64): ``Versor(U, +1, kind).images()`` of every
+    row, byte for byte, in two batched products for all S."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
+    return _sandwich_rows(rows, product_tables(rows * REVERSION_SIGNS), _BASIS_TABLES)
 
 
 def _sandwich_points(U: Multivector, reverse, rows) -> np.ndarray:
@@ -181,7 +206,7 @@ class Versor(Transform):
     def sandwiches(self, tables) -> np.ndarray:
         """epsilon U b (rev U) for each right factor b tabled by
         ``product_tables``, as (n, 64) rows, byte-identical to ``*``."""
-        out = _sandwich_rows(self.U, self._reverse, tables)
+        out = _sandwich_rows(self.U.coeffs[None], self._reverse, tables)[0]
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
@@ -240,41 +265,43 @@ _PLUS, _MINUS, _SUM, _DIFF = range(4)
 class Draft(NamedTuple):
     """A transform whose preconditions hold, waiting for its products.
 
-    ``factors`` lists the grade-1 operands of its factor products, as
-    ((left vector, row), (right vector, row)) with the row one of _PLUS,
-    _MINUS, _SUM, _DIFF.  ``halves`` is its closed form: for each factor
-    product F the pair (a, b) of the half a + b F, so that U is the one
-    half, or the product of the two.  ``epsilon`` is the sign of its
-    sandwich.  A transform that needs no product is ``ready``.  ``build``
-    finishes it.
+    A draft makes one versor U, or is made of ``parts``.  ``factors``
+    lists the grade-1 operands of its factor products, as ((left vector,
+    row), (right vector, row)) with the row one of _PLUS, _MINUS, _SUM,
+    _DIFF.  A translation has no factor product: its F is the embedded
+    ``vector``.  ``halves`` is its closed form: for each F the pair (a, b)
+    of the half a + b F, so that U is the one half, or the product of the
+    two.  ``epsilon`` is the sign of its sandwich.  A draft made of parts
+    is ``finish`` of their transforms, in order.  ``build`` finishes it.
     """
 
     kind: str
     factors: tuple = ()
     halves: tuple = ()
     epsilon: int = +1
-    ready: Transform | None = None
+    vector: np.ndarray | None = None
+    parts: tuple = ()
+    finish: Callable | None = None
 
 
 def _draft_reflection(n):
-    n = _check_unit("n", n)
+    _check_unit("n", n)
     # n+ n- has no scalar term, so 0 + 1 F is F byte for byte
     return Draft(REFLECTION, (((n, _PLUS), (n, _MINUS)),), ((0.0, 1.0),), -1)
 
 
 def _draft_rotation(u, v, theta):
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
+    _check_unit("u", u)
+    _check_unit("v", v)
     _check_orthogonal(u, v)
-    check_finite("theta", theta)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return Draft(ROTATION, (((u, _PLUS), (v, _PLUS)), ((u, _MINUS), (v, _MINUS))),
                  ((c, s), (c, -s)))
 
 
 def _draft_hyperbolic(u, v, eta):
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
+    _check_unit("u", u)
+    _check_unit("v", v)
     _check_orthogonal(u, v)
     half = _cosh_sinh("eta", eta)
     return Draft(HYPERBOLIC, (((u, _MINUS), (v, _PLUS)), ((v, _MINUS), (u, _PLUS))),
@@ -282,25 +309,26 @@ def _draft_hyperbolic(u, v, eta):
 
 
 def _draft_shear(u, v, t):
-    u = check_finite("u", u).reshape(3)
-    v = check_finite("v", v).reshape(3)
     _check_orthogonal(u, v)
-    check_finite("t", t)
     return Draft(SHEAR, (((u, _SUM), (v, _DIFF)),), ((1.0, t / 4.0),))
 
 
 def _draft_scale(u, t):
-    u = _check_unit("u", u)
+    _check_unit("u", u)
     return Draft(SCALE, (((u, _MINUS), (u, _PLUS)),), (_cosh_sinh("t", t),))
 
 
 def _draft_translation(v):
-    U = 1.0 + translation_generator(check_finite("v", v))
-    return Draft(TRANSLATION, ready=Versor(U, +1, TRANSLATION))
+    # U = 1 + translation_generator(v): the half 1 + 0.5 F of F = embed_vector(v)
+    return Draft(TRANSLATION, halves=((1.0, 0.5),), vector=v)
+
+
+def _star_translation(translation: Versor) -> HodgeVersor:
+    return HodgeVersor(translation.U, 1.0)
 
 
 def _draft_cotranslation(v):
-    return Draft(COTRANSLATION, ready=HodgeVersor(draft(TRANSLATION, v).ready.U, 1.0))
+    return Draft(COTRANSLATION, parts=(draft(TRANSLATION, v),), finish=_star_translation)
 
 
 def _draft_pseudo_perspective(n):
@@ -308,7 +336,18 @@ def _draft_pseudo_perspective(n):
 
 
 def _draft_perspective(eye, n, c):
-    return Draft(PERSPECTIVE, ready=PerspectiveMap(eye, n, c))
+    if abs(eye.weight - 1.0) > PRECONDITION_TOL:
+        raise DomainError(f"eye must be an affine point, weight = {eye.weight:g}")
+    if not n.any():
+        raise DegenerateConfigurationError(
+            "the plane normal n is zero: every point would go to infinity")
+    e = eye.vector
+    a = c - float(np.dot(n, e))
+    if abs(a) <= tolerance(max(abs(c), float(np.abs(n).max()), float(np.abs(e).max()))):
+        raise DegenerateConfigurationError(
+            f"eye lies on the projection plane (c - n.e = {a:.3e})")
+    return Draft(PERSPECTIVE, parts=(draft(TRANSLATION, e), draft(COTRANSLATION, n / a)),
+                 finish=functools.partial(PerspectiveMap._of, eye, n, c, a))
 
 
 _DRAFTS = {
@@ -326,9 +365,12 @@ _DRAFTS = {
 
 def draft(kind: str, *args) -> Draft:
     """Check the preconditions of one transform of ``kind`` and lay out its
-    factors, with the arguments and errors of that kind's constructor
+    factors, with the arguments and messages of that kind's constructor
     (``rotation_versor(u, v, theta)`` for ROTATION, ``PerspectiveMap(eye,
-    n, c)`` for PERSPECTIVE)."""
+    n, c)`` for PERSPECTIVE).  The arguments are already finite: each
+    vector a float array of shape (3,), each number a real, and the eye a
+    Paravector; the constructors check and convert them first, the
+    pipeline parser as it reads them."""
     return _DRAFTS[kind](*args)
 
 
@@ -370,16 +412,11 @@ def _pair_products(rows, left: tuple, right: tuple) -> np.ndarray:
         return planned_products(rows, _plan(left, right, len(rows) // 2))
 
 
-def _half(a, b, product):
-    """The half a + b F of a closed form, from the coefficients of F."""
-    row = product * b
-    row[0] += a
-    return row
-
-
 #: For each of _PLUS, _MINUS, _SUM, _DIFF: the factors of v on the plus
-#: and on the minus generators.
-_ROW_FACTORS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+#: and on the minus generators, as (2, 1) columns.
+_ROW_FACTORS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])[:, :, None]
+#: The blades of the plus generators, then of the minus generators.
+_SECTOR_BLADES = np.concatenate((PLUS_BLADES, MINUS_BLADES))
 
 
 def _factor_rows(operands) -> np.ndarray:
@@ -390,13 +427,31 @@ def _factor_rows(operands) -> np.ndarray:
     no product sees it: a zero factor makes a zero term, which leaves a sum
     that starts from +0 unchanged.
     """
+    if not operands:
+        return np.empty((0, BLADE_COUNT))
     vectors, which = zip(*operands)
-    vectors = np.array(vectors)
-    factors = _ROW_FACTORS[list(which)]
+    copies = _ROW_FACTORS.take(which, axis=0) * np.array(vectors)[:, None]
     rows = np.zeros((len(vectors), BLADE_COUNT))
-    rows[:, PLUS_BLADES] = factors[:, :1] * vectors
-    rows[:, MINUS_BLADES] = factors[:, 1:] * vectors
+    rows[:, _SECTOR_BLADES] = copies.reshape(-1, 6)
     return rows
+
+
+def _leaves(drafts):
+    """The drafts that make one versor each, parts in place of the drafts
+    made of them, depth first."""
+    for d in drafts:
+        if d.parts:
+            yield from _leaves(d.parts)
+        else:
+            yield d
+
+
+def _finished(d: Draft, versors) -> Transform:
+    """The transform of a draft, taking its versors from ``versors`` in
+    the order of ``_leaves``."""
+    if d.parts:
+        return d.finish(*(_finished(p, versors) for p in d.parts))
+    return next(versors)
 
 
 def build(drafts) -> list:
@@ -404,26 +459,33 @@ def build(drafts) -> list:
     forms evaluated with ``*``.
 
     The grade-1 x grade-1 factor products of every draft are one planned
-    product; each makes a half a + b F of its draft's closed form, and the
-    (0,2) x (0,2) products of the halves of each draft that has two are a
-    second one.
+    product, and the translation vectors of every draft are embedded in one
+    ``embed_vectors`` call; each F makes a half a + b F of its draft's
+    closed form, all halves in one array expression, and the (0,2) x (0,2)
+    products of the halves of each draft that has two are a second planned
+    product.  A draft made of parts (a cotranslation, a perspective) is
+    finished from the versors of its parts.
     """
     drafts = list(drafts)
-    operands = [operand for d in drafts for pair in d.factors for operand in pair]
-    if not operands:
-        return [d.ready for d in drafts]
-    first = iter(_pair_products(_factor_rows(operands), (1,), (1,)))
-    halves = [[_half(a, b, next(first)) for a, b in d.halves] for d in drafts]
-    second = iter(_pair_products([row for h in halves if len(h) == 2 for row in h],
-                                 (0, 2), (0, 2)))
-    out = []
-    for d, h in zip(drafts, halves):
-        if d.ready is not None:
-            out.append(d.ready)
-        else:
-            U = Multivector._raw(next(second) if len(h) == 2 else h[0])
-            out.append(Versor(U, d.epsilon, d.kind))
-    return out
+    leaves = list(_leaves(drafts))
+    # the versors of two halves first, then those of one, translations last
+    order = sorted(range(len(leaves)),
+                   key=lambda i: (-len(leaves[i].halves), leaves[i].vector is not None))
+    ranked = [leaves[i] for i in order]
+    operands = [operand for d in ranked for pair in d.factors for operand in pair]
+    vectors = [d.vector for d in ranked if d.vector is not None]
+    F = np.concatenate((_pair_products(_factor_rows(operands), (1,), (1,)),
+                        embed_vectors(np.array(vectors).reshape(-1, 3))))
+    a, b = np.array([half for d in ranked for half in d.halves]).reshape(-1, 2).T
+    halves = F * b[:, None]
+    halves[:, 0] += a
+    pairs = 2 * sum(len(d.halves) == 2 for d in ranked)
+    rows = np.concatenate((_pair_products(halves[:pairs], (0, 2), (0, 2)), halves[pairs:]))
+    versors = [None] * len(leaves)
+    for i, d, U in zip(order, ranked, Multivector._raw_rows(rows)):
+        versors[i] = Versor(U, d.epsilon, d.kind)
+    versors = iter(versors)
+    return [_finished(d, versors) for d in drafts]
 
 
 def _build_one(kind, *args):
@@ -436,7 +498,7 @@ def _build_one(kind, *args):
 def reflection_versor(n) -> Versor:
     """Reflection across the plane through the origin with unit normal n:
     U = n+ n-, epsilon = -1."""
-    return _build_one(REFLECTION, n)
+    return _build_one(REFLECTION, _vector("n", n))
 
 
 def rotation_versor(u, v, theta) -> Versor:
@@ -447,13 +509,13 @@ def rotation_versor(u, v, theta) -> Versor:
     resulting map takes v toward u for theta > 0
     (u -> cos(theta) u - sin(theta) v, v -> cos(theta) v + sin(theta) u).
     """
-    return _build_one(ROTATION, u, v, theta)
+    return _build_one(ROTATION, _vector("u", u), _vector("v", v), _scalar("theta", theta))
 
 
 def hyperbolic_versor(u, v, eta) -> Versor:
     """Hyperbolic rotation by eta in the plane of the orthonormal pair (u, v):
     U = (ch + sh u- v+)(ch + sh v- u+) with ch, sh = cosh, sinh(eta/2)."""
-    return _build_one(HYPERBOLIC, u, v, eta)
+    return _build_one(HYPERBOLIC, _vector("u", u), _vector("v", v), _scalar("eta", eta))
 
 
 def shear_versor(u, v, t) -> Versor:
@@ -462,18 +524,18 @@ def shear_versor(u, v, t) -> Versor:
     The generator is nilpotent, so the exponential terminates after the
     linear term: U = 1 + shear_generator(u, v, t).
     """
-    return _build_one(SHEAR, u, v, t)
+    return _build_one(SHEAR, _vector("u", u), _vector("v", v), _scalar("t", t))
 
 
 def scale_versor(u, t) -> Versor:
     """Non-uniform scale by e^t along the unit direction u:
     U = ch + sh u- u+ with ch, sh = cosh, sinh(t/2)."""
-    return _build_one(SCALE, u, t)
+    return _build_one(SCALE, _vector("u", u), _scalar("t", t))
 
 
 def translation_versor(v) -> Versor:
     """Translation by v; the generator v/2 squares to zero."""
-    return _build_one(TRANSLATION, v)
+    return _build_one(TRANSLATION, _vector("v", v))
 
 
 # -- application -----------------------------------------------------------
@@ -507,7 +569,8 @@ class HodgeVersor(Transform):
         return product_tables(reversion(self.uprime).coeffs)
 
     def images(self) -> np.ndarray:
-        return hodge_star_rows(_sandwich_rows(self.uprime, self._reverse, _STAR_BASIS_TABLES))
+        return hodge_star_rows(
+            _sandwich_rows(self.uprime.coeffs[None], self._reverse, _STAR_BASIS_TABLES)[0])
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -518,7 +581,7 @@ class HodgeVersor(Transform):
 
 def cotranslation_versor(v) -> HodgeVersor:
     """The translation versor of v packaged for star-sandwich application."""
-    return _build_one(COTRANSLATION, v)
+    return _build_one(COTRANSLATION, _vector("v", v))
 
 
 def hodge_conjugate_versor(versor: Versor) -> HodgeVersor:
@@ -567,7 +630,7 @@ def apply_cotranslation(v, p: Paravector) -> Paravector:
 def pseudo_perspective_map(n) -> HodgeVersor:
     """Pseudo-perspective as a pipeline stage: cotranslation by the unit view
     direction n.  Raises DomainError when n is not a unit vector."""
-    return _build_one(PSEUDO_PERSPECTIVE, n)
+    return _build_one(PSEUDO_PERSPECTIVE, _vector("n", n))
 
 
 def pseudo_perspective(n, p: Paravector) -> Paravector:
@@ -592,7 +655,9 @@ class PerspectiveMap(Transform):
     affine point, and DegenerateConfigurationError when every component of
     n is zero (the weight row of the matrix would be zero, sending every
     point to infinity) or when the eye lies on the plane (a = 0).  The two
-    versors are built once, with the stage.
+    versors are built once, with the stage: by ``build`` of its draft, which
+    lays them out as translation rows beside every other versor of a
+    pipeline.
     """
 
     eye: Paravector
@@ -604,23 +669,20 @@ class PerspectiveMap(Transform):
 
     def __post_init__(self):
         check_finite("eye", [self.eye.weight, *self.eye.vector])
-        n = check_finite("n", self.n).reshape(3)
+        n = _vector("n", self.n)
         c = float(check_finite("c", self.c))
-        e = self.eye.vector
-        if abs(self.eye.weight - 1.0) > PRECONDITION_TOL:
-            raise DomainError(f"eye must be an affine point, weight = {self.eye.weight:g}")
-        if not n.any():
-            raise DegenerateConfigurationError(
-                "the plane normal n is zero: every point would go to infinity")
-        a = c - g(n, e)
-        if abs(a) <= tolerance(max(abs(c), float(np.max(np.abs(n))), float(np.max(np.abs(e))))):
-            raise DegenerateConfigurationError(
-                f"eye lies on the projection plane (c - n.e = {a:.3e})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "cotranslate", cotranslation_versor(n / a))
-        object.__setattr__(self, "from_eye", translation_versor(e))
+        (built,) = build([draft(PERSPECTIVE, self.eye, n, c)])
+        for name in _PERSPECTIVE_FIELDS[1:]:
+            object.__setattr__(self, name, getattr(built, name))
+
+    @classmethod
+    def _of(cls, *values) -> "PerspectiveMap":
+        """The stage of checked values of _PERSPECTIVE_FIELDS, in order,
+        without __post_init__: ``build`` finishes a perspective draft so."""
+        stage = object.__new__(cls)
+        for name, value in zip(_PERSPECTIVE_FIELDS, values):
+            object.__setattr__(stage, name, value)
+        return stage
 
     def apply_points(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
@@ -647,6 +709,10 @@ class PerspectiveMap(Transform):
             raise DomainError("the perspective matrix is not finite: the arithmetic overflowed")
         m.flags.writeable = False
         return m
+
+
+#: The fields of a PerspectiveMap in the order of ``_of``'s values.
+_PERSPECTIVE_FIELDS = ("eye", "n", "c", "a", "from_eye", "cotranslate")
 
 
 def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:

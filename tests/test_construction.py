@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from cl33 import (
     Composed,
     CovectorResidue,
+    DegenerateConfigurationError,
     DomainError,
     HodgeVersor,
     Multivector,
     NonParavectorResidue,
     Paravector,
     PerspectiveMap,
+    PipelineError,
     Versor,
     compose,
     cotranslation_versor,
@@ -31,6 +33,7 @@ from cl33 import (
     sector_vector,
     shear_versor,
     translation_versor,
+    pipeline,
     versors,
 )
 from cl33.euclid import extract_points
@@ -293,6 +296,96 @@ def test_constructors_are_byte_identical_to_the_dense_oracle(pair, theta, eta, t
     fused = quiet_compose([got for got, _ in cases])
     for got, want in zip(fused, dense_compose([want for _, want in cases])):
         same_versor(got, want)
+
+
+#: Components that stress construction: signed zeros, the smallest
+#: subnormal, and magnitudes whose squares and products overflow.
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e154, -3e154, 2.5e200, -1e300, 1e300)
+
+
+def components():
+    return st.one_of(st.sampled_from(SPECIAL), st.floats(-10, 10))
+
+
+@st.composite
+def special_steps(draw):
+    """(op, params) of one step of each of the nine operations, with the
+    SPECIAL components wherever the step's preconditions let them in: the
+    unit vectors are signed axes whose other components are signed zeros or
+    subnormals, or normalized draws."""
+    op = draw(st.sampled_from(tuple(pipeline.GRAMMAR)))
+    tiny = st.sampled_from((0.0, -0.0, 5e-324, -5e-324))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(3)))[:2]
+        u, v = (np.array(draw(st.lists(tiny, min_size=3, max_size=3))) for _ in range(2))
+        u[i], v[j] = draw(st.sampled_from((1.0, -1.0))), draw(st.sampled_from((1.0, -1.0)))
+    else:
+        u, v = draw(orthonormal_pairs())
+    vector = lambda: np.array([draw(components()) for _ in range(3)])
+    number = draw(components())
+    if op in ("reflect", "pseudo"):
+        return op, {"n": u}
+    if op == "shear":
+        return op, {"u": u * draw(components()), "v": v * draw(components()), "t": number}
+    if op in ("rotate", "hrotate"):
+        return op, {"u": u, "v": v, "theta" if op == "rotate" else "eta": number}
+    if op == "scale":
+        return op, {"u": u, "t": number}
+    if op in ("translate", "cotranslate"):
+        return op, {"v": vector()}
+    return op, {"eye": vector(), "n": vector(), "c": number}
+
+
+CONSTRUCTORS = {
+    "reflect": lambda p: reflection_versor(p["n"]),
+    "rotate": lambda p: rotation_versor(p["u"], p["v"], p["theta"]),
+    "hrotate": lambda p: hyperbolic_versor(p["u"], p["v"], p["eta"]),
+    "shear": lambda p: shear_versor(p["u"], p["v"], p["t"]),
+    "scale": lambda p: scale_versor(p["u"], p["t"]),
+    "translate": lambda p: translation_versor(p["v"]),
+    "cotranslate": lambda p: cotranslation_versor(p["v"]),
+    "perspective": lambda p: PerspectiveMap(Paravector(1.0, p["eye"]), p["n"], p["c"]),
+    "pseudo": lambda p: pseudo_perspective_map(p["n"]),
+}
+
+
+def same_transform(got, want):
+    """Byte identity of versors, and of a perspective's a, n, c and versors."""
+    if isinstance(want, PerspectiveMap):
+        assert type(got) is PerspectiveMap
+        assert np.float64(got.a).tobytes() == np.float64(want.a).tobytes()
+        assert np.float64(got.c).tobytes() == np.float64(want.c).tobytes()
+        assert got.n.tobytes() == want.n.tobytes()
+        same_versor(got.from_eye, want.from_eye)
+        same_versor(got.cotranslate, want.cotranslate)
+    else:
+        same_versor(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(special_steps())
+def test_parsed_steps_are_their_constructors_byte_for_byte(step):
+    # the parser's checked values and the build's translation rows give
+    # every transform the bytes of the public constructor, non-finite
+    # coefficients of an overflow included; a rejected step has its message
+    op, params = step
+    source = render([step])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = CONSTRUCTORS[op](params)
+    except DegenerateConfigurationError as exc:
+        with pytest.raises(DegenerateConfigurationError) as info:
+            parse_pipeline(source)
+        assert str(info.value) == str(exc)
+        return
+    except DomainError as exc:
+        with pytest.raises(PipelineError) as info:
+            parse_pipeline(source)
+        assert str(info.value) == f"line 1: {exc}"
+        return
+    (got,) = parse_pipeline(source).transforms()
+    same_transform(got, want)
+    assert outcome(lambda: compose([got]).matrix) == outcome(lambda: compose([want]).matrix)
 
 
 def test_fusion_of_non_finite_versors_keeps_the_dense_bytes():

@@ -45,15 +45,18 @@ def test_import_loads_no_new_modules():
 
 def test_import_builds_no_residual_plan():
     # the product plans of the condition formulas are built on first use, as
-    # the probe rows are, so that importing the package does not pay for them
-    code = ("import cl33; from cl33 import analysis as a; "
-            "print(a._layers.cache_info().currsize, a._probe_rows.cache_info().currsize); "
-            "a.worst_residuals(cl33.Multivector.scalar(1.0)); "
-            "print(a._layers.cache_info().currsize, a._probe_rows.cache_info().currsize)")
+    # the probe rows are, so that importing the package does not pay for them;
+    # a batch of S operators adds the plans laid S times side by side
+    code = ("import cl33; from cl33 import analysis as a; one = cl33.Multivector.scalar(1.0)\n"
+            "def sizes(): print(a._layers.cache_info().currsize, "
+            "a._plans.cache_info().currsize, a._probe_rows.cache_info().currsize)\n"
+            "sizes(); a.worst_residuals(one); sizes(); a.worst_residuals_of([one] * 3); sizes(); "
+            "a.worst_residuals_of([one, one, one]); sizes()")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:2] == ["0 0", "1 1"]
+    assert out.split("\n")[:4] == ["0 0 0", "1 1 1", "1 2 1", "1 2 1"]
+    assert cl33.analysis._plans.cache_parameters()["maxsize"] is not None
 
 
 def test_import_builds_no_construction_or_fusion_plan():

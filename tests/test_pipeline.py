@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cl33 import (
+    DegenerateConfigurationError,
     HodgeVersor,
     Paravector,
     PipelineError,
@@ -89,6 +90,97 @@ def test_syntax_errors():
         parse_pipeline("translate w=(1,2,3)\n")
     with pytest.raises(PipelineError):
         parse_pipeline("translate v\n")
+
+
+#: (source, error type, line, column, str(exc)) of each syntax and
+#: precondition error of the DSL; a degenerate perspective raises its own
+#: error, not wrapped in a PipelineError.
+PARSE_ERRORS = [
+    ('spin u=(1,0,0)', PipelineError, 1, 1,
+     "line 1, column 1: unknown operation 'spin'"),
+    ('   spin u=(1,0,0)', PipelineError, 1, 4,
+     "line 1, column 4: unknown operation 'spin'"),
+    ('translate v', PipelineError, 1, 11,
+     "line 1, column 11: expected key=value, got 'v'"),
+    ('rotate u=(1,0,0)  v v=(0,1,0) theta=1', PipelineError, 1, 19,
+     "line 1, column 19: expected key=value, got 'v'"),
+    ('translate v=(1,2,3) v=(1,2,3)', PipelineError, 1, 21,
+     "line 1, column 21: duplicate parameter 'v'"),
+    ('translate w=(1,2,3)', PipelineError, 1, 11,
+     "line 1, column 11: operation 'translate' takes no parameter 'w'"),
+    ('rotate u=(1,0,0) v=(0,1,0) n=(0,0,1) theta=1', PipelineError, 1, 28,
+     "line 1, column 28: operation 'rotate' takes no parameter 'n'"),
+    ('translate v=(1,2)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be a vector (x,y,z), got '(1,2)'"),
+    ('translate\tv=(1,2,inf)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be a vector (x,y,z), got '(1,2,inf)'"),
+    ('translate v=(1, 2,3)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be a vector (x,y,z), got '(1,'"),
+    ('rotate u=(1,0,0) v=(0,1,0) theta=abc', PipelineError, 1, 28,
+     "line 1, column 28: parameter 'theta' must be a number, got 'abc'"),
+    ('scale u=(0,0,1) t=nan', PipelineError, 1, 17,
+     "line 1, column 17: parameter 't' must be a number, got 'nan'"),
+    ('translate v=(1e400,0,0)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be finite, got '(1e400,0,0)'"),
+    ('rotate u=(1,0,0) v=(0,1,0) theta=-1e999', PipelineError, 1, 28,
+     "line 1, column 28: parameter 'theta' must be finite, got '-1e999'"),
+    ('translate', PipelineError, 1, 1,
+     "line 1, column 1: operation 'translate' missing parameter(s) ['v']"),
+    ('rotate u=(1,0,0) v=(0,1,0)', PipelineError, 1, 18,
+     "line 1, column 18: operation 'rotate' missing parameter(s) ['theta']"),
+    ('perspective   eye=(0,0,0) c=1', PipelineError, 1, 27,
+     "line 1, column 27: operation 'perspective' missing parameter(s) ['n']"),
+    ('rotate u=(1,1,0) v=(0,0,1) theta=0.5', PipelineError, 1, None,
+     'line 1: u must be a unit vector, |u|^2 = 2'),
+    ('hrotate u=(1,0,0) v=(0,0.6,0.8000001) eta=0.5', PipelineError, 1, None,
+     'line 1: v must be a unit vector, |v|^2 = 1.00000016'),
+    ('rotate u=(1,0,0) v=(0.6,0.8,0) theta=0.5', PipelineError, 1, None,
+     'line 1: u and v must be orthogonal, g(u, v) = 0.6'),
+    ('shear u=(1,2,0) v=(1,0,3) t=1', PipelineError, 1, None,
+     'line 1: u and v must be orthogonal, g(u, v) = 1'),
+    ('perspective eye=(0,0,0) n=(0,0,0) c=1', DegenerateConfigurationError, None, None,
+     'the plane normal n is zero: every point would go to infinity'),
+    ('perspective eye=(0,0,1) n=(0,0,1) c=1', DegenerateConfigurationError, None, None,
+     'eye lies on the projection plane (c - n.e = 0.000e+00)'),
+    ('perspective eye=(1,2,3) n=(0,0,2) c=6', DegenerateConfigurationError, None, None,
+     'eye lies on the projection plane (c - n.e = 0.000e+00)'),
+    ('pseudo n=(0,0,2)', PipelineError, 1, None,
+     'line 1: n must be a unit vector, |n|^2 = 4'),
+    ('pseudo n=(0.6,0.8,0.1)', PipelineError, 1, None,
+     'line 1: n must be a unit vector, |n|^2 = 1.01'),
+    ('reflect n=(0,0,0)', PipelineError, 1, None,
+     'line 1: n must be a unit vector, |n|^2 = 0'),
+    ('scale u=(1,0,0) t=2000', PipelineError, 1, None,
+     'line 1: t = 2000 is too large in magnitude: cosh(t/2) overflows'),
+    ('hrotate u=(1,0,0) v=(0,1,0) eta=-1500', PipelineError, 1, None,
+     'line 1: eta = -1500 is too large in magnitude: cosh(eta/2) overflows'),
+    ('cotranslate v=(1,2,3) n=(0,0,1)', PipelineError, 1, 23,
+     "line 1, column 23: operation 'cotranslate' takes no parameter 'n'"),
+    ('translate v=(1,2,3)\nrotate u=(1,0,0) v=(1,0,0) theta=1', PipelineError, 2, None,
+     'line 2: u and v must be orthogonal, g(u, v) = 1'),
+    ('# comment\n\n  scale   u=(1,0,0)   t=0.5   x=1', PipelineError, 3, 31,
+     "line 3, column 31: operation 'scale' takes no parameter 'x'"),
+    ('translate\xa0v=(1,2)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be a vector (x,y,z), got '(1,2)'"),
+    ('translate v=(١,2,3) w=1', PipelineError, 1, 21,
+     "line 1, column 21: operation 'translate' takes no parameter 'w'"),
+    ('scale u=(0,2,0) t=0.5', PipelineError, 1, None,
+     'line 1: u must be a unit vector, |u|^2 = 4'),
+    ('translate v=(1_0,2,3)', PipelineError, 1, 11,
+     "line 1, column 11: parameter 'v' must be a vector (x,y,z), got '(1_0,2,3)'"),
+    ('rotate u=(1,0,0) v=(0,1,0) theta=0x10', PipelineError, 1, 28,
+     "line 1, column 28: parameter 'theta' must be a number, got '0x10'"),
+]
+
+
+@pytest.mark.parametrize("source, error, line, column, message", PARSE_ERRORS)
+def test_parse_errors_keep_message_line_and_column(source, error, line, column, message):
+    with pytest.raises(ValueError) as info:
+        parse_pipeline(source + "\n")
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+    assert getattr(info.value, "column", None) == column
 
 
 def test_format_parse_round_trip():
