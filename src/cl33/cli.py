@@ -84,10 +84,7 @@ def _build_parser():
                          help="testing hook: add VALUE to blade MASK of every "
                               "sandwich versor before checking")
 
-    p_self = sub.add_parser("selftest", help="run the acceptance checks")
-    p_self.add_argument("--perturb-signature", action="store_true",
-                        help="testing hook: flip one generator square so the "
-                             "axiom suite fails")
+    sub.add_parser("selftest", help="run the acceptance checks")
     return ap
 
 
@@ -237,7 +234,7 @@ def _cmd_check(args, emit):
 def _cmd_selftest(args, emit):
     from .selftest import run_selftest
 
-    ok = run_selftest(perturb_signature=args.perturb_signature, emit=emit)
+    ok = run_selftest(emit=emit)
     return EXIT_OK if ok else 1
 
 

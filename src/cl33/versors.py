@@ -188,10 +188,12 @@ class Transform:
 class Versor(Transform):
     """A sandwich operator: multivector U, sign epsilon, and a kind tag.
 
-    Constructed versors satisfy epsilon * U * (reversed U) = 1; for
-    reflection U (reversed U) = -1 and epsilon = -1.  As a transform it maps
-    P to epsilon U P (reversed U), for a batch of points in two batched
-    products (``apply_points``).
+    epsilon * U * (reversed U) = 1 holds for a reflection (U (reversed U) =
+    -1, epsilon = -1), rotation, hyperbolic rotation, shear and scale; not
+    for a translation, whose product is 1 + embed_vector(v), nor for a fused
+    stage that contains one.  As a transform it maps P to epsilon U P
+    (reversed U), for a batch of points in two batched products
+    (``apply_points``).
     """
 
     U: Multivector
@@ -265,13 +267,15 @@ _PLUS, _MINUS, _SUM, _DIFF = range(4)
 class Draft(NamedTuple):
     """A transform whose preconditions hold, waiting for its products.
 
-    A draft makes one versor U, or is made of ``parts``.  ``factors``
-    lists the grade-1 operands of its factor products, as ((left vector,
-    row), (right vector, row)) with the row one of _PLUS, _MINUS, _SUM,
-    _DIFF.  A translation has no factor product: its F is the embedded
-    ``vector``.  ``halves`` is its closed form: for each F the pair (a, b)
-    of the half a + b F, so that U is the one half, or the product of the
-    two.  ``epsilon`` is the sign of its sandwich.  A draft made of parts
+    A draft makes one versor U, or is made of ``parts``, drafts that each
+    make one.  ``factors`` lists the grade-1 operands of its factor
+    products, as ((left vector, row), (right vector, row)) with the row one
+    of _PLUS, _MINUS, _SUM, _DIFF.  A translation has no factor product: its
+    F is the embedded ``vector``.  ``halves`` is its closed form: for each F
+    the pair (a, b) of the half a + b F, so that U is the one half, or the
+    product of the two.  ``epsilon`` is the sign of its sandwich; a ``star``
+    draft (a cotranslation: the translation of its vector) makes the
+    star-sandwich HodgeVersor(U, 1).  A draft made of parts (a perspective)
     is ``finish`` of their transforms, in order.  ``build`` finishes it.
     """
 
@@ -280,6 +284,7 @@ class Draft(NamedTuple):
     halves: tuple = ()
     epsilon: int = +1
     vector: np.ndarray | None = None
+    star: bool = False
     parts: tuple = ()
     finish: Callable | None = None
 
@@ -323,12 +328,8 @@ def _draft_translation(v):
     return Draft(TRANSLATION, halves=((1.0, 0.5),), vector=v)
 
 
-def _star_translation(translation: Versor) -> HodgeVersor:
-    return HodgeVersor(translation.U, 1.0)
-
-
 def _draft_cotranslation(v):
-    return Draft(COTRANSLATION, parts=(draft(TRANSLATION, v),), finish=_star_translation)
+    return draft(TRANSLATION, v)._replace(kind=COTRANSLATION, star=True)
 
 
 def _draft_pseudo_perspective(n):
@@ -342,7 +343,9 @@ def _draft_perspective(eye, n, c):
         raise DegenerateConfigurationError(
             "the plane normal n is zero: every point would go to infinity")
     e = eye.vector
-    a = c - float(np.dot(n, e))
+    # an overflowing g(n, e) leaves a not finite: the stage matrix reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = c - float(np.dot(n, e))
     if abs(a) <= tolerance(max(abs(c), float(np.abs(n).max()), float(np.abs(e).max()))):
         raise DegenerateConfigurationError(
             f"eye lies on the projection plane (c - n.e = {a:.3e})")
@@ -436,24 +439,6 @@ def _factor_rows(operands) -> np.ndarray:
     return rows
 
 
-def _leaves(drafts):
-    """The drafts that make one versor each, parts in place of the drafts
-    made of them, depth first."""
-    for d in drafts:
-        if d.parts:
-            yield from _leaves(d.parts)
-        else:
-            yield d
-
-
-def _finished(d: Draft, versors) -> Transform:
-    """The transform of a draft, taking its versors from ``versors`` in
-    the order of ``_leaves``."""
-    if d.parts:
-        return d.finish(*(_finished(p, versors) for p in d.parts))
-    return next(versors)
-
-
 def build(drafts) -> list:
     """The transforms of ``drafts``, in order, byte-identical to the closed
     forms evaluated with ``*``.
@@ -463,11 +448,10 @@ def build(drafts) -> list:
     ``embed_vectors`` call; each F makes a half a + b F of its draft's
     closed form, all halves in one array expression, and the (0,2) x (0,2)
     products of the halves of each draft that has two are a second planned
-    product.  A draft made of parts (a cotranslation, a perspective) is
-    finished from the versors of its parts.
+    product.  A perspective is finished from the versors of its two parts.
     """
     drafts = list(drafts)
-    leaves = list(_leaves(drafts))
+    leaves = [leaf for d in drafts for leaf in (d.parts or (d,))]
     # the versors of two halves first, then those of one, translations last
     order = sorted(range(len(leaves)),
                    key=lambda i: (-len(leaves[i].halves), leaves[i].vector is not None))
@@ -483,9 +467,10 @@ def build(drafts) -> list:
     rows = np.concatenate((_pair_products(halves[:pairs], (0, 2), (0, 2)), halves[pairs:]))
     versors = [None] * len(leaves)
     for i, d, U in zip(order, ranked, Multivector._raw_rows(rows)):
-        versors[i] = Versor(U, d.epsilon, d.kind)
+        versors[i] = HodgeVersor(U, 1.0) if d.star else Versor(U, d.epsilon, d.kind)
     versors = iter(versors)
-    return [_finished(d, versors) for d in drafts]
+    return [d.finish(*(next(versors) for _ in d.parts)) if d.parts else next(versors)
+            for d in drafts]
 
 
 def _build_one(kind, *args):
@@ -790,28 +775,26 @@ class Composed(Transform):
         return m
 
 
-def _fused(a: Multivector, b: Multivector) -> Multivector:
-    """a * b through _pair_products, planned for the grades a and b carry."""
-    rows = np.concatenate((a.coeffs, b.coeffs)).reshape(2, BLADE_COUNT)
-    return Multivector._raw(_pair_products(rows, _grade_set(a.coeffs), _grade_set(b.coeffs))[0])
-
-
 def _append(stages, stage):
     prev = stages[-1] if stages else None
-    if isinstance(stage, Versor) and isinstance(prev, Versor):
-        U = _fused(stage.U, prev.U)
-        return stages[:-1] + [Versor(U, stage.epsilon * prev.epsilon, COMPOSITE)]
-    if isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
-        return stages[:-1] + [HodgeVersor(_fused(stage.uprime, prev.uprime),
-                                          stage.lam * prev.lam)]
-    return stages + [stage]
+    # a fused versor that overflows keeps its non-finite coefficients, which
+    # the stage matrix and ``check`` report
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(stage, Versor) and isinstance(prev, Versor):
+            fused = Versor(stage.U * prev.U, stage.epsilon * prev.epsilon, COMPOSITE)
+        elif isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
+            fused = HodgeVersor(stage.uprime * prev.uprime, stage.lam * prev.lam)
+        else:
+            return stages + [stage]
+    return stages[:-1] + [fused]
 
 
 def compose(transforms) -> Composed:
     """Fuse a transform sequence stage by stage.
 
-    Adjacent sandwiches fuse into one versor (U21 = U2 U1, epsilons
-    multiplied); adjacent star-sandwiches fuse the same way.  Mixed
+    Adjacent sandwiches fuse into one versor, the geometric product of
+    theirs (U21 = U2 * U1, epsilons multiplied); adjacent star-sandwiches
+    fuse the same way (U'21 = U'2 * U'1, lams multiplied).  Mixed
     sequences stay as a stage list, applied in order.  An empty input is the
     identity.
     """

@@ -1,9 +1,10 @@
 """Versors are built from checked drafts in two planned products, and fused
-through planned products: every versor, fused versor, stage matrix and
+by the geometric product: every versor, fused versor, stage matrix and
 pipeline matrix is byte-identical to the dense closed forms, the dense
 fusion and the per-stage extraction kept here as the oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,37 @@ def test_fusion_of_non_finite_versors_keeps_the_dense_bytes():
             got = quiet_compose(pair)[0].U.coeffs
             want = dense_compose(pair)[0].U.coeffs
             assert got.tobytes() == want.tobytes()
+
+
+def coefficients():
+    """64 coefficients, up to 24 of them set: signed zeros, the smallest
+    subnormals, and magnitudes from 1e-5 to 1e300, whose products overflow."""
+    magnitude = st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10, 10), st.integers(-5, 300))
+    value = st.one_of(st.sampled_from((-0.0, 5e-324, -5e-324)), magnitude)
+
+    def row(entries):
+        coeffs = np.zeros(64)
+        coeffs[list(entries)] = list(entries.values())
+        return coeffs
+
+    return st.dictionaries(st.integers(0, 63), value, max_size=24).map(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), coefficients(), coefficients())
+def test_fusion_is_the_planned_pair_product(star, first, second):
+    # a fused stage has the bytes of the planned product of the pair, which
+    # leaves out only the pairs that are zero by grade, and an overflow in
+    # it warns of nothing
+    make = ((lambda c: HodgeVersor(Multivector(c), 1.0)) if star
+            else (lambda c: Versor(Multivector(c), +1, versors.ROTATION)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (stage,) = compose([make(first), make(second)]).stages
+        want = versors._pair_products(np.array([second, first]), versors._grade_set(second),
+                                      versors._grade_set(first))[0]
+    got = stage.uprime if star else stage.U
+    assert got.coeffs.tobytes() == want.tobytes()
 
 
 def test_zero_operand_fuses_to_zero():

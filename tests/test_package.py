@@ -60,10 +60,11 @@ def test_import_builds_no_residual_plan():
 
 
 def test_import_builds_no_construction_or_fusion_plan():
-    # the plans that build and fuse versors are made on first use, as the
-    # residual plans are; a parse builds the two construction plans of its
-    # step count and composing adds the fusion plan.  The matrix probe's
-    # points and the plan of its one stage are made on the first probe
+    # the plans that build versors are made on first use, as the residual
+    # plans are; a parse builds the two construction plans of its step
+    # count, and composing, which fuses with *, adds none.  The matrix
+    # probe's points and the plan of its one stage are made on the first
+    # probe
     code = ("import cl33; from cl33 import analysis as a, versors as v; "
             "print(v._plan.cache_info().currsize, a._matrix_probe_rows.cache_info().currsize); "
             "p = cl33.parse_pipeline('rotate u=(1,0,0) v=(0,1,0) theta=0.5\\n"
@@ -74,7 +75,7 @@ def test_import_builds_no_construction_or_fusion_plan():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:4] == ["0 0", "2", "3", "4 1"]
+    assert out.split("\n")[:4] == ["0 0", "2", "2", "3 1"]
 
 
 def test_residue_errors_share_one_base():

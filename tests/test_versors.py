@@ -539,10 +539,13 @@ P123 = Paravector(1.0, [1, 2, 3])
     lambda: apply_cotranslation([1e200, 0, 0], P123),
     lambda: apply_hodge_sandwich(cotranslation_versor([1e200, 0, 0]), P123),
     lambda: perspective_project(Paravector(1.0, [1e200, 0, 0]), [1, 0, 0], 0.0, P123),
+    # g(n, e) overflows while the stage is drafted
+    lambda: PerspectiveMap(Paravector(1, [1e300, 1e300, 0]), [1e300, 1e300, 0], 1).matrix,
     lambda: compose([rotation_versor([1, 0, 0], [0, 1, 0], 0.3),
                      cotranslation_versor([1, 0, 0]),
                      translation_versor([1e200, 0, 0])]).apply(P123),
-], ids=["sandwich", "scale", "cotranslation", "hodge-sandwich", "perspective", "composed"])
+], ids=["sandwich", "scale", "cotranslation", "hodge-sandwich", "perspective",
+        "perspective-plane", "composed"])
 def test_overflow_raises_without_warnings(run):
     # finite input whose arithmetic overflows: the DomainError, and no
     # numpy RuntimeWarning on the way
