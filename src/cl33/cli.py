@@ -11,8 +11,9 @@ Exit codes: 0 ok, 2 parse or semantic error (non-finite numbers included),
 3 degenerate geometry, 4 residue error (result left the point subspace),
 finite input whose arithmetic overflows (a stage matrix, an output point,
 or the scale ``check`` holds every stage to: a sandwich, a star-sandwich
-or either versor of a perspective) or a pipeline that ``matrix`` finds
-deviating from its own matrix, 5 preservation-condition failure.
+or either versor of a perspective, or the preservation residuals of a
+sandwich stage) or a pipeline that ``matrix`` finds deviating from its own
+matrix, 5 preservation-condition failure.
 ``check`` exits 3 on degenerate geometry and 2 on non-finite input, as
 ``apply`` and ``matrix`` do.  When the reader of stdout closes it early
 (``cl33 apply ... | head -1``), the command stops writing and exits 141
@@ -23,6 +24,13 @@ read off its versor images of the basis points, with every residue check)
 and applies it to all points as one array product.  The point file is read
 and converted in chunks, and the output is formatted and written
 ``pipeline.POINT_CHUNK_ROWS`` rows at a time.
+
+``matrix`` prints the same matrix once ``analysis.projective_matrix_probe``
+accepts it.  The probe's 10 points are skipped when the stages' a-priori
+rounding bounds prove that they would pass; otherwise (bounds too loose, as
+for a translation of 1e4 or more) they still go through the stages.  The output,
+error and exit code are the same either way, and ``apply`` evaluates no
+bound.
 """
 
 from __future__ import annotations
@@ -202,13 +210,14 @@ def _cmd_check(args, emit):
         except DomainError as exc:
             failure = exc
             break
-    sandwiches = [stage.U for stage, tol in zip(stages, tolerances) if tol is not None]
+    numbers = [idx for idx, tol in enumerate(tolerances, start=1) if tol is not None]
+    sandwiches = [stages[idx - 1].U for idx in numbers]
     try:
         residuals = analysis.worst_residuals_of(sandwiches)
     except DomainError as exc:
         # the stages up to the one whose residuals overflow, then its error
         residuals = analysis.worst_residuals_of(sandwiches[:exc.row])
-        failure = exc
+        failure = DomainError(f"stage {numbers[exc.row]} (sandwich): {exc}")
     residuals = iter(residuals)
     failed = False
     for idx, tol in enumerate(tolerances, start=1):

@@ -48,6 +48,14 @@ def _star_table() -> np.ndarray:
 _STAR = _star_table()
 _STAR.setflags(write=False)
 
+#: What a rounding bound needs of the star, read off its table: the largest
+#: coefficient 1-norm of the star of a blade, the most nonzero terms in a
+#: coefficient of a star, and the largest coefficient of the star of a
+#: multivector whose coefficients are at most 1 in magnitude.
+STAR_NORM = float(np.abs(_STAR).sum(axis=0).max())
+STAR_TERMS = int(np.count_nonzero(_STAR, axis=1).max())
+STAR_ROW_NORM = float(np.abs(_STAR).sum(axis=1).max())
+
 _ABOVE_3 = GRADES > 3
 
 
@@ -72,9 +80,15 @@ def hodge_star_rows(rows: np.ndarray) -> np.ndarray:
     byte-identical to ``hodge_star`` of each.
     """
     tol = tolerance(np.max(np.abs(rows), axis=1))
-    worst = np.max(np.abs(rows[:, _ABOVE_3]), axis=1, initial=0.0)
+    worst = star_residues(rows)
     over = worst[worst > tol]
     if over.size:
         raise DomainError(
             f"hodge star is defined on grades 0..3; grade > 3 residue {over[0]:.3e}")
     return np.matmul(_STAR, rows[:, :, None])[:, :, 0]
+
+
+def star_residues(rows: np.ndarray) -> np.ndarray:
+    """The largest grade > 3 coefficient of each of (n, 64) rows: the
+    residue ``hodge_star_rows`` holds each row to."""
+    return np.max(np.abs(rows[:, _ABOVE_3]), axis=1, initial=0.0)

@@ -26,10 +26,18 @@ from .euclid import (
     embed_vector,
     embed_vectors,
     extract_points,
+    point_residues,
     sector_vector,
     star_conjugate,
 )
-from .hodge import hodge_star, hodge_star_rows
+from .hodge import (
+    STAR_NORM,
+    STAR_ROW_NORM,
+    STAR_TERMS,
+    hodge_star,
+    hodge_star_rows,
+    star_residues,
+)
 from .multivector import (
     GENERATORS,
     ONE,
@@ -136,6 +144,75 @@ def _sandwich_points(U: Multivector, reverse, rows) -> np.ndarray:
     return table_products(first, reverse)
 
 
+# -- a-priori rounding bounds ------------------------------------------------
+#
+# A sum of n products, in any order, is within gamma_n = n u / (1 - n u) of
+# exact, relative to the sum of their magnitudes, with u = 2^-53 (N. J.
+# Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+# section 3.1).  The Cayley table of Cl(3,3) is a signed permutation, so in
+# the coefficient 1-norm |a b|_1 <= |a|_1 |b|_1, and a product whose
+# coefficients each sum at most n nonzero terms is within gamma_n |a|_1
+# |b|_1 of exact.
+
+#: Relative allowance, on every bound, for the rounding of its own arithmetic.
+BOUND_SLACK = 1.0 + 2.0 ** -30
+#: While |x|_1 times a stage's ``reach`` stays below this, no value that
+#: stage computes from x overflows.
+_REACH_LIMIT = 2.0 ** 1000
+#: The floor of a bound per unit of reach: it covers underflow.
+_FLOOR = 2.0 ** -1000
+
+
+def _gamma(n) -> float:
+    u = 2.0 ** -53
+    return n * u / (1.0 - n * u)
+
+
+def _compound(*gammas) -> float:
+    """(1 + g_1)(1 + g_2)... - 1, summed without forming 1 + g, whose
+    rounding is of the order of a g of the order of u."""
+    total = 0.0
+    for g in gammas:
+        total += g + total * g
+    return total
+
+
+class Rounding(NamedTuple):
+    """An a-priori bound on the rounding of one linear step of a stage.
+
+    For a point x, as (w, x, y, z) coordinates with |x|_1 below
+    _REACH_LIMIT / ``reach``, every coordinate of the image that
+    ``apply_points`` computes, and of the image that the step's matrix
+    gives (column j is the computed image of basis point j), lies within
+    ``kappa |x|_1 + floor`` of the step's exact map.  Each of ``checks``
+    bounds a residue check the image of x passes: for (residues, kappa,
+    divisor), its residue is at most ``residues @ |x| + kappa |x|_1 +
+    floor``, with ``residues`` that of the computed images of the four
+    basis points, and its tolerance at least ``tolerance(L / divisor)``,
+    where L = max(|w'|, |x'|/2, |y'|/2, |z'|/2) of the image point.  The
+    floor covers underflow; every kappa includes it once more, for the
+    images of the basis points, whose |x|_1 is 1.
+    """
+
+    kappa: float
+    floor: float
+    reach: float
+    checks: tuple = ()
+
+
+def _rounding(kappa, reach, checks=()) -> Rounding:
+    """The Rounding of a step, with every kappa widened by BOUND_SLACK and
+    the floor."""
+    floor = _FLOOR * reach
+    return Rounding(kappa * BOUND_SLACK + floor, floor, reach,
+                    tuple((res, k * BOUND_SLACK + floor, div) for res, k, div in checks))
+
+
+def _sandwich_terms(coeffs):
+    """The nonzero coefficient count and the coefficient 1-norm of a versor."""
+    return int(np.count_nonzero(coeffs)), float(np.abs(coeffs).sum())
+
+
 class Transform:
     """A point transformation; concrete forms below."""
 
@@ -167,6 +244,18 @@ class Transform:
         m = points.T
         m.flags.writeable = False
         return m
+
+    def _keep(self, points) -> np.ndarray:
+        """``_assemble(points)``, kept as the transform's ``matrix`` unless
+        one is kept already: a Composed's matrix keeps its stages'."""
+        return self.__dict__.setdefault("matrix", self._assemble(points))
+
+    def _kept(self, name) -> np.ndarray:
+        """The rows ``images`` keeps under ``name``, from its last call, or
+        from a first one made now."""
+        if name not in self.__dict__:
+            self.images()
+        return self.__dict__[name]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -212,7 +301,27 @@ class Versor(Transform):
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
-        return self.sandwiches(_BASIS_TABLES)
+        """Read-only, and kept as ``_images`` for ``bound``."""
+        out = self.__dict__["_images"] = self.sandwiches(_BASIS_TABLES)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def bound(self) -> Rounding:
+        """The a-priori Rounding of the sandwich, computed on first use.
+
+        An embedded point m has |m|_1 = |x|_1 and 7 nonzero blades, so each
+        coefficient of U m sums at most k1 = min(nnz U, 7) nonzero terms and
+        each of (U m)(rev U) at most k2 = nnz U: the image is within
+        (gamma_k1 + gamma_k2 + gamma_k1 gamma_k2) |U|_1^2 |x|_1 of exact,
+        and extraction doubles a vector coordinate.  Its residue check
+        reads the residues of the images of the basis points, off by as
+        much again.
+        """
+        n, norm = _sandwich_terms(self.U.coeffs)
+        image = _compound(_gamma(min(n, 7)), _gamma(n)) * norm * norm
+        residues = point_residues(self._kept("_images"))
+        return _rounding(2.0 * image, max(1.0, norm) ** 2, ((residues, 2.0 * image, 1.0),))
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -554,8 +663,38 @@ class HodgeVersor(Transform):
         return product_tables(reversion(self.uprime).coeffs)
 
     def images(self) -> np.ndarray:
-        return hodge_star_rows(
-            _sandwich_rows(self.uprime.coeffs[None], self._reverse, _STAR_BASIS_TABLES)[0])
+        """Read-only, and kept as ``_images`` for ``bound``, with the
+        images before their star, U' (star b) (rev U') for each b of
+        POINT_BASIS, as ``_prestar``."""
+        before = self.__dict__["_prestar"] = _sandwich_rows(
+            self.uprime.coeffs[None], self._reverse, _STAR_BASIS_TABLES)[0]
+        before.flags.writeable = False
+        out = self.__dict__["_images"] = hodge_star_rows(before)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def bound(self) -> Rounding:
+        """The a-priori Rounding of the star-sandwich, computed on first use.
+
+        The star of a point, the sandwich and the star of its image each
+        round: with s = STAR_NORM, a sandwich whose products sum at most
+        n = nnz U' terms, and g the gamma of STAR_TERMS terms, the
+        image before its star is within s |U'|_1^2 ((1 + g) (1 + gamma_n)^2
+        - 1) |x|_1 of exact, and after it within s^2 |U'|_1^2 ((1 + g)^2 (1 +
+        gamma_n)^2 - 1) |x|_1.  Two residue checks: extraction's, of the
+        image, and the star's grade > 3 check of the image before its star,
+        whose tolerance is of a magnitude at least the image's over
+        STAR_ROW_NORM (1 + g).
+        """
+        n, norm = _sandwich_terms(self.uprime.coeffs)
+        g = _gamma(STAR_TERMS)
+        before = STAR_NORM * _compound(g, _gamma(n), _gamma(n)) * norm * norm
+        image = STAR_NORM ** 2 * _compound(g, _gamma(n), _gamma(n), g) * norm * norm
+        checks = ((point_residues(self._kept("_images")), 2.0 * image, 1.0),
+                  (star_residues(self._kept("_prestar")), 2.0 * before,
+                   STAR_ROW_NORM * (1.0 + g)))
+        return _rounding(2.0 * image, (max(1.0, STAR_NORM) * max(1.0, norm)) ** 2, checks)
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -680,16 +819,32 @@ class PerspectiveMap(Transform):
         """from_eye's four images, then cotranslate's four."""
         return np.concatenate((self.from_eye.images(), self.cotranslate.images()))
 
+    @cached_property
+    def to_eye(self) -> np.ndarray:
+        """S, the to-eye step of ``apply_points`` in closed form: weight
+        1 - w_eye, column -eye; read-only."""
+        s = np.eye(4)
+        s[0, 0] -= self.eye.weight
+        s[1:, 0] = -self.eye.vector
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def bound(self) -> Rounding:
+        """The a-priori Rounding of the to-eye step, computed on first use:
+        w - w w_eye and p_i - w e_i are within gamma_2 (1 + |eye|_max)
+        |x|_1 of exact.  Its two versors carry their own."""
+        size = 1.0 + max(abs(self.eye.weight), float(np.abs(self.eye.vector).max()))
+        return _rounding(_gamma(2) * size, size)
+
     def _assemble(self, points):
-        """from_eye's matrix @ cotranslate's @ S, with S the to-eye step of
-        ``apply_points`` in closed form (weight 1 - w_eye, column -eye); read-only.
-        Raises DomainError when the arithmetic overflows."""
-        from_eye, cotranslate = points[:4].T, points[4:].T
-        to_eye = np.eye(4)
-        to_eye[0, 0] -= self.eye.weight
-        to_eye[1:, 0] = -self.eye.vector
+        """from_eye's matrix @ cotranslate's @ ``to_eye``, read-only; the
+        two versors keep theirs.  Raises DomainError when the arithmetic
+        overflows."""
+        from_eye = self.from_eye._keep(points[:4])
+        cotranslate = self.cotranslate._keep(points[4:])
         with np.errstate(over="ignore", invalid="ignore"):
-            m = from_eye @ cotranslate @ to_eye
+            m = from_eye @ cotranslate @ self.to_eye
         if not np.isfinite(m).all():
             raise DomainError("the perspective matrix is not finite: the arithmetic overflowed")
         m.flags.writeable = False
@@ -738,8 +893,14 @@ class Composed(Transform):
         Each stage builds its images once, in order, until an ``images``
         call raises, and all are read in one extract_points call, whose
         failing row names the failing stage.  The stages before it are
-        assembled, then its error is raised: a DomainError (overflow)
-        prefixed with the stage number, any other error unchanged.
+        assembled, each keeping its matrix as its ``matrix`` (a
+        perspective keeps its two versors' too); then its error is raised:
+        a DomainError (overflow) prefixed with the stage number, any other
+        error unchanged.  No stage's ``bound`` is evaluated here.  The kept
+        matrices let ``point_bounds`` carry the bounds through the stages
+        without building images again, so that ``cl33 matrix`` skips its
+        probe points when the bounds prove they pass and takes them through
+        the stages otherwise, with the same output either way.
         """
         images, failure = [], None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -761,7 +922,7 @@ class Composed(Transform):
             for idx, (stage, start, end) in enumerate(zip(self.stages, bounds, bounds[1:]),
                                                       start=1):
                 try:
-                    m = stage._assemble(points[start:end]) @ m
+                    m = stage._keep(points[start:end]) @ m
                 except DomainError as exc:
                     raise DomainError(f"stage {idx}: {exc}") from exc
                 if not np.isfinite(m).all():
@@ -773,6 +934,72 @@ class Composed(Transform):
             raise failure
         m.flags.writeable = False
         return m
+
+
+def _steps(transform):
+    """(matrix, Rounding) of each linear step of ``apply_points``, in order;
+    None for a transform of a class not defined here, a user's subclass
+    included, whose bounds are unknown."""
+    kind = type(transform)
+    if kind is Composed:
+        steps = [_steps(stage) for stage in transform.stages]
+        return None if None in steps else [step for part in steps for step in part]
+    if kind is PerspectiveMap:
+        rest = _steps(transform.cotranslate) + _steps(transform.from_eye)
+        return [(transform.to_eye, transform.bound)] + rest
+    if kind in (Versor, HodgeVersor):
+        return [(transform.matrix, transform.bound)]
+    return None
+
+
+_GAMMA_4 = _gamma(4)
+#: The largest coefficient of an image is at least L of its point's
+#: coordinates divided by these: a vector coordinate is twice its blade's.
+_POINT_DIVISORS = np.array([1.0, 2.0, 2.0, 2.0])[:, None]
+
+
+def point_bounds(transform: Transform, rows):
+    """A-priori bounds on ``transform.apply_points(rows)``, without calling
+    it: (center, radius), two (n, 4) arrays such that the call raises no
+    error and returns rows within ``radius`` of ``center`` in every
+    coordinate; None when the stages' Roundings cannot show this (a
+    transform of another class, a value too large, or a residue too close
+    to its tolerance).
+
+    The center goes through the step matrices, which ``transform.matrix``
+    keeps; the radius takes in, at each step, what the step's matrix does
+    to the radius so far, the rounding of the center's product, and twice
+    the step's kappa: once for its matrix's columns and once for its
+    point.  Each residue check is held to its tolerance on the worst point
+    of the bounds.  Evaluates every stage's ``bound``, and the transform's
+    ``matrix`` when it is not kept yet.
+    """
+    steps = _steps(transform)
+    if steps is None:
+        return None
+    center = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    radius = np.zeros_like(center)
+    # every condition is checked once, at the end: a value that overflows
+    # turns every later one to inf or NaN, which fails its comparison
+    reaches, worst, magnitudes = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, bound in steps:
+            size = np.abs(center)
+            upper = size + radius
+            norm = upper.sum(axis=0)
+            reaches.append(bound.reach * norm)
+            center = m @ center
+            radius = (np.abs(m) @ (radius + _GAMMA_4 * size)
+                      + 2.0 * (bound.kappa * norm + bound.floor)) * BOUND_SLACK
+            if bound.checks:
+                low = np.max(np.maximum(np.abs(center) - radius, 0.0) / _POINT_DIVISORS, axis=0)
+                for residues, kappa, divisor in bound.checks:
+                    worst.append(residues @ upper + (kappa * norm + bound.floor))
+                    magnitudes.append(low / divisor)
+        if not (np.all(np.array(reaches) <= _REACH_LIMIT) and
+                np.all(np.array(worst) * BOUND_SLACK <= tolerance(np.array(magnitudes)))):
+            return None
+    return center.T, radius.T
 
 
 def _append(stages, stage):

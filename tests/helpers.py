@@ -4,6 +4,7 @@ paths they check."""
 import io
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cl33 import (
     Composed,
@@ -112,3 +113,43 @@ class ChunkReadsOnly:
 
     def __exit__(self, *exc):
         self._fh.close()
+
+
+# -- drawn pipelines --------------------------------------------------------------
+
+AXES = [np.array(row) for row in np.eye(3)]
+
+
+@st.composite
+def unit_vectors(draw):
+    """Unit vectors: signed axes (zeros of either sign) or normalized draws."""
+    if draw(st.booleans()):
+        axis = AXES[draw(st.integers(0, 2))] * draw(st.sampled_from((1.0, -1.0)))
+        zeros = draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=3, max_size=3))
+        return np.where(axis != 0, axis, zeros)
+    v = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0.1 else AXES[0]
+
+
+@st.composite
+def orthonormal_pairs(draw):
+    u = draw(unit_vectors())
+    w = draw(unit_vectors())
+    w = w - (w @ u) * u
+    if np.linalg.norm(w) < 0.1:
+        w = np.cross(u, AXES[np.argmin(np.abs(u))])
+    return u, w / np.linalg.norm(w)
+
+
+def render(steps_):
+    """Pipeline source of (op, params) steps, every number to 17 digits."""
+    num = lambda x: f"{float(x):.17g}"
+    lines = []
+    for op, params in steps_:
+        parts = [op]
+        for key, val in params.items():
+            parts.append(f"{key}=({','.join(map(num, val))})" if np.ndim(val)
+                         else f"{key}={num(val)}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"

@@ -385,8 +385,12 @@ def test_matrix_probe_rejects_nonlinear():
         def images(self):
             return np.array([b.coeffs for b in POINT_BASIS])
 
+    # a user's Transform has no a-priori bound: the probe always runs
+    quadratic = Quadratic()
+    rows = analysis._matrix_probe_rows()
+    assert not analysis._certified(quadratic, rows @ quadratic.matrix.T, rows)
     with pytest.raises(NotLinearError):
-        projective_matrix_probe(Quadratic())
+        projective_matrix_probe(quadratic)
 
 
 def test_matrix_probe_raises_the_first_points_error():
@@ -412,6 +416,7 @@ def test_matrix_probe_raises_the_first_points_error():
 
     with pytest.raises(NonParavectorResidue):
         Faulty().apply_points(rows)
+    assert not analysis._certified(Faulty(), rows @ Faulty().matrix.T, rows)
     with pytest.raises(NotLinearError, match="deviates from its probe matrix by 1.0"):
         projective_matrix_probe(Faulty())
 

@@ -69,8 +69,12 @@ def per_stage_check(args, emit):
             continue
         checked += 1
         tol = cli._scale_tolerance(idx, "sandwich", stage.U)
+        try:
+            residuals = analysis.worst_residuals(stage.U)
+        except DomainError as exc:
+            raise DomainError(f"stage {idx} (sandwich): {exc}") from exc
         verdicts = []
-        for name, worst in analysis.worst_residuals(stage.U).items():
+        for name, worst in residuals.items():
             ok = worst <= tol
             failed |= not ok
             verdicts.append(f"{name} {'PASS' if ok else 'FAIL'}")
@@ -109,8 +113,8 @@ def test_a_middle_stage_whose_residuals_overflow_fails_after_the_lines_before_it
     code, lines = got
     assert code == cli.EXIT_RESIDUE
     assert [line.split(" ")[1] for line in lines[:-1]] == ["1", "2:", "3", "4:"]
-    assert lines[-1] == ("error: the preservation residuals of psi overflow: its "
-                         "coefficients are too large in magnitude")
+    assert lines[-1] == ("error: stage 5 (sandwich): the preservation residuals of psi "
+                         "overflow: its coefficients are too large in magnitude")
 
 
 @pytest.mark.parametrize("bad, form", [("translate v=(1e200,0,0)", "sandwich"),

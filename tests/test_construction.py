@@ -39,6 +39,7 @@ from cl33 import (
 )
 from cl33.euclid import extract_points
 from cl33.versors import COMPOSITE, shear_generator, translation_generator
+from helpers import AXES, orthonormal_pairs, render, unit_vectors
 
 # -- the oracle: dense closed forms, dense fusion, per-stage extraction ------------
 
@@ -162,31 +163,6 @@ def same_versor(got, want):
 
 # -- drawn parameters: signed zeros, axis vectors, large magnitudes ----------------
 
-AXES = [np.array(row) for row in np.eye(3)]
-
-
-@st.composite
-def unit_vectors(draw):
-    """Unit vectors: signed axes (zeros of either sign) or normalized draws."""
-    if draw(st.booleans()):
-        axis = AXES[draw(st.integers(0, 2))] * draw(st.sampled_from((1.0, -1.0)))
-        zeros = draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=3, max_size=3))
-        return np.where(axis != 0, axis, zeros)
-    v = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
-    norm = np.linalg.norm(v)
-    return v / norm if norm > 0.1 else AXES[0]
-
-
-@st.composite
-def orthonormal_pairs(draw):
-    u = draw(unit_vectors())
-    w = draw(unit_vectors())
-    w = w - (w @ u) * u
-    if np.linalg.norm(w) < 0.1:
-        w = np.cross(u, AXES[np.argmin(np.abs(u))])
-    return u, w / np.linalg.norm(w)
-
-
 def numbers(bound):
     return st.one_of(st.sampled_from((0.0, -0.0)),
                      st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
@@ -222,18 +198,6 @@ def steps(draw):
     n = draw(unit_vectors()) * 10.0 ** draw(st.integers(-2, 100))
     offset = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
     return op, {"eye": eye, "n": n, "c": float(n @ eye) + offset * np.max(np.abs(n))}
-
-
-def render(steps_):
-    num = lambda x: f"{float(x):.17g}"
-    lines = []
-    for op, params in steps_:
-        parts = [op]
-        for key, val in params.items():
-            parts.append(f"{key}=({','.join(map(num, val))})" if np.ndim(val)
-                         else f"{key}={num(val)}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def dense_step(op, params):
