@@ -18,12 +18,6 @@ from .errors import CovectorResidue, DomainError, NonParavectorResidue
 from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
 
 _HIGH_GRADE_BLADES = np.flatnonzero(GRADES >= 2)
-#: Column j < 57 picks grade >= 2 blade j; column 57 + i is e_i+ - e_i-.
-_RESIDUE_MAP = np.zeros((BLADE_COUNT, len(_HIGH_GRADE_BLADES) + 3))
-_RESIDUE_MAP[_HIGH_GRADE_BLADES, np.arange(len(_HIGH_GRADE_BLADES))] = 1.0
-_RESIDUE_MAP[PLUS_BLADES, len(_HIGH_GRADE_BLADES) + np.arange(3)] = 1.0
-_RESIDUE_MAP[MINUS_BLADES, len(_HIGH_GRADE_BLADES) + np.arange(3)] = -1.0
-_RESIDUE_MAP.setflags(write=False)
 #: The blades a point is read from, and their factors: w is the scalar
 #: part and p_i twice the e_i+ coefficient.
 _POINT_BLADES = np.array([0, *PLUS_BLADES])
@@ -181,18 +175,22 @@ def extract_paravector(a: Multivector) -> Paravector:
     return Paravector(point[0], point[1:])
 
 
+def _residue_parts(rows, mags):
+    """The two residues that ``extract_points`` holds (n, 64) coefficient
+    rows to, given ``mags``, their magnitudes, as two (n,) arrays: the
+    largest magnitude of each row's grade >= 2 coefficients, and of the
+    differences of its e_i+ and e_i- coefficients."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        covector = np.abs(rows.take(PLUS_BLADES, 1) - rows.take(MINUS_BLADES, 1)).max(axis=1)
+    return mags.take(_HIGH_GRADE_BLADES, 1).max(axis=1), covector
+
+
 def point_residues(rows) -> np.ndarray:
     """The residue ``extract_points`` holds each of (n, 64) coefficient rows
-    to, as (n,): the largest magnitude of its grade >= 2 coefficients and
-    of the differences of its e_i+ and e_i- coefficients.
-
-    One product by _RESIDUE_MAP, each of whose columns picks one
-    coefficient, or one e_i+ and the negated e_i-: every other term is an
-    exact zero, so each value is the coefficient, or the one rounding of the
-    difference.  A row that is not finite gives NaN or inf.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(rows @ _RESIDUE_MAP).max(axis=1)
+    to, as (n,): the larger of its two ``_residue_parts``.  A row that is
+    not finite gives NaN or inf."""
+    rows = np.asarray(rows)
+    return np.maximum(*_residue_parts(rows, np.abs(rows)))
 
 
 def extract_points(rows) -> np.ndarray:
@@ -210,24 +208,23 @@ def extract_points(rows) -> np.ndarray:
     ``residual``.
     """
     rows = np.asarray(rows)
+    mags = np.abs(rows)
+    high, covector = _residue_parts(rows, mags)
     # inf or NaN exactly for the rows that hold a coefficient that is not finite
-    tol = tolerance(np.abs(rows).max(axis=1))
-    passed = (point_residues(rows) <= tol) & (tol < np.inf)
+    tol = tolerance(mags.max(axis=1))
+    passed = (np.maximum(high, covector) <= tol) & (tol < np.inf)
     if not passed.all():
         i = int(np.argmin(passed))
-        high = np.abs(rows[i, _HIGH_GRADE_BLADES]).max()
-        with np.errstate(over="ignore", invalid="ignore"):
-            covector = np.abs(rows[i, PLUS_BLADES] - rows[i, MINUS_BLADES]).max()
         if not tol[i] < np.inf:
             exc = DomainError("the extracted point is not finite: the arithmetic overflowed")
-        elif high > tol[i]:
+        elif high[i] > tol[i]:
             exc = NonParavectorResidue(
-                f"grade >= 2 residue {high:.3e} exceeds tolerance {tol[i]:.3e}",
-                residual=float(high))
+                f"grade >= 2 residue {high[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+                residual=float(high[i]))
         else:
             exc = CovectorResidue(
-                f"covector residue {covector:.3e} exceeds tolerance {tol[i]:.3e}",
-                residual=float(covector))
+                f"covector residue {covector[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+                residual=float(covector[i]))
         exc.row = i
         raise exc
     return rows.take(_POINT_BLADES, 1) * _POINT_SCALES

@@ -208,6 +208,13 @@ def _rounding(kappa, reach, checks=()) -> Rounding:
                     tuple((res, k * BOUND_SLACK + floor, div) for res, k, div in checks))
 
 
+def _reach(norm) -> float:
+    """max(1, norm)^2, taken as a product: inf, not an OverflowError, when
+    it overflows, so that a stage too large to bound is not certified."""
+    r = max(1.0, norm)
+    return r * r
+
+
 def _sandwich_terms(coeffs):
     """The nonzero coefficient count and the coefficient 1-norm of a versor."""
     return int(np.count_nonzero(coeffs)), float(np.abs(coeffs).sum())
@@ -246,9 +253,10 @@ class Transform:
         return m
 
     def _keep(self, points) -> np.ndarray:
-        """``_assemble(points)``, kept as the transform's ``matrix`` unless
-        one is kept already: a Composed's matrix keeps its stages'."""
-        return self.__dict__.setdefault("matrix", self._assemble(points))
+        """``_assemble(points)``, kept as the transform's ``matrix``: a
+        Composed's matrix keeps its stages'."""
+        m = self.__dict__["matrix"] = self._assemble(points)
+        return m
 
     def _kept(self, name) -> np.ndarray:
         """The rows ``images`` keeps under ``name``, from its last call, or
@@ -321,7 +329,7 @@ class Versor(Transform):
         n, norm = _sandwich_terms(self.U.coeffs)
         image = _compound(_gamma(min(n, 7)), _gamma(n)) * norm * norm
         residues = point_residues(self._kept("_images"))
-        return _rounding(2.0 * image, max(1.0, norm) ** 2, ((residues, 2.0 * image, 1.0),))
+        return _rounding(2.0 * image, _reach(norm), ((residues, 2.0 * image, 1.0),))
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -694,7 +702,7 @@ class HodgeVersor(Transform):
         checks = ((point_residues(self._kept("_images")), 2.0 * image, 1.0),
                   (star_residues(self._kept("_prestar")), 2.0 * before,
                    STAR_ROW_NORM * (1.0 + g)))
-        return _rounding(2.0 * image, (max(1.0, STAR_NORM) * max(1.0, norm)) ** 2, checks)
+        return _rounding(2.0 * image, max(1.0, STAR_NORM) ** 2 * _reach(norm), checks)
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

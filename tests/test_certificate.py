@@ -32,11 +32,19 @@ def magnitudes(low, high):
                      st.lists(st.floats(-1, 1), min_size=3, max_size=3))
 
 
+#: Translations and eyes of 1e-3..1e12, where the probe passes or fails by
+#: rounding.
+MODERATE = magnitudes(-3, 12)
+#: Those, or, in half the draws, 1e150..1e156, where a stage's ``reach``
+#: overflows.
+WIDE = st.one_of(MODERATE, magnitudes(150, 156))
+
+
 @st.composite
-def steps(draw):
+def steps(draw, sizes=WIDE):
     """(op, params) of one step of any of the nine operations, with
-    translations and eyes of magnitude 1e-3..1e12, |t| and |eta| up to 40,
-    and perspectives whose c - g(n, eye) is as small as 1e-8 of the eye."""
+    translations and eyes drawn from ``sizes``, |t| and |eta| up to 40, and
+    perspectives whose c - g(n, eye) is as small as 1e-8 of the eye."""
     op = draw(st.sampled_from(("reflect", "rotate", "hrotate", "shear", "scale", "translate",
                                "cotranslate", "perspective", "pseudo")))
     if op in ("reflect", "pseudo"):
@@ -52,8 +60,8 @@ def steps(draw):
     if op == "scale":
         return op, {"u": draw(unit_vectors()), "t": draw(st.floats(-40, 40))}
     if op in ("translate", "cotranslate"):
-        return op, {"v": draw(magnitudes(-3, 12))}
-    eye, n = draw(magnitudes(-3, 12)), draw(unit_vectors())
+        return op, {"v": draw(sizes)}
+    eye, n = draw(sizes), draw(unit_vectors())
     a = 10.0 ** draw(st.floats(-8, 1)) * max(1.0, np.max(np.abs(eye)))
     return op, {"eye": eye, "n": n, "c": float(n @ eye) + draw(st.sampled_from((-a, a)))}
 
@@ -84,7 +92,8 @@ def unsound(source) -> bool:
 PIPELINES = st.lists(steps(), min_size=1, max_size=5)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+# 300 draws, since half of WIDE's sizes are ones the probe rejects outright
+@settings(max_examples=300, deadline=None, database=None)
 @given(PIPELINES)
 def test_a_certified_probe_passes(steps_):
     assert not unsound(render(steps_))
@@ -102,8 +111,10 @@ def test_the_soundness_property_bites(monkeypatch):
     monkeypatch.setattr(versors, "_rounding", shrunk)
     assert unsound("translate v=(1e8,0,0)\n")
 
-    @settings(max_examples=150, deadline=None, database=None, phases=[Phase.generate])
-    @given(PIPELINES)
+    # 150 draws find one in about 19 runs of 20; 600 leave about one run in
+    # 10^5 without
+    @settings(max_examples=600, deadline=None, database=None, phases=[Phase.generate])
+    @given(st.lists(steps(MODERATE), min_size=1, max_size=5))
     def the_property(steps_):
         assert not unsound(render(steps_))
 
@@ -135,6 +146,30 @@ def test_pipelines_the_probe_rejects_are_not_certified(source, dev):
     with pytest.raises(NotLinearError) as info:
         analysis.projective_matrix_probe(transform)
     assert str(info.value) == f"transform deviates from its probe matrix by {dev} at a random point"
+
+
+#: Stages whose ``reach`` overflows, with the ``cl33 matrix`` error the
+#: probe gives them.
+TOO_LARGE_TO_BOUND = {
+    "translate 1e154": ("translate v=(1e154,-3e154,2e154)\n",
+                        "error: residue: grade >= 2 residue 2.495e+291 exceeds tolerance 2.495e+282"),
+    "cotranslate 1e155": ("cotranslate v=(1e155,0,0)\n",
+                          "error: transform deviates from its probe matrix by 4.382e+154 "
+                          "at a random point"),
+}
+
+
+@pytest.mark.parametrize("source, error", TOO_LARGE_TO_BOUND.values(),
+                         ids=list(TOO_LARGE_TO_BOUND))
+def test_stages_too_large_to_bound_are_not_certified(source, error, tmp_path):
+    transform, want, rows = probe_inputs(source)
+    assert np.isinf(transform.stages[0].bound.reach)
+    assert not analysis._certified(transform, want, rows)
+    pipe = tmp_path / "pipe.txt"
+    pipe.write_text(source, encoding="utf-8")
+    out = []
+    assert cli.main(["matrix", "--pipeline", str(pipe)], _capture=out) == cli.EXIT_RESIDUE
+    assert out == [error]
 
 
 def test_a_subclass_of_a_library_stage_is_not_certified():
