@@ -49,11 +49,11 @@ from .euclid import (
 )
 from .multivector import (
     Multivector,
-    ProductPlan,
     outer_product,
     planned_products,
     product_plan,
     reversion,
+    tile_plan,
     tolerance,
 )
 from .versors import BOUND_SLACK, Transform, basis_images, check_finite, point_bounds
@@ -149,31 +149,18 @@ def _layers(m: int):
     return first, _layer(_SECOND, grades, m)
 
 
-def _side_by_side(plan: ProductPlan, rows: int, count: int) -> ProductPlan:
-    """``count`` copies of the plan of one operator, whose operands take
-    ``rows`` rows: copy s reads the operand rows of block s and writes
-    result rows of its own, with the terms of each result in the same order,
-    so every operator's results are byte for byte those of ``plan`` alone."""
-    block = np.arange(count)[:, None]
-    return ProductPlan((plan.left + block * rows * BLADE_COUNT).ravel(),
-                       (plan.right + block * rows * BLADE_COUNT).ravel(),
-                       np.tile(plan.signs, count),
-                       (plan.bins + block * plan.count * BLADE_COUNT).ravel(),
-                       plan.count * count, plan.grades * count)
-
-
 @functools.lru_cache(maxsize=64)
 def _plans(m: int, count: int):
     """The two layers of ``_conditions`` at m probes for ``count``
-    operators: ``_layers(m)`` with each plan laid ``count`` times side by
-    side.  Built on first use and kept in a bounded cache, since the stage
-    count of a pipeline has no bound."""
+    operators: ``_layers(m)`` with each plan tiled ``count`` times
+    (``tile_plan``).  Built on first use and kept in a bounded cache, since
+    the stage count of a pipeline has no bound."""
     if count == 1:
         return _layers(m)
     out = []
     for plan, names, slices in _layers(m):
         rows = sum(m if n in _PER_PROBE else 1 for n in names)
-        out.append((_side_by_side(plan, rows, count), names, slices))
+        out.append((tile_plan(plan, rows, count), names, slices))
     return tuple(out)
 
 
@@ -354,13 +341,6 @@ def _probe_rows() -> np.ndarray:
     return rows
 
 
-def _probe_images(psi: Multivector) -> np.ndarray:
-    """Psi (1 + p) (reversed Psi) at every probe point, as (12, 64)
-    coefficients: the sandwich is linear in 1 + p, so the images of
-    POINT_BASIS cover all probes."""
-    return _probe_rows() @ basis_images(psi.coeffs)[0]
-
-
 def worst_residuals(psi: Multivector) -> dict:
     """Worst value of each preservation residual of Psi over probe_points(),
     keyed by the names in RESIDUALS: ``worst_residuals_of([psi])[0]``.
@@ -387,8 +367,9 @@ def worst_residuals_of(psis) -> list:
 
 
 def _residuals_and_images(psis):
-    """``worst_residuals_of(psis)`` and the probe images it reads: those of
-    operator s, ``_probe_images`` of it, are row s of an (S, 12, 64) array."""
+    """``worst_residuals_of(psis)`` and the probe images it reads: Psi (1 +
+    p) (reversed Psi) of operator s at every probe point, which the images
+    of POINT_BASIS cover by linearity, are row s of an (S, 12, 64) array."""
     rows = np.array([check_finite("psi", psi) for psi in psis]).reshape(-1, BLADE_COUNT)
     if not len(rows):
         return [], []
@@ -495,30 +476,34 @@ def _probe_limit(want: np.ndarray) -> np.ndarray:
     return 1e-9 * np.maximum(1.0, np.max(np.abs(want), axis=1))
 
 
-def _probe_passes(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether ``transform.apply_points(rows)`` lies within the probe's
-    bound of ``want``, the rows' images under the matrix, at every row.
-    False when it raises a ValueError (the family of every error of this
-    package) or a deviation is NaN, so that the reference decides every
-    such case."""
+def _probe_failure(transform: Transform, want: np.ndarray, rows: np.ndarray):
+    """What fails when ``transform.apply_points(rows)`` is held to the
+    probe's bound of ``want``, the rows' images under the matrix: None when
+    every row lies within it, the ValueError (the family of every error of
+    this package) that the call raises, or a NotLinearError for the first
+    row whose deviation is not within it, NaN included."""
     try:
         got = transform.apply_points(rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.max(np.abs(got - want), axis=1)
-            return bool(np.all(dev <= _probe_limit(want)))
-    except ValueError:
-        return False
+    except ValueError as exc:
+        return exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.max(np.abs(got - want), axis=1)
+        failed = ~(dev <= _probe_limit(want))
+    if not failed.any():
+        return None
+    return NotLinearError(f"transform deviates from its probe matrix by "
+                          f"{dev[np.argmax(failed)]:.3e} at a random point")
 
 
 def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool:
     """Whether the a-priori bounds of the stages prove that
-    ``_probe_passes(transform, want, rows)`` holds, without taking a point
-    through them: ``versors.point_bounds`` shows that ``apply_points``
-    raises nothing and bounds what it returns, and every row of those
-    bounds lies within the probe's limit of ``want`` (J. R. Shewchuk,
-    *Discrete Comput. Geom.* 18, 1997: a filter that proves a predicate
-    or leaves it to the exact test).  False when they do not show it, or
-    ``want`` is not finite."""
+    ``_probe_failure(transform, want, rows)`` is None, without taking a
+    point through them: ``versors.point_bounds`` shows that
+    ``apply_points`` raises nothing and bounds what it returns, and every
+    row of those bounds lies within the probe's limit of ``want`` (J. R.
+    Shewchuk, *Discrete Comput. Geom.* 18, 1997: a filter that proves a
+    predicate or leaves it to the exact test).  False when they do not show
+    it, or ``want`` is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(want).all():
             return False
@@ -533,7 +518,8 @@ def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool
 def projective_matrix_probe(transform: Transform) -> np.ndarray:
     """The 4x4 matrix of a transform, ``transform.matrix`` (read off the
     basis of (weight, vector) space), verified on 10 seeded random weighted
-    points to a relative 1e-9.  Raises NotLinearError on mismatch.
+    points to a relative 1e-9.  Raises NotLinearError on mismatch, a NaN
+    deviation included.
 
     The points are skipped when the a-priori rounding bounds of the stages
     prove that the check passes (``_certified``), which costs a few 4x4
@@ -541,25 +527,20 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
     keeps; the stages of ``versors`` whose values stay well inside their
     tolerances are proved so.  Otherwise (a transform of another class, a
     value that is not finite, or bounds too loose to decide) the points go
-    through ``transform.apply_points`` in one batch; when the batch raises
-    or a point deviates, they go through ``apply``, the batch of one, one
-    at a time, which raises the error of the first point that fails.
-    Either way the matrix, the error and its text are the same.
+    through ``transform.apply_points`` in one batch, and when that fails,
+    one at a time, so that the error raised is the first failing point's
+    (``_probe_failure``).  Either way the matrix, the error and its text
+    are the same.
     """
     m = transform.matrix
     rows = _matrix_probe_rows()
     want = np.array([m @ row for row in rows])
-    if _certified(transform, want, rows) or _probe_passes(transform, want, rows):
+    if _certified(transform, want, rows) or _probe_failure(transform, want, rows) is None:
         return m
-    for row, want_row in zip(rows, want):
-        p = Paravector(row[0], row[1:])
-        got = transform.apply(p)
-        dev = max(abs(got.weight - want_row[0]),
-                  float(np.max(np.abs(got.vector - want_row[1:]))))
-        scale = max(1.0, float(np.max(np.abs(want_row))))
-        if dev > 1e-9 * scale:
-            raise NotLinearError(
-                f"transform deviates from its probe matrix by {dev:.3e} at a random point")
+    for i in range(len(rows)):
+        failure = _probe_failure(transform, want[i:i + 1], rows[i:i + 1])
+        if failure is not None:
+            raise failure
     return m
 
 

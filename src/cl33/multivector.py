@@ -285,6 +285,22 @@ def product_plan(grades, products) -> ProductPlan:
     return ProductPlan(*arrays, len(products), tuple(out))
 
 
+def tile_plan(plan: ProductPlan, rows: int, count: int) -> ProductPlan:
+    """``count`` copies of ``plan``, whose operands take ``rows`` rows: copy
+    s reads the operand rows of block s and writes result rows of its own,
+    with the terms of each result in the same order, so every block's
+    results are byte for byte those of ``plan`` alone.  It is the plan that
+    ``product_plan`` makes of the products of every block, block by block."""
+    block = np.arange(count)[:, None]
+    arrays = ((plan.left + block * rows * BLADE_COUNT).ravel(),
+              (plan.right + block * rows * BLADE_COUNT).ravel(),
+              np.tile(plan.signs, count),
+              (plan.bins + block * plan.count * BLADE_COUNT).ravel())
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ProductPlan(*arrays, plan.count * count, plan.grades * count)
+
+
 def planned_products(rows, plan: ProductPlan) -> np.ndarray:
     """The products ``plan`` lists, of coefficient rows ``rows`` (shape
     (n, 64)), as (plan.count, 64) coefficients.

@@ -421,6 +421,24 @@ def test_matrix_probe_raises_the_first_points_error():
         projective_matrix_probe(Faulty())
 
 
+def test_matrix_probe_refuses_nan_deviations():
+    # the matrix is read off the basis and is the identity, but every probe
+    # point comes back with a NaN weight: a deviation of NaN is within no
+    # bound
+    class NaNWeights(Transform):
+        def apply_points(self, points):
+            out = np.array(points, dtype=np.float64).reshape(-1, 4)
+            out[:, 0] = np.nan
+            return out
+
+        def images(self):
+            return np.array([b.coeffs for b in POINT_BASIS])
+
+    assert np.array_equal(NaNWeights().matrix, np.eye(4))
+    with pytest.raises(NotLinearError, match="deviates from its probe matrix by nan at a random"):
+        projective_matrix_probe(NaNWeights())
+
+
 # -- identities and reports ------------------------------------------------------------
 
 def test_grade4_wedge_identity():
@@ -568,7 +586,7 @@ def dense_worst_residuals(psi):
     probes = analysis._probe_rows()[:, 1:]
     r3 = probes @ np.array([t[0].coeffs for t in axes])
     r4 = probes @ np.array([t[1].coeffs for t in axes])
-    images = analysis._probe_images(psi)
+    images = analysis._probe_rows() @ versors.basis_images(psi.coeffs)[0]
     cov = (images[:, [1, 2, 4]] - images[:, [8, 16, 32]]) @ np.array([e.coeffs for e in E_STAR])
     high = images[:, (GRADES == 4) | (GRADES == 5)]
     worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),

@@ -1,10 +1,10 @@
 """The a-priori certificate of ``cl33 matrix``: the stages' rounding bounds
 (``versors.point_bounds``) skip the 10-point probe only when it would pass.
 
-``_certified`` is a filter in front of ``_probe_passes``: whenever it holds,
-the probe must hold too, and the probe, with its errors, runs whenever it
-does not.  A pipeline that no stage bound decides costs what it cost before
-the certificate; one that is certified returns the same matrix.
+``_certified`` is a filter in front of ``_probe_failure``: whenever it
+holds, the probe must find no failure, and the probe, with its errors, runs
+whenever it does not.  A pipeline that no stage bound decides costs what it
+cost before the certificate; one that is certified returns the same matrix.
 """
 
 from pathlib import Path
@@ -86,7 +86,7 @@ def unsound(source) -> bool:
     except ValueError:
         return False
     return (analysis._certified(transform, want, rows)
-            and not analysis._probe_passes(transform, want, rows))
+            and analysis._probe_failure(transform, want, rows) is not None)
 
 
 PIPELINES = st.lists(steps(), min_size=1, max_size=5)

@@ -315,9 +315,21 @@ projective_pipelines = st.tuples(
         lambda t: st.permutations(t[0] + list(t[1:]))).map(lambda lines: "\n".join(lines) + "\n")
 
 
+def _block_rows(extra):
+    """_POINT_BLOCK + extra seeded points: one block, less or more."""
+    return np.random.default_rng(extra + 2).uniform(-4, 4, (versors._POINT_BLOCK + extra, 4))
+
+
+_BLOCK_PIPELINE = ("perspective eye=(0,0,5) n=(0,0,1) c=1\nrotate u=(1,0,0) v=(0,1,0) theta=0.3\n"
+                   "translate v=(1,2,3)\ncotranslate v=(1,0,0)\n")
+
+
 @settings(max_examples=60, deadline=None)
 @given(projective_pipelines, odd_points())
 @example("scale u=(1,0,0) t=700\n", np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e300, 0.0, 0.0]]))
+@example(_BLOCK_PIPELINE, _block_rows(-1))
+@example(_BLOCK_PIPELINE, _block_rows(0))
+@example(_BLOCK_PIPELINE, _block_rows(1))
 @example("rotate u=(1,0,0) v=(0,1,0) theta=0.3\ntranslate v=(1e8,0,0)\n",
          np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e5, -1e5, 3.0]]))
 @example("perspective eye=(0,0,5) n=(0,0,1) c=1\ncotranslate v=(1,0,0)\n",
@@ -334,6 +346,37 @@ def test_apply_points_is_apply_byte_for_byte(source, rows):
     else:
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
             chain.apply_points(rows)
+
+
+def test_apply_points_plans_one_block_at_a_time(monkeypatch):
+    # the rows are planned and multiplied a block at a time, so neither the
+    # cached plans nor the temporaries of a call grow with its row count
+    stages = parse_pipeline(_BLOCK_PIPELINE).composed()
+    counts = []
+    plan = versors._plan
+
+    def recorded(left, right, count):
+        counts.append(count)
+        return plan(left, right, count)
+
+    monkeypatch.setattr(versors, "_plan", recorded)
+    block = versors._POINT_BLOCK
+    stages.apply_points(np.random.default_rng(9).uniform(-4, 4, (3 * block + 5, 4)))
+    assert sorted(set(counts)) == [5, block]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 30])
+def test_pair_plans_are_the_per_product_plans(count):
+    # the plan of count pairs is the plan of one pair, tiled: the same
+    # arrays as planning each product in turn
+    sets = [(0,), (1,), (2,), (0, 2), (0, 2, 4), (1, 3, 5), tuple(range(7))]
+    for left in sets:
+        for right in sets:
+            got = versors._plan(left, right, count)
+            want = multivector.product_plan([left, right] * count,
+                                            [(2 * r, 2 * r + 1, False) for r in range(count)])
+            assert all(np.array_equal(a, b) for a, b in zip(got[:4], want[:4]))
+            assert (got.count, got.grades) == (want.count, want.grades)
 
 
 def test_apply_points_of_one_raises_what_apply_raises():
