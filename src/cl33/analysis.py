@@ -18,10 +18,11 @@ skips the blade pairs in which a factor is zero by grade, and is built on
 first use.  ``paravector_conditions`` evaluates the formulas at one probe;
 ``worst_residuals_of`` evaluates them for several operators at once, at the
 three axes E[0..2], reads their images at POINT_BASIS
-(``versors.basis_images``), and reaches the 12 probe points by linearity.
-The operators share the two planned products, laid side by side, and each
-keeps its own results, so ``worst_residuals``, its case of one operator,
-gives every value byte for byte.
+(``versors.basis_images``: the package's one sandwich routine, a planned
+and a tabled product for each operator), and reaches the 12 probe points by
+linearity.  The operators share the two planned products of the formulas,
+laid side by side, and each keeps its own results, so ``worst_residuals``,
+its case of one operator, gives every value byte for byte.
 
 For finite Psi every residual is byte for byte what the same formulas give
 through ``Multivector`` products.  Psi must be finite: a non-finite operator,
@@ -357,11 +358,12 @@ def worst_residuals_of(psis) -> list:
     """``worst_residuals`` of each operator of ``psis``, in order.
 
     The condition formulas of all operators share the two planned products,
-    and their images of POINT_BASIS two batched products, yet each
-    operator keeps its own results: every value is byte for byte the one of
-    the operator alone.  Raises DomainError when an operator is not finite,
-    before any product, or when the residuals of one overflow; the error of
-    the first such operator carries its index as ``row``.
+    and the images of POINT_BASIS are ``versors.basis_images``, a planned
+    and a tabled product for each operator; each operator keeps its own
+    results: every value is byte for byte the one of the operator alone.
+    Raises DomainError when an operator is not finite, before any product,
+    or when the residuals of one overflow; the error of the first such
+    operator carries its index as ``row``.
     """
     return _residuals_and_images(psis)[0]
 

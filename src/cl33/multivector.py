@@ -222,11 +222,11 @@ def product_tables(rows) -> np.ndarray:
 
 
 def table_products(a, tables) -> np.ndarray:
-    """Products of coefficient rows ``a`` (shape (..., 64), or one row) by
-    right factors tabled by ``product_tables``, as coefficients of shape
-    (..., 64).  The tables, shape (64, ..., 64), broadcast against the rows:
-    (n, 64) rows take n tables, or one for every row, and (S, n, 64) rows
-    take (64, S, 1, 64) tables, one for each block of n.
+    """Products of coefficient rows ``a`` (shape (n, 64), or one row) by
+    right factors tabled by ``product_tables``, as (n, 64) coefficients:
+    (64, n, 64) tables take one factor for each row, and (64, 1, 64) tables
+    one for every row.  ``versors.sandwich_products`` multiplies by the
+    table of rev U so.
 
     Byte-identical to ``Multivector.__mul__``: a_i times the signed
     coefficient is the signed product, the terms are added in ascending i
@@ -235,10 +235,8 @@ def table_products(a, tables) -> np.ndarray:
     (numpy 2 already starts the sum from +0; earlier versions start from the
     first term, which may be -0).
     """
-    a = np.asarray(a)
-    lead = a.shape[:-1] or (1,)
-    terms = np.multiply(a.reshape(-1, BLADE_COUNT).T.reshape(BLADE_COUNT, *lead, 1), tables,
-                        order="C")
+    a = np.asarray(a).reshape(-1, BLADE_COUNT)
+    terms = np.multiply(a.T[:, :, None], tables, order="C")
     return np.add.reduce(terms, axis=0) + 0.0
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import analysis, pipeline
-from .blades import BLADE_COUNT, REVERSION_SIGNS, SQUARES, blade_geometric_product
+from .blades import BLADE_COUNT, SQUARES, blade_geometric_product
 from .errors import DegenerateConfigurationError, NotHodgeCompatible
 from .euclid import (
     E,
@@ -32,9 +32,7 @@ from .multivector import (
     Multivector,
     exponential,
     outer_product,
-    product_tables,
     reversion,
-    table_products,
 )
 from .versors import (
     COTRANSLATION,
@@ -58,6 +56,7 @@ from .versors import (
     reflection_versor,
     rotation_generator,
     rotation_versor,
+    sandwich_products,
     scale_versor,
     sector_image,
     shear_versor,
@@ -169,34 +168,17 @@ def check_algebra_axioms(squares=SQUARES):
     return True, "oracle x4096 blade pairs, 1000 random triples"
 
 
-#: Rows per batch of ``_each_sandwich``, so that its tables stay in cache:
-#: check_transform_formulas takes 1.04 s with 8, 0.90 s with 32, 1.06 s
-#: with 128 and 1.70 s with all 7000 at once (min of 3, 2-vCPU x86-64).
-_SANDWICH_BLOCK = 32
-
-
-def _each_sandwich(U, m) -> np.ndarray:
-    """U_r m_r (rev U_r) for each pair of rows of the (n, 64) coefficient
-    arrays ``U`` and ``m``, as (n, 64): two batched products by per-row
-    tables, as ``versors.basis_images`` takes them, each row byte for byte
-    ``U_r * m_r * reversion(U_r)``; _SANDWICH_BLOCK rows at a time."""
-    out = np.empty_like(U)
-    for s in range(0, len(U), _SANDWICH_BLOCK):
-        u, rows = U[s:s + _SANDWICH_BLOCK], m[s:s + _SANDWICH_BLOCK]
-        first = table_products(u, product_tables(rows))
-        out[s:s + _SANDWICH_BLOCK] = table_products(first, product_tables(u * REVERSION_SIGNS))
-    return out
-
-
 def check_transform_formulas():
     """Sandwich results against the closed-form right-hand sides.
 
     Every versor of the 1000 draws is made by one ``build`` call, and each
     draw's point goes through each of its versors, and through the series
-    exponential of its rotation generator, in batched sandwiches.  The
-    first draw is also taken through each transform's own ``apply_points``
-    and through the products of multivectors, which must give the batched
-    rows byte for byte.
+    exponential of its rotation generator, in ``versors.sandwich_products``
+    with one versor per row: the library's sandwich routine, which stage
+    images and points take with one versor for every row.  The first draw
+    is also taken through each transform's own ``apply_points`` and through
+    the products of multivectors, which must give the batched rows byte for
+    byte.
     """
     rng = np.random.default_rng(12)
     drafts, points, series, closed, cotranslated = [], [], [], [], []
@@ -228,11 +210,11 @@ def check_transform_formulas():
     stars = transforms[6::7]
     embedded = embed_points(points)
     signs = np.array([tr.epsilon for tr in sandwiches], dtype=np.float64)[:, None]
-    got = extract_points(signs * _each_sandwich(np.array([tr.U.coeffs for tr in sandwiches]),
-                                                np.repeat(embedded, 6, axis=0)))
-    cot = extract_points(hodge_star_rows(_each_sandwich(
+    got = extract_points(signs * sandwich_products(np.array([tr.U.coeffs for tr in sandwiches]),
+                                                   np.repeat(embedded, 6, axis=0)))
+    cot = extract_points(hodge_star_rows(sandwich_products(
         np.array([tr.uprime.coeffs for tr in stars]), hodge_star_rows(embedded))))
-    ser = extract_points(_each_sandwich(np.array(series), embedded))
+    ser = extract_points(sandwich_products(np.array(series), embedded))
     got = got.reshape(-1, 6, 4)
     first = embed_paravector(Paravector(1.0, np.array(points[0][1:])))
     rotated = Multivector(series[0])

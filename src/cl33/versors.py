@@ -112,30 +112,22 @@ def _check_orthogonal(u, v):
         raise DomainError(f"u and v must be orthogonal, g(u, v) = {dot:.12g}")
 
 
-#: Right-multiplication tables of POINT_BASIS and of its Hodge stars: the
-#: right factors of the first product of a sandwich and a star-sandwich.
-_BASIS_TABLES = product_tables([b.coeffs for b in POINT_BASIS])
-_STAR_BASIS_TABLES = product_tables([hodge_star(b).coeffs for b in POINT_BASIS])
-
-
-def _sandwich_rows(U, reverse, tables) -> np.ndarray:
-    """U b (rev U) for each of S operators U, given as (S, 64) coefficient
-    rows, and each of the n right factors b of ``tables``, as (S, n, 64)
-    rows: two batched products for all, the second by ``reverse``, the
-    (64, S, 64) tables of the rev U; byte-identical to ``U * b * reversion(U)``."""
-    first = table_products(U, tables.reshape(BLADE_COUNT, 1, -1))
-    return table_products(first.reshape(len(U), -1, BLADE_COUNT), reverse[:, :, None])
+#: The coefficient rows of POINT_BASIS and of its Hodge stars: the right
+#: factors of the images of a sandwich and of a star-sandwich.
+_BASIS_ROWS = np.array([b.coeffs for b in POINT_BASIS])
+_STAR_BASIS_ROWS = np.array([hodge_star(b).coeffs for b in POINT_BASIS])
 
 
 def basis_images(rows) -> np.ndarray:
     """U b (rev U) for each of the (S, 64) coefficient rows U and each b of
     POINT_BASIS, as (S, 4, 64): ``Versor(U, +1, kind).images()`` of every
-    row, byte for byte, in two batched products for all S."""
+    row, byte for byte, by ``sandwich_products`` of one operator at a time."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
-    return _sandwich_rows(rows, product_tables(rows * REVERSION_SIGNS), _BASIS_TABLES)
+    images = [sandwich_products(U, _BASIS_ROWS) for U in rows]
+    return np.array(images).reshape(-1, len(_BASIS_ROWS), BLADE_COUNT)
 
 
-#: Rows per block of ``_sandwich_points``, which bounds its cached plans and
+#: Rows per block of ``sandwich_products``, which bounds its cached plans and
 #: its (64, block, 64) temporary: the first ``apply_points`` of 50 000
 #: points through a fused rotation and translation takes 0.69 s with 32,
 #: 0.84 s with 64, 1.09 s with 256 and 1.41 s with 1024 (116 to 174 MB
@@ -143,18 +135,26 @@ def basis_images(rows) -> np.ndarray:
 _POINT_BLOCK = 32
 
 
-def _sandwich_points(U: Multivector, reverse, rows) -> np.ndarray:
-    """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows:
-    _POINT_BLOCK rows at a time, one planned product of U by every row, for
-    the grades each side carries, and one by ``reverse``, the table of rev
-    U; byte-identical to ``U * m * reversion(U)``."""
-    left, right = _grade_set(U.coeffs), _grade_set(rows)
+def sandwich_products(U, rows, reverse=None) -> np.ndarray:
+    """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows, with
+    U one row of 64 coefficients for every m, or (n, 64) rows, one for
+    each m; byte-identical to ``U * m * reversion(U)``.
+
+    _POINT_BLOCK rows at a time: one planned product of U by every row, for
+    the grades each side carries, then one ``table_products`` by the table
+    of rev U.  That table is ``reverse`` when given (a stage builds the
+    table of its one U once), and is otherwise built for each block: one
+    table of the one U, or one per row."""
+    U, rows = np.asarray(U, dtype=np.float64), np.asarray(rows, dtype=np.float64)
+    left, right = _grade_set(U), _grade_set(rows)
     out = np.empty_like(rows)
     for s in range(0, len(rows), _POINT_BLOCK):
         block = rows[s:s + _POINT_BLOCK]
+        u = U if U.ndim == 1 else U[s:s + _POINT_BLOCK]
         pairs = np.empty((2 * len(block), BLADE_COUNT))
-        pairs[::2], pairs[1::2] = U.coeffs, block
-        out[s:s + _POINT_BLOCK] = table_products(_pair_products(pairs, left, right), reverse)
+        pairs[::2], pairs[1::2] = u, block
+        table = product_tables(u * REVERSION_SIGNS) if reverse is None else reverse
+        out[s:s + _POINT_BLOCK] = table_products(_pair_products(pairs, left, right), table)
     return out
 
 
@@ -257,7 +257,7 @@ class Transform:
         four is, for basis element b_j, the sandwich epsilon U b_j (rev U)
         of a Versor or the star-sandwich star(U' (star b_j) (rev U')) of a
         HodgeVersor, byte-identical to the products of multivectors and
-        computed for all four rows at once from tables of the basis."""
+        computed for all four rows at once by ``sandwich_products``."""
         raise NotImplementedError
 
     def _assemble(self, points) -> np.ndarray:
@@ -316,15 +316,15 @@ class Versor(Transform):
         """The table of rev U, built once for the stage's images and points."""
         return product_tables(reversion(self.U).coeffs)
 
-    def sandwiches(self, tables) -> np.ndarray:
-        """epsilon U b (rev U) for each right factor b tabled by
-        ``product_tables``, as (n, 64) rows, byte-identical to ``*``."""
-        out = _sandwich_rows(self.U.coeffs[None], self._reverse, tables)[0]
+    def sandwiches(self, rows) -> np.ndarray:
+        """epsilon U m (rev U) for each (n, 64) coefficient row m, as (n, 64)
+        rows, byte-identical to ``*``."""
+        out = sandwich_products(self.U.coeffs, rows, self._reverse)
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``."""
-        out = self.__dict__["_images"] = self.sandwiches(_BASIS_TABLES)
+        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS)
         out.flags.writeable = False
         return out
 
@@ -347,8 +347,7 @@ class Versor(Transform):
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _sandwich_points(self.U, self._reverse, embed_points(rows))
-            return extract_points(-out if self.epsilon < 0 else out)
+            return extract_points(self.sandwiches(embed_points(rows)))
 
 
 def identity_versor() -> Versor:
@@ -687,8 +686,8 @@ class HodgeVersor(Transform):
         """Read-only, and kept as ``_images`` for ``bound``, with the
         images before their star, U' (star b) (rev U') for each b of
         POINT_BASIS, as ``_prestar``."""
-        before = self.__dict__["_prestar"] = _sandwich_rows(
-            self.uprime.coeffs[None], self._reverse, _STAR_BASIS_TABLES)[0]
+        before = self.__dict__["_prestar"] = sandwich_products(
+            self.uprime.coeffs, _STAR_BASIS_ROWS, self._reverse)
         before.flags.writeable = False
         out = self.__dict__["_images"] = hodge_star_rows(before)
         out.flags.writeable = False
@@ -721,7 +720,7 @@ class HodgeVersor(Transform):
         with np.errstate(over="ignore", invalid="ignore"):
             stars = hodge_star_rows(embed_points(rows))
             return extract_points(hodge_star_rows(
-                _sandwich_points(self.uprime, self._reverse, stars)))
+                sandwich_products(self.uprime.coeffs, stars, self._reverse)))
 
 
 def cotranslation_versor(v) -> HodgeVersor:
@@ -1080,8 +1079,8 @@ class SectorReport:
         return "preserved" if self.preserves_minus else "mixed"
 
 
-#: Right-multiplication tables of 1 and the six generators.
-_SECTOR_TABLES = product_tables([b.coeffs for b in (ONE, *GENERATORS)])
+#: The coefficient rows of 1 and the six generators.
+_SECTOR_ROWS = np.array([b.coeffs for b in (ONE, *GENERATORS)])
 
 
 def sector_image(versor: Versor) -> SectorReport:
@@ -1094,7 +1093,7 @@ def sector_image(versor: Versor) -> SectorReport:
     images or the scale |U|^2 of the tolerance are not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        images = np.abs(versor.sandwiches(_SECTOR_TABLES))
+        images = np.abs(versor.sandwiches(_SECTOR_ROWS))
         scale = np.float64(versor.U.max_abs()) ** 2
     if not (np.isfinite(images).all() and np.isfinite(scale)):
         raise DomainError("the sector images are not finite: the arithmetic overflowed")

@@ -497,9 +497,10 @@ def test_worst_residuals_match_per_probe_reference():
 
 def _count_products(monkeypatch):
     """Count dense products (``*`` and ``^`` of two multivectors) and calls
-    of the two batched kernels: planned_products (the condition formulas)
-    and table_products (the probe images)."""
-    counts = {"products": 0, "planned": 0, "table": 0}
+    of the two batched kernels: planned_products (the condition formulas,
+    and the first product of the probe images' sandwich) and table_products
+    (its second product)."""
+    counts = {"products": 0, "planned": 0, "sandwich": 0, "table": 0}
     for name in ("__mul__", "__xor__"):
         fn = getattr(Multivector, name)
 
@@ -509,6 +510,7 @@ def _count_products(monkeypatch):
 
         monkeypatch.setattr(Multivector, name, counted)
     for module, name, key in ((analysis, "planned_products", "planned"),
+                              (versors, "planned_products", "sandwich"),
                               (versors, "table_products", "table")):
         fn = getattr(module, name)
 
@@ -523,11 +525,11 @@ def _count_products(monkeypatch):
 def test_worst_residuals_product_count(monkeypatch):
     # no dense product: the condition formulas take two planned_products
     # calls (operator terms and left products, then what multiplies them),
-    # the probe images the two table_products calls of one sandwich
+    # the probe images the planned and the tabled product of one sandwich
     psi = translation_versor([0.3, -0.2, 0.5]).U * rotation_versor([1, 0, 0], [0, 1, 0], 0.7).U
     counts = _count_products(monkeypatch)
     worst_residuals(psi)
-    assert counts == {"products": 0, "planned": 2, "table": 2}
+    assert counts == {"products": 0, "planned": 2, "sandwich": 1, "table": 1}
 
 
 def test_classify_reuses_the_residual_images(monkeypatch):
@@ -536,12 +538,12 @@ def test_classify_reuses_the_residual_images(monkeypatch):
     counts = _count_products(monkeypatch)
     for k, psi, identity in ((2, W(E[0], E[1]), True), (1, E[2], False)):
         phi = 1.0 + 0.01 * psi
-        counts.update(products=0, planned=0, table=0)
+        counts.update(products=0, planned=0, sandwich=0, table=0)
         worst_residuals(phi)
         alone = dict(counts)
-        counts.update(products=0, planned=0, table=0)
+        counts.update(products=0, planned=0, sandwich=0, table=0)
         res = classify_infinitesimal(k, psi)
-        assert counts == alone == {"products": 0, "planned": 2, "table": 2}
+        assert counts == alone == {"products": 0, "planned": 2, "sandwich": 1, "table": 1}
         assert res.verdict == ACCEPT and res.acts_as_identity is identity
 
 

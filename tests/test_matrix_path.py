@@ -241,7 +241,9 @@ def _benchmark_shaped(rng):
 
 def test_projective_apply_makes_no_dense_product(monkeypatch):
     # the benchmark's 13-step projective pipeline: its 14 versors are built
-    # in two planned products and fused in 7 products of multivectors
+    # in two planned products and fused in 7 products of multivectors into
+    # 7 versors (a perspective holds two), whose images each take one
+    # planned product
     rng = np.random.default_rng(41)
     rows = np.column_stack((rng.uniform(0.5, 2, 50), rng.uniform(-3, 3, (50, 3))))
     planned = multivector.planned_products
@@ -254,7 +256,7 @@ def test_projective_apply_makes_no_dense_product(monkeypatch):
         calls.clear()
         counts = _counted_apply(monkeypatch, source, rows, "--normalize")
         assert counts["mul"] == 7
-        assert len(calls) == 2
+        assert len(calls) == 2 + 7
 
 
 def test_matrix_makes_no_dense_product(monkeypatch):
@@ -330,6 +332,9 @@ _BLOCK_PIPELINE = ("perspective eye=(0,0,5) n=(0,0,1) c=1\nrotate u=(1,0,0) v=(0
 @example(_BLOCK_PIPELINE, _block_rows(-1))
 @example(_BLOCK_PIPELINE, _block_rows(0))
 @example(_BLOCK_PIPELINE, _block_rows(1))
+@example(_BLOCK_PIPELINE, _block_rows(versors._POINT_BLOCK + 1))
+@example(_BLOCK_PIPELINE,
+         np.vstack((_block_rows(versors._POINT_BLOCK), [[1.0, 0.0, np.inf, 0.0]])))
 @example("rotate u=(1,0,0) v=(0,1,0) theta=0.3\ntranslate v=(1e8,0,0)\n",
          np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e5, -1e5, 3.0]]))
 @example("perspective eye=(0,0,5) n=(0,0,1) c=1\ncotranslate v=(1,0,0)\n",
@@ -363,6 +368,29 @@ def test_apply_points_plans_one_block_at_a_time(monkeypatch):
     block = versors._POINT_BLOCK
     stages.apply_points(np.random.default_rng(9).uniform(-4, 4, (3 * block + 5, 4)))
     assert sorted(set(counts)) == [5, block]
+
+
+def test_a_second_cycle_plans_nothing_anew(tmp_path):
+    # the images, points and residual images of an affine and a 13-step
+    # projective pipeline share the bounded plan cache: after one cycle of
+    # apply --normalize, matrix and check, a second finds every plan kept
+    rng = np.random.default_rng(47)
+    rows = np.column_stack((rng.uniform(0.5, 2, 50), rng.uniform(-3, 3, (50, 3))))
+    points = tmp_path / "pts.txt"
+    points.write_text(pipeline.format_points(rows))
+    calls = []
+    for name, source in (("affine", "\n".join(_six_ops(rng)) + "\n"),
+                         ("projective", _benchmark_shaped(rng))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(source)
+        calls += [["apply", "--pipeline", str(path), "--points", str(points), "--normalize"],
+                  ["matrix", "--pipeline", str(path)], ["check", "--pipeline", str(path)]]
+    infos = []
+    for _ in range(2):
+        assert [main(argv, _capture=[]) for argv in calls] == [0] * len(calls)
+        infos.append(versors._plan.cache_info())
+    first, second = infos
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 30])

@@ -29,6 +29,28 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_every_import_is_used():
+    # no linter runs here: a name a module imports and never reads is
+    # dead.  The package's __init__.py imports to re-export, and a
+    # __future__ import is a directive, not a name
+    tests = Path(__file__).resolve().parent
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name not in read]
+    assert unused == []
+
+
 def test_import_loads_no_new_modules():
     # numpy.random costs memory and start-up time in every process; and each
     # module the package pulls in beyond numpy is listed here on purpose
@@ -64,9 +86,10 @@ def test_import_builds_no_construction_or_fusion_plan():
     # plans are; a parse builds the two construction plans of its step
     # count, and composing, which fuses with *, adds none.  Importing keeps
     # no transform's bound or matrix.  The matrix probe's points are made
-    # on the first probe; its bounds certify this pipeline, so no point
-    # goes through the stage and no plan is added, and the pipeline and its
-    # one stage keep a matrix, the stage a bound
+    # on the first probe; the images of the one stage add their plan; its
+    # bounds certify this pipeline, so no point goes through the stage and
+    # no other plan is added, and the pipeline and its one stage keep a
+    # matrix, the stage a bound
     code = ("import gc, cl33; from cl33 import analysis as a, versors as v\n"
             "kept = lambda: sum(1 for o in gc.get_objects() if isinstance(o, v.Transform) "
             "and {'bound', 'matrix'} & vars(o).keys())\n"
@@ -81,7 +104,7 @@ def test_import_builds_no_construction_or_fusion_plan():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:4] == ["0 0 0", "2", "2", "2 1 2 True"]
+    assert out.split("\n")[:4] == ["0 0 0", "2", "2", "3 1 2 True"]
 
 
 def test_residue_errors_share_one_base():

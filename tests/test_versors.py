@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cl33 import (
-    Composed,
     DegenerateConfigurationError,
     DomainError,
     E,
@@ -43,6 +44,8 @@ from cl33 import (
     translation_versor,
 )
 from cl33 import versors
+from cl33.blades import GRADES
+from cl33.euclid import embed_points
 from cl33.selftest import rand_orthonormal, rand_unit
 from cl33.versors import (
     SectorReport,
@@ -620,6 +623,39 @@ def test_sector_image_of_an_overflowing_versor_raises(versor):
             sector_image(versor)
 
 
+@st.composite
+def sandwich_batches(draw):
+    """n versor rows, each of its own drawn grade set, and n point rows, n
+    from 1 to 2 _POINT_BLOCK + 1, with exponents across +-150 and up to
+    three coordinates or coefficients set to inf, -inf or NaN."""
+    n = draw(st.integers(1, 2 * versors._POINT_BLOCK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-150, 151, size=(n, 64))
+    for row in U:
+        row[~np.isin(GRADES, list(draw(st.sets(st.integers(0, 6), min_size=1))))] = 0.0
+    points = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-150, 151, size=(n, 4))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(("versor", "point")))
+        width = 64 if target == "versor" else 4
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        (U if target == "versor" else points)[i, j] = draw(
+            st.sampled_from((np.inf, -np.inf, np.nan)))
+    return U, embed_points(points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sandwich_batches())
+def test_sandwich_products_of_one_versor_per_row_are_the_products(batch):
+    # selftest's mode: row r of the versors sandwiches row r of the points,
+    # with the rev U tables built once per block
+    U, rows = batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = versors.sandwich_products(U, rows)
+        want = [(Multivector(u) * Multivector(m) * reversion(Multivector(u))).coeffs
+                for u, m in zip(U, rows)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_sector_image_matches_the_per_row_sandwich():
     rng = np.random.default_rng(23)
     u, v = rand_orthonormal(rng)
@@ -638,25 +674,31 @@ def test_sector_image_matches_the_per_row_sandwich():
 
 
 def test_sector_image_product_count(monkeypatch):
-    # the seven sandwiches of 1 and the six generators are two batched
-    # products, against 14 products one sandwich at a time and 32 for
-    # sixteen random probes
+    # the seven sandwiches of 1 and the six generators are one planned and
+    # one tabled product, against 14 products one sandwich at a time and 32
+    # for sixteen random probes
     versor = shear_versor([1, 0, 0], [0, 1, 0], 1.5)
-    calls = {"mul": 0, "batched": 0}
-    mul, batched = Multivector.__mul__, versors.table_products
+    calls = {"mul": 0, "planned": 0, "table": 0}
+    mul = Multivector.__mul__
+    planned, table = versors.planned_products, versors.table_products
 
     def counted(a, b):
         calls["mul"] += 1
         return mul(a, b)
 
-    def counted_batch(a, tables):
-        calls["batched"] += 1
-        return batched(a, tables)
+    def counted_planned(rows, plan):
+        calls["planned"] += 1
+        return planned(rows, plan)
+
+    def counted_table(a, tables):
+        calls["table"] += 1
+        return table(a, tables)
 
     monkeypatch.setattr(Multivector, "__mul__", counted)
-    monkeypatch.setattr(versors, "table_products", counted_batch)
+    monkeypatch.setattr(versors, "planned_products", counted_planned)
+    monkeypatch.setattr(versors, "table_products", counted_table)
     sector_image(versor)
-    assert calls == {"mul": 0, "batched": 2}
+    assert calls == {"mul": 0, "planned": 1, "table": 1}
 
 
 # -- star-sandwich internals -------------------------------------------------------
