@@ -14,12 +14,17 @@ probe p, as is the image Psi (1 + p) (reversed Psi).  Every product in them
 goes through one of two batched calls of ``planned_products``: the first
 holds the operator products and the products of a grade part with p, the
 second everything that multiplies a result of the first.  Each call's plan
-skips the blade pairs in which a factor is zero by grade, and is built on
-first use.  ``paravector_conditions`` evaluates the formulas at one probe;
-``worst_residuals_of`` evaluates them for several operators at once, at the
-three axes E[0..2], reads their images at POINT_BASIS
-(``versors.basis_images``: the package's one sandwich routine, a planned
-and a tabled product for each operator), and reaches the 12 probe points by
+keeps only the blade pairs of the result coefficients that are read (the
+correction terms read grade 4 or 5 of their products), and skips those in
+which a factor is zero by grade, and the products of a grade part that no
+operator of the call carries.  It is built on first use for each set of
+grade parts; a call whose operand rows are not all finite takes the plan of
+all seven parts.  ``paravector_conditions`` evaluates the formulas at one
+probe; ``worst_residuals_of`` evaluates them for several operators at
+once, at the three axes E[0..2], reads their images at POINT_BASIS
+(``versors.basis_images``: the package's one sandwich routine, for each
+operator a planned product and a second one, planned when its grades make
+it sparse and tabled otherwise), and reaches the 12 probe points by
 linearity.  The operators share the two planned products of the formulas,
 laid side by side, and each keeps its own results, so ``worst_residuals``,
 its case of one operator, gives every value byte for byte.
@@ -83,11 +88,13 @@ def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
 # probe p.  Operands named in _PER_PROBE have one row per probe, and so has
 # every product with such a factor.
 
-#: The first layer: products whose factors are known up front.
+#: The first layer: products whose factors are known up front.  The
+#: products of d1 and d2, and of d3 and d4 below, carry the grade each
+#: correction term reads (4 or 5); the other products are read whole.
 _FIRST = (
     # d1 and d2
-    ("P1", "*", "P5"), ("P2", "*", "P4-P6"), ("P3", "*", "-P3+2P5"), ("P4", "*", "P4"),
-    ("P1", "*", "P4-P6"), ("P2", "*", "-P3+P5"), ("P3", "*", "P4"),
+    ("P1", "*", "P5", 4), ("P2", "*", "P4-P6", 4), ("P3", "*", "-P3+2P5", 4), ("P4", "*", "P4", 4),
+    ("P1", "*", "P4-P6", 5), ("P2", "*", "-P3+P5", 5), ("P3", "*", "P4", 5),
     # r1 and r2, then the operator factors of r3 (r4 shares those of r1)
     ("P0", "*", "P4"), ("P2", "^", "P2"), ("P1", "^", "P3"), ("P0", "*", "P5"),
     ("P0", "*", "P3"), ("P1", "^", "P2"),
@@ -101,8 +108,9 @@ _FIRST = (
 #: "P1p" is P1 p, "p.P5" the contraction of p into P5, "2P0P3" is 2 (P0 P3).
 _SECOND = (
     # d3 and d4
-    ("P1p", "*", "P4-P6"), ("P2p", "*", "-P3+P5"), ("P3p", "*", "P4-P6"), ("P4p", "*", "P5"),
-    ("P1p", "*", "P5"), ("P2p", "*", "P4-P6"), ("P3p", "*", "-P3+2P5"), ("P4p", "*", "P4"),
+    ("P1p", "*", "P4-P6", 4), ("P2p", "*", "-P3+P5", 4), ("P3p", "*", "P4-P6", 4),
+    ("P4p", "*", "P5", 4), ("P1p", "*", "P5", 5), ("P2p", "*", "P4-P6", 5),
+    ("P3p", "*", "-P3+2P5", 5), ("P4p", "*", "P4", 5),
     # r3 and r4
     ("2P0P3", "^", "p"), ("2P1^P2", "^", "p"), ("P0", "*", "p.P5"),
     ("2P0P4", "^", "p"), ("P2^P2", "^", "p"), ("2P1^P3", "^", "p"), ("P0", "*", "p.P6"),
@@ -110,34 +118,42 @@ _SECOND = (
 
 _PER_PROBE = frozenset({"p", "P1p", "P2p", "P3p", "P4p", "p.P5", "p.P6"})
 
+#: The grade parts of an operator of every grade.
+_ALL_PARTS = tuple(range(7))
+
 
 def _layer(products, grades, m):
     """One layer at m probes, for one operator: its product plan, its
     operand names in row order, and the row slice of each product's results."""
-    names = list(dict.fromkeys(n for a, _, b in products for n in (a, b)))
+    names = list(dict.fromkeys(n for a, _, b, *_ in products for n in (a, b)))
     sizes = [m if n in _PER_PROBE else 1 for n in names]
     start = dict(zip(names, np.cumsum([0] + sizes).tolist()))
-    pairs, slices = [], {}
-    for a, op, b in products:
+    pairs, reads, slices = [], [], {}
+    for a, op, b, *read in products:
         rows = m if _PER_PROBE & {a, b} else 1
         slices[a, op, b] = slice(len(pairs), len(pairs) + rows)
         pairs += [(start[a] + j * (a in _PER_PROBE), start[b] + j * (b in _PER_PROBE), op == "^")
                   for j in range(rows)]
+        reads += [read or None] * rows
     row_grades = [grades[n] for n, size in zip(names, sizes) for _ in range(size)]
-    return product_plan(row_grades, pairs), names, slices
+    return product_plan(row_grades, pairs, reads), names, slices
 
 
-@functools.cache
-def _layers(m: int):
-    """The two layers of ``_conditions`` at m probes, for one operator.
+@functools.lru_cache(maxsize=64)
+def _layers(m: int, parts: tuple):
+    """The two layers of ``_conditions`` at m probes, for one operator
+    whose nonzero grade parts are among ``parts``.
 
     Built on first use, like ``_probe_rows``: importing the package plans
-    nothing.  The grades of a second-layer operand are those of the
-    first-layer products it is made of.
+    nothing.  A sum of parts carries those of its parts that are present,
+    and the grades of a second-layer operand are those of the first-layer
+    products it is made of.
     """
-    grades = {f"P{k}": (k,) for k in range(7)}
-    grades.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5),
-                   "iP5": (5,), "iP6": (6,), "p": (1,)})
+    nominal = {f"P{k}": (k,) for k in range(7)}
+    nominal.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5),
+                    "iP5": (5,), "iP6": (6,)})
+    grades = {name: tuple(k for k in ks if k in parts) for name, ks in nominal.items()}
+    grades["p"] = (1,)
     first = _layer(_FIRST, grades, m)
     made = {key: first[0].grades[rows.start] for key, rows in first[2].items()}
     grades.update({f"P{k}p": made[f"P{k}", "*", "p"] for k in range(1, 5)})
@@ -151,31 +167,37 @@ def _layers(m: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _plans(m: int, count: int):
+def _plans(m: int, count: int, parts: tuple):
     """The two layers of ``_conditions`` at m probes for ``count``
-    operators: ``_layers(m)`` with each plan tiled ``count`` times
+    operators: ``_layers(m, parts)`` with each plan tiled ``count`` times
     (``tile_plan``).  Built on first use and kept in a bounded cache, since
     the stage count of a pipeline has no bound."""
     if count == 1:
-        return _layers(m)
+        return _layers(m, parts)
     out = []
-    for plan, names, slices in _layers(m):
+    for plan, names, slices in _layers(m, parts):
         rows = sum(m if n in _PER_PROBE else 1 for n in names)
         out.append((tile_plan(plan, rows, count), names, slices))
     return tuple(out)
 
 
-def _evaluate(layer, operands) -> dict:
-    """Results of one layer for S operators, keyed by product, from its
-    named operand rows, each of shape (S, rows, 64)."""
-    plan, names, slices = layer
+def _evaluate(layer, operands, parts) -> dict:
+    """Results of layer 0 or 1 of ``_conditions`` for S operators, keyed by
+    product, from its named operand rows, each of shape (S, rows, 64).
+
+    The plan is that of the grade parts ``parts``, whose products by a zero
+    part it drops: a finite number times zero adds a zero.  When an operand
+    row is not finite, it is the plan of all seven parts instead, which
+    forms every product the formulas name, so that an overflow keeps the
+    NaN it has without the pruning; a second-layer operand made from such a
+    row is not finite either, so the second layer does the same."""
+    count, m = operands["p"].shape[:2]
+    plan, names, slices = _plans(m, count, parts)[layer]
     rows = np.concatenate([operands[n] for n in names], axis=1)
+    if not np.isfinite(rows).all():
+        plan = _plans(m, count, _ALL_PARTS)[layer][0]
     out = planned_products(rows, plan).reshape(len(rows), -1, BLADE_COUNT)
     return {key: out[:, index] for key, index in slices.items()}
-
-
-def _grade(rows, k):
-    return np.where(GRADE_SELECTORS[k], rows, 0.0)
 
 
 def _conditions(P, probes):
@@ -186,23 +208,22 @@ def _conditions(P, probes):
     ``probes`` the embedded grade-1 probes, shape (m, 64).  For each
     operator the operator terms r1, r2, d1, d2 come out as one row, shape
     (S, 1, 64), the probe terms as one row per probe, (S, m, 64).  All S
-    operators share the two planned products, and each keeps its own
-    results: they are byte for byte those of the operator alone.
+    operators share the two planned products, planned for the grade parts
+    any of them carries, and each keeps its own results: they are byte for
+    byte those of the operator alone.
     """
     count = P.shape[1]
-    first, second = _plans(len(probes), count)
+    parts = tuple(np.flatnonzero(P.reshape(7, -1).any(axis=1)).tolist())
     ops = {f"P{k}": P[k] for k in range(7)}
     ops.update({"P4-P6": P[4] - P[6], "-P3+P5": -1 * P[3] + P[5],
                 "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": P[5] * INVOLUTION_SIGNS,
                 "iP6": P[6] * INVOLUTION_SIGNS,
                 "p": np.repeat(probes[None], count, axis=0)})
-    one = _evaluate(first, ops)
-    # each correction term is the grade part of a sum, taken once: in that
-    # grade every coefficient is the sum of the terms' coefficients
-    d1 = _grade(2 * one["P1", "*", "P5"] + 2 * one["P2", "*", "P4-P6"]
-                + one["P3", "*", "-P3+2P5"] + one["P4", "*", "P4"], 4)
-    d2 = _grade(2 * one["P1", "*", "P4-P6"] + 2 * one["P2", "*", "-P3+P5"]
-                + 2 * one["P3", "*", "P4"], 5)
+    one = _evaluate(0, ops, parts)
+    # each correction term sums the one grade its products are planned for
+    d1 = (2 * one["P1", "*", "P5"] + 2 * one["P2", "*", "P4-P6"]
+          + one["P3", "*", "-P3+2P5"] + one["P4", "*", "P4"])
+    d2 = 2 * one["P1", "*", "P4-P6"] + 2 * one["P2", "*", "-P3+P5"] + 2 * one["P3", "*", "P4"]
     ops.update({f"P{k}p": one[f"P{k}", "*", "p"] for k in range(1, 5)})
     ops.update({"2P0P3": 2 * one["P0", "*", "P3"], "2P1^P2": 2 * one["P1", "^", "P2"],
                 "2P0P4": 2 * one["P0", "*", "P4"], "P2^P2": one["P2", "^", "P2"],
@@ -212,11 +233,11 @@ def _conditions(P, probes):
         ops[f"p.P{k}"] = (one["p", "*", f"P{k}"] - one[f"iP{k}", "*", "p"]) * 0.5
     r1 = ops["2P0P4"] - ops["P2^P2"] - ops["2P1^P3"] + d1
     r2 = 2 * one["P0", "*", "P5"] + d2
-    two = _evaluate(second, ops)
-    d3 = _grade(2 * two["P1p", "*", "P4-P6"] + 2 * two["P2p", "*", "-P3+P5"]
-                + 2 * two["P3p", "*", "P4-P6"] + 2 * two["P4p", "*", "P5"], 4)
-    d4 = _grade(2 * two["P1p", "*", "P5"] + 2 * two["P2p", "*", "P4-P6"]
-                + two["P3p", "*", "-P3+2P5"] + two["P4p", "*", "P4"], 5)
+    two = _evaluate(1, ops, parts)
+    d3 = (2 * two["P1p", "*", "P4-P6"] + 2 * two["P2p", "*", "-P3+P5"]
+          + 2 * two["P3p", "*", "P4-P6"] + 2 * two["P4p", "*", "P5"])
+    d4 = (2 * two["P1p", "*", "P5"] + 2 * two["P2p", "*", "P4-P6"]
+          + two["P3p", "*", "-P3+2P5"] + two["P4p", "*", "P4"])
     # the scalar/grade-5 cross term completes the third condition; without it
     # operators carrying both parts (e.g. rotation composed with translation)
     # would be flagged even though their images stay points
@@ -358,8 +379,8 @@ def worst_residuals_of(psis) -> list:
     """``worst_residuals`` of each operator of ``psis``, in order.
 
     The condition formulas of all operators share the two planned products,
-    and the images of POINT_BASIS are ``versors.basis_images``, a planned
-    and a tabled product for each operator; each operator keeps its own
+    and the images of POINT_BASIS are ``versors.basis_images``, two
+    products for each operator; each operator keeps its own
     results: every value is byte for byte the one of the operator alone.
     Raises DomainError when an operator is not finite, before any product,
     or when the residuals of one overflow; the error of the first such

@@ -226,7 +226,9 @@ def table_products(a, tables) -> np.ndarray:
     right factors tabled by ``product_tables``, as (n, 64) coefficients:
     (64, n, 64) tables take one factor for each row, and (64, 1, 64) tables
     one for every row.  ``versors.sandwich_products`` multiplies by the
-    table of rev U so.
+    table of rev U so when U is dense, and plans the product otherwise:
+    every term of a dense factor meets the table, while a plan skips the
+    pairs that are zero by grade.
 
     Byte-identical to ``Multivector.__mul__``: a_i times the signed
     coefficient is the signed product, the terms are added in ascending i
@@ -256,22 +258,32 @@ class ProductPlan(NamedTuple):
     grades: tuple
 
 
-def product_plan(grades, products) -> ProductPlan:
+def _support(grades) -> np.ndarray:
+    """Which of the 64 blades have one of the given grades."""
+    return (sum(1 << k for k in set(grades)) >> GRADES) & 1 == 1
+
+
+def product_plan(grades, products, reads=None) -> ProductPlan:
     """Plan the products of operand rows that carry only the given grades.
 
     ``grades[n]`` lists the grades operand row n may carry; its coefficients
     of every other grade must be zero.  ``products`` lists ``(left, right,
     outer)`` row indices: the geometric product left * right, or the
-    exterior product left ^ right when ``outer``.  The plan keeps every
-    signed pair (i, j) except those in which a factor is zero by grade,
-    row-major: product by product, then ascending i.  The pairs of ``^``
-    with sign 0 stay, as in ``^``: their term is NaN when a_i b_j overflows.
+    exterior product left ^ right when ``outer``.  ``reads``, when given,
+    lists for each product the grades of its result that are read, or None
+    for every grade; the other coefficients come out +0.  The plan keeps
+    every signed pair (i, j) of a read coefficient except those in which a
+    factor is zero by grade, row-major: product by product, then ascending
+    i.  The pairs of ``^`` with sign 0 stay, as in ``^``: their term is NaN
+    when a_i b_j overflows.
     """
-    support = [np.logical_or.reduce([GRADE_SELECTORS[k] for k in g]) for g in grades]
+    support = [_support(g) for g in grades]
     left, right, signs, bins, out = [], [], [], [], []
     for r, (a, b, outer) in enumerate(products):
         table = OUTER_SIGNS if outer else PRODUCT_SIGNS
         i, j = np.nonzero(support[a][:, None] & support[b])
+        if reads is not None and reads[r] is not None:
+            i, j = (x[_support(reads[r])[i ^ j]] for x in (i, j))
         left.append(a * BLADE_COUNT + i)
         right.append(b * BLADE_COUNT + j)
         signs.append(table[i, j])

@@ -112,18 +112,35 @@ def _check_orthogonal(u, v):
         raise DomainError(f"u and v must be orthogonal, g(u, v) = {dot:.12g}")
 
 
+#: Bit k of a blade's entry is set for a blade of grade k.
+_GRADE_BITS = 1 << GRADES
+#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
+_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
+
+
+def _grade_set(rows) -> tuple:
+    """The grades that the nonzero coefficients of ``rows`` (one row of 64,
+    or several) carry, as a key of ``_plan``; (0,) when there are none."""
+    bits = np.bitwise_or.reduce(np.where(np.asarray(rows) != 0, _GRADE_BITS, 0), axis=None)
+    return _GRADE_SETS[int(bits)]
+
+
 #: The coefficient rows of POINT_BASIS and of its Hodge stars: the right
-#: factors of the images of a sandwich and of a star-sandwich.
+#: factors of the images of a sandwich and of a star-sandwich, with their
+#: grade sets, which also cover every embedded point and its star.
 _BASIS_ROWS = np.array([b.coeffs for b in POINT_BASIS])
 _STAR_BASIS_ROWS = np.array([hodge_star(b).coeffs for b in POINT_BASIS])
+_BASIS_GRADES = _grade_set(_BASIS_ROWS)
+_STAR_BASIS_GRADES = _grade_set(_STAR_BASIS_ROWS)
 
 
 def basis_images(rows) -> np.ndarray:
     """U b (rev U) for each of the (S, 64) coefficient rows U and each b of
     POINT_BASIS, as (S, 4, 64): ``Versor(U, +1, kind).images()`` of every
-    row, byte for byte, by ``sandwich_products`` of one operator at a time."""
+    row, byte for byte, by ``sandwich_products`` of one operator at a time,
+    each planned or tabled as its grades decide."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
-    images = [sandwich_products(U, _BASIS_ROWS) for U in rows]
+    images = [sandwich_products(U, _BASIS_ROWS, (_grade_set(U), _BASIS_GRADES)) for U in rows]
     return np.array(images).reshape(-1, len(_BASIS_ROWS), BLADE_COUNT)
 
 
@@ -134,27 +151,58 @@ def basis_images(rows) -> np.ndarray:
 #: peak RSS), and 7.1 s and 3.1 GB all at once (min of 3 to 5, 2-vCPU x86-64).
 _POINT_BLOCK = 32
 
+#: The most blade pairs per row for which the product of U m by rev U is
+#: planned; a denser one multiplies by the table of rev U.  Planned, the
+#: 154 to 672 pairs of a single step's second product took 0.15 to 0.7 of
+#: the table product and its build on 4 to 32 rows, and the 1953 to 4032
+#: of a rotation or a fused stage 1 to 9 times the table product alone
+#: (min of 5 runs of 200 calls, 2-vCPU x86-64).
+_SPARSE_PAIRS = 1024
 
-def sandwich_products(U, rows, reverse=None) -> np.ndarray:
+
+@functools.cache
+def _planned_grades(left: tuple, right: tuple):
+    """The grades of U m, for U carrying only the grades ``left`` and m
+    only ``right``, when its product by rev U is planned: at most
+    _SPARSE_PAIRS blade pairs per row; None when it is tabled."""
+    u, m = (np.flatnonzero(np.isin(GRADES, g)) for g in (left, right))
+    grades = tuple(sorted(set(GRADES[u[:, None] ^ m].ravel().tolist())))
+    pairs = np.isin(GRADES, grades).sum() * len(u)
+    return grades if pairs <= _SPARSE_PAIRS else None
+
+
+def sandwich_products(U, rows, grades=None, reverse=None) -> np.ndarray:
     """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows, with
     U one row of 64 coefficients for every m, or (n, 64) rows, one for
     each m; byte-identical to ``U * m * reversion(U)``.
 
     _POINT_BLOCK rows at a time: one planned product of U by every row, for
-    the grades each side carries, then one ``table_products`` by the table
-    of rev U.  That table is ``reverse`` when given (a stage builds the
-    table of its one U once), and is otherwise built for each block: one
-    table of the one U, or one per row."""
+    the grades each side carries, then the product by rev U.  ``grades``
+    are the grade sets of U and of the rows when they are known (a stage
+    keeps its U's, and the basis rows have theirs); a superset does.  The
+    second product is planned too, over the grades of U m and of rev U,
+    when that plan is sparse (``_planned_grades``); otherwise it is one
+    ``table_products`` by the table of rev U: ``reverse()`` when given (a
+    stage builds the table of its one U once, on this path only), and
+    otherwise one built for each block, of the one U or one per row."""
     U, rows = np.asarray(U, dtype=np.float64), np.asarray(rows, dtype=np.float64)
-    left, right = _grade_set(U), _grade_set(rows)
+    left, right = grades or (_grade_set(U), _grade_set(rows))
+    middle = _planned_grades(left, right)
+    rev = U * REVERSION_SIGNS
+    table = reverse() if middle is None and reverse is not None else None
     out = np.empty_like(rows)
     for s in range(0, len(rows), _POINT_BLOCK):
         block = rows[s:s + _POINT_BLOCK]
-        u = U if U.ndim == 1 else U[s:s + _POINT_BLOCK]
+        u, r = (U, rev) if U.ndim == 1 else (U[s:s + _POINT_BLOCK], rev[s:s + _POINT_BLOCK])
         pairs = np.empty((2 * len(block), BLADE_COUNT))
         pairs[::2], pairs[1::2] = u, block
-        table = product_tables(u * REVERSION_SIGNS) if reverse is None else reverse
-        out[s:s + _POINT_BLOCK] = table_products(_pair_products(pairs, left, right), table)
+        first = _pair_products(pairs, left, right)
+        if middle is None:
+            out[s:s + _POINT_BLOCK] = table_products(
+                first, product_tables(r) if table is None else table)
+        else:
+            pairs[::2], pairs[1::2] = first, r
+            out[s:s + _POINT_BLOCK] = _pair_products(pairs, middle, left)
     return out
 
 
@@ -312,19 +360,26 @@ class Versor(Transform):
     kind: str
 
     @cached_property
+    def _grades(self) -> tuple:
+        """The grade set of U, kept for the stage's images and points."""
+        return _grade_set(self.U.coeffs)
+
+    @cached_property
     def _reverse(self) -> np.ndarray:
-        """The table of rev U, built once for the stage's images and points."""
+        """The table of rev U, built once, when the stage's images or points
+        multiply by it."""
         return product_tables(reversion(self.U).coeffs)
 
-    def sandwiches(self, rows) -> np.ndarray:
-        """epsilon U m (rev U) for each (n, 64) coefficient row m, as (n, 64)
-        rows, byte-identical to ``*``."""
-        out = sandwich_products(self.U.coeffs, rows, self._reverse)
+    def sandwiches(self, rows, grades) -> np.ndarray:
+        """epsilon U m (rev U) for each (n, 64) coefficient row m, all
+        carrying only ``grades``, as (n, 64) rows, byte-identical to ``*``."""
+        out = sandwich_products(self.U.coeffs, rows, (self._grades, grades),
+                                lambda: self._reverse)
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``."""
-        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS)
+        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS, _BASIS_GRADES)
         out.flags.writeable = False
         return out
 
@@ -347,7 +402,7 @@ class Versor(Transform):
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return extract_points(self.sandwiches(embed_points(rows)))
+            return extract_points(self.sandwiches(embed_points(rows), _BASIS_GRADES))
 
 
 def identity_versor() -> Versor:
@@ -505,19 +560,6 @@ def draft(kind: str, *args) -> Draft:
     Paravector; the constructors check and convert them first, the
     pipeline parser as it reads them."""
     return _DRAFTS[kind](*args)
-
-
-#: Bit k of a blade's entry is set for a blade of grade k.
-_GRADE_BITS = 1 << GRADES
-#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
-_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
-
-
-def _grade_set(rows) -> tuple:
-    """The grades that the nonzero coefficients of ``rows`` (one row of 64,
-    or several) carry, as a key of ``_plan``; (0,) when there are none."""
-    bits = np.bitwise_or.reduce(np.where(np.asarray(rows) != 0, _GRADE_BITS, 0), axis=None)
-    return _GRADE_SETS[int(bits)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -678,16 +720,28 @@ class HodgeVersor(Transform):
     lam: float
 
     @cached_property
+    def _grades(self) -> tuple:
+        """The grade set of U', kept for the stage's images and points."""
+        return _grade_set(self.uprime.coeffs)
+
+    @cached_property
     def _reverse(self) -> np.ndarray:
-        """The table of rev U', built once for the stage's images and points."""
+        """The table of rev U', built once, when the stage's images or points
+        multiply by it."""
         return product_tables(reversion(self.uprime).coeffs)
+
+    def sandwiches(self, rows) -> np.ndarray:
+        """U' m (rev U') for each (n, 64) coefficient row m in the span of
+        the stars of POINT_BASIS, as (n, 64) rows: the star-sandwich before
+        its stars."""
+        return sandwich_products(self.uprime.coeffs, rows, (self._grades, _STAR_BASIS_GRADES),
+                                 lambda: self._reverse)
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``, with the
         images before their star, U' (star b) (rev U') for each b of
         POINT_BASIS, as ``_prestar``."""
-        before = self.__dict__["_prestar"] = sandwich_products(
-            self.uprime.coeffs, _STAR_BASIS_ROWS, self._reverse)
+        before = self.__dict__["_prestar"] = self.sandwiches(_STAR_BASIS_ROWS)
         before.flags.writeable = False
         out = self.__dict__["_images"] = hodge_star_rows(before)
         out.flags.writeable = False
@@ -719,8 +773,7 @@ class HodgeVersor(Transform):
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             stars = hodge_star_rows(embed_points(rows))
-            return extract_points(hodge_star_rows(
-                sandwich_products(self.uprime.coeffs, stars, self._reverse)))
+            return extract_points(hodge_star_rows(self.sandwiches(stars)))
 
 
 def cotranslation_versor(v) -> HodgeVersor:
@@ -1079,8 +1132,9 @@ class SectorReport:
         return "preserved" if self.preserves_minus else "mixed"
 
 
-#: The coefficient rows of 1 and the six generators.
+#: The coefficient rows of 1 and the six generators, and their grade set.
 _SECTOR_ROWS = np.array([b.coeffs for b in (ONE, *GENERATORS)])
+_SECTOR_GRADES = _grade_set(_SECTOR_ROWS)
 
 
 def sector_image(versor: Versor) -> SectorReport:
@@ -1093,7 +1147,7 @@ def sector_image(versor: Versor) -> SectorReport:
     images or the scale |U|^2 of the tolerance are not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        images = np.abs(versor.sandwiches(_SECTOR_ROWS))
+        images = np.abs(versor.sandwiches(_SECTOR_ROWS, _SECTOR_GRADES))
         scale = np.float64(versor.U.max_abs()) ** 2
     if not (np.isfinite(images).all() and np.isfinite(scale)):
         raise DomainError("the sector images are not finite: the arithmetic overflowed")

@@ -498,8 +498,9 @@ def test_worst_residuals_match_per_probe_reference():
 def _count_products(monkeypatch):
     """Count dense products (``*`` and ``^`` of two multivectors) and calls
     of the two batched kernels: planned_products (the condition formulas,
-    and the first product of the probe images' sandwich) and table_products
-    (its second product)."""
+    and the first product of the probe images' sandwich, and its second
+    when that is sparse) and table_products (its second product when that
+    is dense)."""
     counts = {"products": 0, "planned": 0, "sandwich": 0, "table": 0}
     for name in ("__mul__", "__xor__"):
         fn = getattr(Multivector, name)
@@ -534,7 +535,8 @@ def test_worst_residuals_product_count(monkeypatch):
 
 def test_classify_reuses_the_residual_images(monkeypatch):
     # an accepted classification reads its identity flag off the probe
-    # images worst_residuals already built: no kernel call beyond those
+    # images worst_residuals already built: no kernel call beyond those;
+    # 1 + 0.01 X is sparse, so both products of its sandwich are planned
     counts = _count_products(monkeypatch)
     for k, psi, identity in ((2, W(E[0], E[1]), True), (1, E[2], False)):
         phi = 1.0 + 0.01 * psi
@@ -543,7 +545,7 @@ def test_classify_reuses_the_residual_images(monkeypatch):
         alone = dict(counts)
         counts.update(products=0, planned=0, sandwich=0, table=0)
         res = classify_infinitesimal(k, psi)
-        assert counts == alone == {"products": 0, "planned": 2, "sandwich": 1, "table": 1}
+        assert counts == alone == {"products": 0, "planned": 2, "sandwich": 2, "table": 0}
         assert res.verdict == ACCEPT and res.acts_as_identity is identity
 
 
@@ -629,7 +631,10 @@ def _oracle_operators():
     generators += [random_homogeneous(rng, k) for k in (3, 4, 5, 6)]
     ops += [1.0 + 0.01 * x for x in generators]
     ops += [Multivector(rng.normal(size=64) * 10.0 ** rng.integers(-3, 4, 64)) for _ in range(8)]
-    return ops
+    # operators that lack grade parts: a fused stage of grades 0, 2 and 4,
+    # and the generators alone, one grade each
+    ops.append(compose([rotation_versor(u, v, 0.4), scale_versor(u, 0.3)]).stages[0].U)
+    return ops + generators
 
 
 def test_residuals_are_the_dense_formulas_byte_for_byte():
@@ -651,6 +656,52 @@ def test_residuals_are_the_dense_formulas_byte_for_byte():
             got = correction_terms(parts, pm)
             assert all(x.coeffs.tobytes() == y.coeffs.tobytes()
                        for x, y in zip(got, (d1, d2, d3, d4)))
+    # the plans keep only the read coefficients: an operator of every grade
+    # takes at most 8000 pairs at the three axes (15 555 with every one)
+    first, second = analysis._layers(3, analysis._ALL_PARTS)
+    assert len(first[0].left) + len(second[0].left) <= 8000
+
+
+def _overflowing_operators():
+    """Operators that lack grade parts and overflow: a grade-2 part whose
+    first-layer products overflow, and a grade-5 part whose double, a
+    first-layer operand, does."""
+    c = np.zeros(64)
+    c[0], c[0b011111] = 1.0, 1.5e308
+    return [1.0 + 1e200 * W(E[0], E_STAR[1]), Multivector(c)]
+
+
+def test_pruned_plans_are_the_plans_of_every_part(monkeypatch):
+    # a layer whose operand rows are all finite drops the products of the
+    # absent parts; one that is not takes the plan of all seven parts, so
+    # that an overflow keeps its NaN
+    rng = np.random.default_rng(64)
+    u, v = rand_orthonormal(rng)
+    ops = [translation_versor([0.3, -0.2, 0.5]).U, rotation_versor(u, v, 0.7).U,
+           1.0 + 0.01 * W(E[0], E[1]), random_homogeneous(rng, 3), *_overflowing_operators()]
+    evaluate = analysis._evaluate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in [[psi.coeffs] for psi in ops] + [[psi.coeffs for psi in ops]]:
+            P = analysis._grade_rows(np.array(rows))
+            got = analysis._conditions(P, analysis._E_ROWS)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_evaluate", lambda layer, operands, parts:
+                              evaluate(layer, operands, analysis._ALL_PARTS))
+                want = analysis._conditions(P, analysis._E_ROWS)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_an_overflow_names_its_operator():
+    # the first operator whose residuals overflow is the error's row,
+    # whichever grade parts the batch carries
+    ok = [translation_versor([0.3, -0.2, 0.5]).U, 1.0 + 0.01 * W(E[0], E[1])]
+    for bad in _overflowing_operators():
+        for batch, row in (([bad], 0), ([ok[0], bad, ok[1], bad], 1), (ok + [bad], 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="overflow") as info:
+                    analysis.worst_residuals_of(batch)
+            assert info.value.row == row
 
 
 # -- inputs outside the domain ------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_projective_apply_makes_no_dense_product(monkeypatch):
     # the benchmark's 13-step projective pipeline: its 14 versors are built
     # in two planned products and fused in 7 products of multivectors into
     # 7 versors (a perspective holds two), whose images each take one
-    # planned product
+    # planned product, and the 4 translation-kind ones (the perspective's
+    # two, the cotranslation and the pseudo-perspective) a second
     rng = np.random.default_rng(41)
     rows = np.column_stack((rng.uniform(0.5, 2, 50), rng.uniform(-3, 3, (50, 3))))
     planned = multivector.planned_products
@@ -256,7 +257,7 @@ def test_projective_apply_makes_no_dense_product(monkeypatch):
         calls.clear()
         counts = _counted_apply(monkeypatch, source, rows, "--normalize")
         assert counts["mul"] == 7
-        assert len(calls) == 2 + 7
+        assert len(calls) == 2 + 7 + 4
 
 
 def test_matrix_makes_no_dense_product(monkeypatch):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cl33 import (
@@ -625,14 +625,18 @@ def test_sector_image_of_an_overflowing_versor_raises(versor):
 
 @st.composite
 def sandwich_batches(draw):
-    """n versor rows, each of its own drawn grade set, and n point rows, n
-    from 1 to 2 _POINT_BLOCK + 1, with exponents across +-150 and up to
-    three coordinates or coefficients set to inf, -inf or NaN."""
+    """n versor rows and n point rows, n from 1 to 2 _POINT_BLOCK + 1, with
+    exponents across +-150 and up to three coordinates or coefficients set
+    to inf, -inf or NaN.  The versor rows share one drawn grade set, whose
+    second product is planned when it is sparse and tabled when it is
+    dense, or each carries its own."""
     n = draw(st.integers(1, 2 * versors._POINT_BLOCK + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grade_sets = st.sets(st.integers(0, 6), min_size=1, max_size=draw(st.integers(1, 7)))
+    shared = draw(grade_sets)
     U = rng.normal(size=(n, 64)) * 10.0 ** rng.integers(-150, 151, size=(n, 64))
     for row in U:
-        row[~np.isin(GRADES, list(draw(st.sets(st.integers(0, 6), min_size=1))))] = 0.0
+        row[~np.isin(GRADES, list(shared if draw(st.booleans()) else draw(grade_sets)))] = 0.0
     points = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-150, 151, size=(n, 4))
     for _ in range(draw(st.integers(0, 3))):
         target = draw(st.sampled_from(("versor", "point")))
@@ -643,17 +647,89 @@ def sandwich_batches(draw):
     return U, embed_points(points)
 
 
+def _batch(U, points):
+    """An example of sandwich_batches: one versor row U for each point."""
+    U = np.array(U, dtype=np.float64)
+    return np.broadcast_to(U, (len(points), 64)).copy(), embed_points(points)
+
+
+#: Examples on each side of the choice of the second product: a translation
+#: (planned), a fused rotation and translation (tabled), a translation of
+#: 1e200 whose first product overflows in its planned grades at points of
+#: 1e200 (planned over every grade), and rows of both a translation and a
+#: rotation (their shared grade set is tabled).
+_SANDWICH_EXAMPLES = (
+    _batch(translation_versor([1.0, -2.0, 0.5]).U.coeffs, [[1.0, 2.0, 3.0, 4.0]] * 33),
+    _batch(compose([rotation_versor([1, 0, 0], [0, 1, 0], 0.5),
+                    translation_versor([1.0, 2.0, 3.0])]).stages[0].U.coeffs,
+           [[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]]),
+    _batch(translation_versor([1e200, 0.0, 0.0]).U.coeffs,
+           [[1.0, 1e200, 0.0, 0.0], [1e200, 1.0, 2.0, 3.0]]),
+    (np.array([translation_versor([1.0, 2.0, 3.0]).U.coeffs,
+               rotation_versor([1, 0, 0], [0, 1, 0], 0.5).U.coeffs]),
+     embed_points([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]])),
+)
+
+
+def _sandwiches_by_products(U, rows):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([(Multivector(u) * Multivector(m) * reversion(Multivector(u))).coeffs
+                         for u, m in zip(np.broadcast_to(U, rows.shape), rows)])
+
+
+def _with_examples(test):
+    for batch in _SANDWICH_EXAMPLES:
+        test = example(batch)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(sandwich_batches())
+@_with_examples
 def test_sandwich_products_of_one_versor_per_row_are_the_products(batch):
     # selftest's mode: row r of the versors sandwiches row r of the points,
-    # with the rev U tables built once per block
+    # with the second product planned, or by rev U tables built per block
     U, rows = batch
     with np.errstate(over="ignore", invalid="ignore"):
         got = versors.sandwich_products(U, rows)
-        want = [(Multivector(u) * Multivector(m) * reversion(Multivector(u))).coeffs
-                for u, m in zip(U, rows)]
-    assert got.tobytes() == np.array(want).tobytes()
+    assert got.tobytes() == _sandwiches_by_products(U, rows).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sandwich_batches())
+@_with_examples
+def test_sandwich_products_of_one_versor_are_the_products(batch):
+    # a stage's mode: its one U sandwiches every row, with the second
+    # product planned, or by the one table of rev U that ``reverse`` gives
+    U, rows = batch
+    U = U[0]
+    tables = []
+    reverse = lambda: tables.append(1) or versors.product_tables(reversion(Multivector(U)).coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = versors.sandwich_products(U, rows, reverse=reverse)
+    assert got.tobytes() == _sandwiches_by_products(U, rows).tobytes()
+    planned = versors._planned_grades(versors._grade_set(U), versors._grade_set(rows))
+    assert tables == ([] if planned is not None else [1])
+
+
+def test_single_steps_plan_their_second_product():
+    # every single step but a rotation or hyperbolic rotation is sparse
+    # enough to plan its product by rev U, and builds no table of rev U;
+    # those two and a fused stage are dense, and keep one table for their
+    # images and points
+    u, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    perspective = PerspectiveMap(Paravector(1.0, [0.2, 0.0, 0.0]), [1.0, 0.0, 0.0], 1.0)
+    sparse = [reflection_versor([0, 0, 1]), shear_versor(u, v, 0.5), scale_versor(u, 0.3),
+              translation_versor([1, 2, 3]), cotranslation_versor([0, 0, 1]),
+              versors.pseudo_perspective_map([0, 1, 0]), perspective.from_eye,
+              perspective.cotranslate]
+    dense = [rotation_versor(u, v, 0.5), hyperbolic_versor(u, v, 0.5),
+             compose([shear_versor(u, v, 0.5), translation_versor([1, 2, 3])]).stages[0]]
+    points = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]])
+    for stage in sparse + dense:
+        stage.images()
+        stage.apply_points(points)
+        assert ("_reverse" in vars(stage)) is (stage in dense)
 
 
 def test_sector_image_matches_the_per_row_sandwich():
@@ -674,9 +750,9 @@ def test_sector_image_matches_the_per_row_sandwich():
 
 
 def test_sector_image_product_count(monkeypatch):
-    # the seven sandwiches of 1 and the six generators are one planned and
-    # one tabled product, against 14 products one sandwich at a time and 32
-    # for sixteen random probes
+    # the seven sandwiches of 1 and the six generators are two planned
+    # products (a shear's product by rev U is sparse), against 14 products
+    # one sandwich at a time and 32 for sixteen random probes
     versor = shear_versor([1, 0, 0], [0, 1, 0], 1.5)
     calls = {"mul": 0, "planned": 0, "table": 0}
     mul = Multivector.__mul__
@@ -698,7 +774,7 @@ def test_sector_image_product_count(monkeypatch):
     monkeypatch.setattr(versors, "planned_products", counted_planned)
     monkeypatch.setattr(versors, "table_products", counted_table)
     sector_image(versor)
-    assert calls == {"mul": 0, "planned": 1, "table": 1}
+    assert calls == {"mul": 0, "planned": 2, "table": 0}
 
 
 # -- star-sandwich internals -------------------------------------------------------
