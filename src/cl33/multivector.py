@@ -258,7 +258,7 @@ class ProductPlan(NamedTuple):
     grades: tuple
 
 
-def _support(grades) -> np.ndarray:
+def grade_support(grades) -> np.ndarray:
     """Which of the 64 blades have one of the given grades."""
     return (sum(1 << k for k in set(grades)) >> GRADES) & 1 == 1
 
@@ -277,13 +277,13 @@ def product_plan(grades, products, reads=None) -> ProductPlan:
     i.  The pairs of ``^`` with sign 0 stay, as in ``^``: their term is NaN
     when a_i b_j overflows.
     """
-    support = [_support(g) for g in grades]
+    support = [grade_support(g) for g in grades]
     left, right, signs, bins, out = [], [], [], [], []
     for r, (a, b, outer) in enumerate(products):
         table = OUTER_SIGNS if outer else PRODUCT_SIGNS
         i, j = np.nonzero(support[a][:, None] & support[b])
         if reads is not None and reads[r] is not None:
-            i, j = (x[_support(reads[r])[i ^ j]] for x in (i, j))
+            i, j = (x[grade_support(reads[r])[i ^ j]] for x in (i, j))
         left.append(a * BLADE_COUNT + i)
         right.append(b * BLADE_COUNT + j)
         signs.append(table[i, j])

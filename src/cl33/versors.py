@@ -43,6 +43,7 @@ from .multivector import (
     ONE,
     Multivector,
     ProductPlan,
+    grade_support,
     planned_products,
     product_plan,
     product_tables,
@@ -127,7 +128,8 @@ def _grade_set(rows) -> tuple:
 
 #: The coefficient rows of POINT_BASIS and of its Hodge stars: the right
 #: factors of the images of a sandwich and of a star-sandwich, with their
-#: grade sets, which also cover every embedded point and its star.
+#: grade sets, which also cover every embedded point, its star, and 1 and
+#: the six generators.
 _BASIS_ROWS = np.array([b.coeffs for b in POINT_BASIS])
 _STAR_BASIS_ROWS = np.array([hodge_star(b).coeffs for b in POINT_BASIS])
 _BASIS_GRADES = _grade_set(_BASIS_ROWS)
@@ -165,9 +167,9 @@ def _planned_grades(left: tuple, right: tuple):
     """The grades of U m, for U carrying only the grades ``left`` and m
     only ``right``, when its product by rev U is planned: at most
     _SPARSE_PAIRS blade pairs per row; None when it is tabled."""
-    u, m = (np.flatnonzero(np.isin(GRADES, g)) for g in (left, right))
+    u, m = (np.flatnonzero(grade_support(g)) for g in (left, right))
     grades = tuple(sorted(set(GRADES[u[:, None] ^ m].ravel().tolist())))
-    pairs = np.isin(GRADES, grades).sum() * len(u)
+    pairs = grade_support(grades).sum() * len(u)
     return grades if pairs <= _SPARSE_PAIRS else None
 
 
@@ -370,16 +372,17 @@ class Versor(Transform):
         multiply by it."""
         return product_tables(reversion(self.U).coeffs)
 
-    def sandwiches(self, rows, grades) -> np.ndarray:
-        """epsilon U m (rev U) for each (n, 64) coefficient row m, all
-        carrying only ``grades``, as (n, 64) rows, byte-identical to ``*``."""
-        out = sandwich_products(self.U.coeffs, rows, (self._grades, grades),
+    def sandwiches(self, rows) -> np.ndarray:
+        """epsilon U m (rev U) for each (n, 64) coefficient row m in the span
+        of 1 and the six generators, as every embedded point, basis row and
+        sector row is, as (n, 64) rows, byte-identical to ``*``."""
+        out = sandwich_products(self.U.coeffs, rows, (self._grades, _BASIS_GRADES),
                                 lambda: self._reverse)
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``."""
-        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS, _BASIS_GRADES)
+        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS)
         out.flags.writeable = False
         return out
 
@@ -402,7 +405,7 @@ class Versor(Transform):
 
     def apply_points(self, rows) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return extract_points(self.sandwiches(embed_points(rows), _BASIS_GRADES))
+            return extract_points(self.sandwiches(embed_points(rows)))
 
 
 def identity_versor() -> Versor:
@@ -1132,9 +1135,8 @@ class SectorReport:
         return "preserved" if self.preserves_minus else "mixed"
 
 
-#: The coefficient rows of 1 and the six generators, and their grade set.
+#: The coefficient rows of 1 and the six generators.
 _SECTOR_ROWS = np.array([b.coeffs for b in (ONE, *GENERATORS)])
-_SECTOR_GRADES = _grade_set(_SECTOR_ROWS)
 
 
 def sector_image(versor: Versor) -> SectorReport:
@@ -1147,7 +1149,7 @@ def sector_image(versor: Versor) -> SectorReport:
     images or the scale |U|^2 of the tolerance are not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        images = np.abs(versor.sandwiches(_SECTOR_ROWS, _SECTOR_GRADES))
+        images = np.abs(versor.sandwiches(_SECTOR_ROWS))
         scale = np.float64(versor.U.max_abs()) ** 2
     if not (np.isfinite(images).all() and np.isfinite(scale)):
         raise DomainError("the sector images are not finite: the arithmetic overflowed")
