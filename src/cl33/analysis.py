@@ -44,9 +44,8 @@ import numpy as np
 from .blades import BLADE_COUNT, GRADE_SELECTORS, INVOLUTION_SIGNS, MINUS_BLADES, PLUS_BLADES
 from .errors import DomainError, NotLinearError
 from .euclid import (
-    E,
     E_STAR,
-    POINT_BASIS,
+    POINT_BASIS_ROWS,
     Paravector,
     embed_covector,
     embed_paravector,
@@ -55,6 +54,7 @@ from .euclid import (
 )
 from .multivector import (
     Multivector,
+    grade_set,
     outer_product,
     planned_products,
     product_plan,
@@ -213,7 +213,7 @@ def _conditions(P, probes):
     byte those of the operator alone.
     """
     count = P.shape[1]
-    parts = tuple(np.flatnonzero(P.reshape(7, -1).any(axis=1)).tolist())
+    parts = grade_set(P)
     ops = {f"P{k}": P[k] for k in range(7)}
     ops.update({"P4-P6": P[4] - P[6], "-P3+P5": -1 * P[3] + P[5],
                 "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": P[5] * INVOLUTION_SIGNS,
@@ -281,7 +281,7 @@ def correction_terms(parts, p: Multivector):
 #: Grade selectors as (7, 64) rows; coefficient rows of the axes E[0..2]
 #: and of the covectors e_i*; the blades of grades 4 and 5.
 _GRADE_ROWS = np.array([GRADE_SELECTORS[k] for k in range(7)])
-_E_ROWS = np.array([e.coeffs for e in E])
+_E_ROWS = POINT_BASIS_ROWS[1:]
 _E_STAR_ROWS = np.array([e.coeffs for e in E_STAR])
 _GRADE45 = GRADE_SELECTORS[4] | GRADE_SELECTORS[5]
 
@@ -445,8 +445,7 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     (residuals,), (images,) = _residuals_and_images([phi])
     worst = max(residuals.values())
     if worst <= ACCEPT_FACTOR * scale:
-        basis = np.array([b.coeffs for b in POINT_BASIS])
-        moved = np.max(np.abs(images - _probe_rows() @ basis))
+        moved = np.max(np.abs(images - _probe_rows() @ POINT_BASIS_ROWS))
         identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:

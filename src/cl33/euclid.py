@@ -33,7 +33,7 @@ def _vec3(v) -> np.ndarray:
 
 
 #: Coefficient rows of the generators, (2, 3, 64): plus sector, minus sector.
-_SECTOR_ROWS = np.array([[e.coeffs for e in _EP], [e.coeffs for e in _EM]])
+_GENERATOR_ROWS = np.array([[e.coeffs for e in _EP], [e.coeffs for e in _EM]])
 
 
 def _sector_copies(v) -> np.ndarray:
@@ -44,7 +44,7 @@ def _sector_copies(v) -> np.ndarray:
     arithmetic in the same order, so every coefficient, signed zeros
     included, is the one the multivector sum gives.
     """
-    t = np.asarray(v, dtype=np.float64)[..., None, :, None] * _SECTOR_ROWS
+    t = np.asarray(v, dtype=np.float64)[..., None, :, None] * _GENERATOR_ROWS
     return t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
 
 
@@ -78,6 +78,9 @@ E_STAR = tuple(embed_covector(np.eye(3)[i]) for i in range(3))
 #: The embedded basis 1, e1, e2, e3 of (weight, vector) space.  A linear
 #: point map is fixed by its images of these four.
 POINT_BASIS = (ONE, *E)
+#: The coefficient rows of POINT_BASIS, (4, 64), read-only.
+POINT_BASIS_ROWS = np.array([b.coeffs for b in POINT_BASIS])
+POINT_BASIS_ROWS.flags.writeable = False
 
 #: Sector pseudoscalars and the full volume element.
 I_PLUS = _EP[0] * _EP[1] * _EP[2]

@@ -213,8 +213,9 @@ def product_tables(rows) -> np.ndarray:
     """Right-multiplication tables of coefficient rows b (shape (n, 64), or
     one row), as a (64, n, 64) array T with (a * b_r)_k = sum_i a_i T[i, r, k].
 
-    A factor known ahead of time is tabled once; ``table_products`` then
-    multiplies by it without the Cayley sign and mask lookups of ``*``.
+    ``table_products`` then multiplies by the table without the Cayley sign
+    and mask lookups of ``*``: a factor that meets many rows, as rev U does
+    in ``versors.sandwich_products``, is tabled once for all of them.
     """
     rows = np.asarray(rows, dtype=np.float64)
     tables = np.concatenate((rows, -rows), axis=-1)[..., _TABLE_INDEX]
@@ -225,10 +226,10 @@ def table_products(a, tables) -> np.ndarray:
     """Products of coefficient rows ``a`` (shape (n, 64), or one row) by
     right factors tabled by ``product_tables``, as (n, 64) coefficients:
     (64, n, 64) tables take one factor for each row, and (64, 1, 64) tables
-    one for every row.  ``versors.sandwich_products`` multiplies by the
-    table of rev U so when U is dense, and plans the product otherwise:
-    every term of a dense factor meets the table, while a plan skips the
-    pairs that are zero by grade.
+    one for every row.  ``versors.sandwich_products`` builds the table of
+    rev U and multiplies by it when U is dense, and plans the product
+    otherwise: every term of a dense factor meets the table, while a plan
+    skips the pairs that are zero by grade.
 
     Byte-identical to ``Multivector.__mul__``: a_i times the signed
     coefficient is the signed product, the terms are added in ascending i
@@ -261,6 +262,20 @@ class ProductPlan(NamedTuple):
 def grade_support(grades) -> np.ndarray:
     """Which of the 64 blades have one of the given grades."""
     return (sum(1 << k for k in set(grades)) >> GRADES) & 1 == 1
+
+
+#: Bit k of a blade's entry is set for a blade of grade k.
+_GRADE_BITS = 1 << GRADES
+#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
+_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
+
+
+def grade_set(rows) -> tuple:
+    """The grades that the nonzero coefficients of ``rows`` (one row of 64,
+    or several) carry, as ``product_plan`` takes them; (0,) when there are
+    none."""
+    bits = np.bitwise_or.reduce(np.where(np.asarray(rows) != 0, _GRADE_BITS, 0), axis=None)
+    return _GRADE_SETS[int(bits)]
 
 
 def product_plan(grades, products, reads=None) -> ProductPlan:

@@ -16,11 +16,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES, REVERSION_SIGNS
+from .blades import BLADE_COUNT, MINUS_BLADES, PLUS_BLADES, REVERSION_SIGNS
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
     POINT_BASIS,
+    POINT_BASIS_ROWS,
     Paravector,
     embed_points,
     embed_vector,
@@ -43,6 +44,7 @@ from .multivector import (
     ONE,
     Multivector,
     ProductPlan,
+    grade_set,
     grade_support,
     planned_products,
     product_plan,
@@ -113,27 +115,13 @@ def _check_orthogonal(u, v):
         raise DomainError(f"u and v must be orthogonal, g(u, v) = {dot:.12g}")
 
 
-#: Bit k of a blade's entry is set for a blade of grade k.
-_GRADE_BITS = 1 << GRADES
-#: The grades whose bits are set in each 7-bit mask; (0,) when none is.
-_GRADE_SETS = tuple(tuple(k for k in range(7) if bits >> k & 1) or (0,) for bits in range(128))
-
-
-def _grade_set(rows) -> tuple:
-    """The grades that the nonzero coefficients of ``rows`` (one row of 64,
-    or several) carry, as a key of ``_plan``; (0,) when there are none."""
-    bits = np.bitwise_or.reduce(np.where(np.asarray(rows) != 0, _GRADE_BITS, 0), axis=None)
-    return _GRADE_SETS[int(bits)]
-
-
-#: The coefficient rows of POINT_BASIS and of its Hodge stars: the right
-#: factors of the images of a sandwich and of a star-sandwich, with their
-#: grade sets, which also cover every embedded point, its star, and 1 and
-#: the six generators.
-_BASIS_ROWS = np.array([b.coeffs for b in POINT_BASIS])
+#: The coefficient rows of the Hodge stars of POINT_BASIS, and the grade
+#: sets of POINT_BASIS_ROWS and of these: the right factors of the images of
+#: a sandwich and of a star-sandwich, whose grade sets also cover every
+#: embedded point, its star, and 1 and the six generators.
 _STAR_BASIS_ROWS = np.array([hodge_star(b).coeffs for b in POINT_BASIS])
-_BASIS_GRADES = _grade_set(_BASIS_ROWS)
-_STAR_BASIS_GRADES = _grade_set(_STAR_BASIS_ROWS)
+_BASIS_GRADES = grade_set(POINT_BASIS_ROWS)
+_STAR_BASIS_GRADES = grade_set(_STAR_BASIS_ROWS)
 
 
 def basis_images(rows) -> np.ndarray:
@@ -142,8 +130,8 @@ def basis_images(rows) -> np.ndarray:
     row, byte for byte, by ``sandwich_products`` of one operator at a time,
     each planned or tabled as its grades decide."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
-    images = [sandwich_products(U, _BASIS_ROWS, (_grade_set(U), _BASIS_GRADES)) for U in rows]
-    return np.array(images).reshape(-1, len(_BASIS_ROWS), BLADE_COUNT)
+    images = [sandwich_products(U, POINT_BASIS_ROWS, (grade_set(U), _BASIS_GRADES)) for U in rows]
+    return np.array(images).reshape(-1, len(POINT_BASIS_ROWS), BLADE_COUNT)
 
 
 #: Rows per block of ``sandwich_products``, which bounds its cached plans and
@@ -165,15 +153,15 @@ _SPARSE_PAIRS = 1024
 @functools.cache
 def _planned_grades(left: tuple, right: tuple):
     """The grades of U m, for U carrying only the grades ``left`` and m
-    only ``right``, when its product by rev U is planned: at most
-    _SPARSE_PAIRS blade pairs per row; None when it is tabled."""
-    u, m = (np.flatnonzero(grade_support(g)) for g in (left, right))
-    grades = tuple(sorted(set(GRADES[u[:, None] ^ m].ravel().tolist())))
-    pairs = grade_support(grades).sum() * len(u)
+    only ``right``, as the plan of their product gives them, when its
+    product by rev U is planned: at most _SPARSE_PAIRS blade pairs per row;
+    None when it is tabled."""
+    (grades,) = product_plan([left, right], [(0, 1, False)]).grades
+    pairs = grade_support(grades).sum() * grade_support(left).sum()
     return grades if pairs <= _SPARSE_PAIRS else None
 
 
-def sandwich_products(U, rows, grades=None, reverse=None) -> np.ndarray:
+def sandwich_products(U, rows, grades=None) -> np.ndarray:
     """U m (rev U) for each (n, 64) coefficient row m, as (n, 64) rows, with
     U one row of 64 coefficients for every m, or (n, 64) rows, one for
     each m; byte-identical to ``U * m * reversion(U)``.
@@ -184,14 +172,14 @@ def sandwich_products(U, rows, grades=None, reverse=None) -> np.ndarray:
     keeps its U's, and the basis rows have theirs); a superset does.  The
     second product is planned too, over the grades of U m and of rev U,
     when that plan is sparse (``_planned_grades``); otherwise it is one
-    ``table_products`` by the table of rev U: ``reverse()`` when given (a
-    stage builds the table of its one U once, on this path only), and
-    otherwise one built for each block, of the one U or one per row."""
+    ``table_products`` by the table of rev U, built here: once per call for
+    the one U, or once per block for one U per row.  Nothing is kept
+    between calls."""
     U, rows = np.asarray(U, dtype=np.float64), np.asarray(rows, dtype=np.float64)
-    left, right = grades or (_grade_set(U), _grade_set(rows))
+    left, right = grades or (grade_set(U), grade_set(rows))
     middle = _planned_grades(left, right)
     rev = U * REVERSION_SIGNS
-    table = reverse() if middle is None and reverse is not None else None
+    table = product_tables(rev) if middle is None and U.ndim == 1 else None
     out = np.empty_like(rows)
     for s in range(0, len(rows), _POINT_BLOCK):
         block = rows[s:s + _POINT_BLOCK]
@@ -354,7 +342,8 @@ class Versor(Transform):
     for a translation, whose product is 1 + embed_vector(v), nor for a fused
     stage that contains one.  As a transform it maps P to epsilon U P
     (reversed U), for a batch of points in two batched products
-    (``apply_points``).
+    (``apply_points``).  It keeps the grade set of U, and no table of rev
+    U: ``sandwich_products`` builds one per call when it needs one.
     """
 
     U: Multivector
@@ -364,25 +353,18 @@ class Versor(Transform):
     @cached_property
     def _grades(self) -> tuple:
         """The grade set of U, kept for the stage's images and points."""
-        return _grade_set(self.U.coeffs)
-
-    @cached_property
-    def _reverse(self) -> np.ndarray:
-        """The table of rev U, built once, when the stage's images or points
-        multiply by it."""
-        return product_tables(reversion(self.U).coeffs)
+        return grade_set(self.U.coeffs)
 
     def sandwiches(self, rows) -> np.ndarray:
         """epsilon U m (rev U) for each (n, 64) coefficient row m in the span
         of 1 and the six generators, as every embedded point, basis row and
         sector row is, as (n, 64) rows, byte-identical to ``*``."""
-        out = sandwich_products(self.U.coeffs, rows, (self._grades, _BASIS_GRADES),
-                                lambda: self._reverse)
+        out = sandwich_products(self.U.coeffs, rows, (self._grades, _BASIS_GRADES))
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``."""
-        out = self.__dict__["_images"] = self.sandwiches(_BASIS_ROWS)
+        out = self.__dict__["_images"] = self.sandwiches(POINT_BASIS_ROWS)
         out.flags.writeable = False
         return out
 
@@ -585,7 +567,7 @@ def _pair_products(rows, left: tuple, right: tuple) -> np.ndarray:
         return rows
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(rows).all():
-            left = right = _GRADE_SETS[-1]  # every grade: the 4096 pairs of *
+            left = right = tuple(range(7))  # every grade: the 4096 pairs of *
         return planned_products(rows, _plan(left, right, len(rows) // 2))
 
 
@@ -716,7 +698,8 @@ class HodgeVersor(Transform):
     """A versor for star-sandwich application: P' = star^-1[U' (star P) (rev U')].
 
     For a sandwich versor U satisfying the volume-scaling condition, the
-    equivalent U' is lam * (star conjugate of U) with lam > 0.
+    equivalent U' is lam * (star conjugate of U) with lam > 0.  Like a
+    Versor, it keeps the grade set of U' and no table of rev U'.
     """
 
     uprime: Multivector
@@ -725,20 +708,13 @@ class HodgeVersor(Transform):
     @cached_property
     def _grades(self) -> tuple:
         """The grade set of U', kept for the stage's images and points."""
-        return _grade_set(self.uprime.coeffs)
-
-    @cached_property
-    def _reverse(self) -> np.ndarray:
-        """The table of rev U', built once, when the stage's images or points
-        multiply by it."""
-        return product_tables(reversion(self.uprime).coeffs)
+        return grade_set(self.uprime.coeffs)
 
     def sandwiches(self, rows) -> np.ndarray:
         """U' m (rev U') for each (n, 64) coefficient row m in the span of
         the stars of POINT_BASIS, as (n, 64) rows: the star-sandwich before
         its stars."""
-        return sandwich_products(self.uprime.coeffs, rows, (self._grades, _STAR_BASIS_GRADES),
-                                 lambda: self._reverse)
+        return sandwich_products(self.uprime.coeffs, rows, (self._grades, _STAR_BASIS_GRADES))
 
     def images(self) -> np.ndarray:
         """Read-only, and kept as ``_images`` for ``bound``, with the

@@ -391,8 +391,8 @@ def test_fusion_is_the_planned_pair_product(star, first, second):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (stage,) = compose([make(first), make(second)]).stages
-        want = versors._pair_products(np.array([second, first]), versors._grade_set(second),
-                                      versors._grade_set(first))[0]
+        want = versors._pair_products(np.array([second, first]), versors.grade_set(second),
+                                      versors.grade_set(first))[0]
     got = stage.uprime if star else stage.U
     assert got.coeffs.tobytes() == want.tobytes()
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -654,15 +655,15 @@ def _batch(U, points):
 
 
 #: Examples on each side of the choice of the second product: a translation
-#: (planned), a fused rotation and translation (tabled), a translation of
-#: 1e200 whose first product overflows in its planned grades at points of
-#: 1e200 (planned over every grade), and rows of both a translation and a
-#: rotation (their shared grade set is tabled).
+#: (planned), a fused rotation and translation (tabled, over two blocks), a
+#: translation of 1e200 whose first product overflows in its planned grades
+#: at points of 1e200 (planned over every grade), and rows of both a
+#: translation and a rotation (their shared grade set is tabled).
 _SANDWICH_EXAMPLES = (
     _batch(translation_versor([1.0, -2.0, 0.5]).U.coeffs, [[1.0, 2.0, 3.0, 4.0]] * 33),
     _batch(compose([rotation_versor([1, 0, 0], [0, 1, 0], 0.5),
                     translation_versor([1.0, 2.0, 3.0])]).stages[0].U.coeffs,
-           [[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]]),
+           [[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]] * 17),
     _batch(translation_versor([1e200, 0.0, 0.0]).U.coeffs,
            [[1.0, 1e200, 0.0, 0.0], [1e200, 1.0, 2.0, 3.0]]),
     (np.array([translation_versor([1.0, 2.0, 3.0]).U.coeffs,
@@ -675,6 +676,12 @@ def _sandwiches_by_products(U, rows):
     with np.errstate(over="ignore", invalid="ignore"):
         return np.array([(Multivector(u) * Multivector(m) * reversion(Multivector(u))).coeffs
                          for u, m in zip(np.broadcast_to(U, rows.shape), rows)])
+
+
+def _tables_built():
+    """A patch of ``versors.product_tables`` whose ``call_count`` counts the
+    tables of rev U that ``sandwich_products`` builds."""
+    return mock.patch.object(versors, "product_tables", wraps=versors.product_tables)
 
 
 def _with_examples(test):
@@ -690,9 +697,12 @@ def test_sandwich_products_of_one_versor_per_row_are_the_products(batch):
     # selftest's mode: row r of the versors sandwiches row r of the points,
     # with the second product planned, or by rev U tables built per block
     U, rows = batch
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _tables_built() as tables:
         got = versors.sandwich_products(U, rows)
     assert got.tobytes() == _sandwiches_by_products(U, rows).tobytes()
+    planned = versors._planned_grades(versors.grade_set(U), versors.grade_set(rows))
+    blocks = -(-len(rows) // versors._POINT_BLOCK)
+    assert tables.call_count == (0 if planned is not None else blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -700,23 +710,21 @@ def test_sandwich_products_of_one_versor_per_row_are_the_products(batch):
 @_with_examples
 def test_sandwich_products_of_one_versor_are_the_products(batch):
     # a stage's mode: its one U sandwiches every row, with the second
-    # product planned, or by the one table of rev U that ``reverse`` gives
+    # product planned, or by one table of rev U for the whole call
     U, rows = batch
     U = U[0]
-    tables = []
-    reverse = lambda: tables.append(1) or versors.product_tables(reversion(Multivector(U)).coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = versors.sandwich_products(U, rows, reverse=reverse)
+    with np.errstate(over="ignore", invalid="ignore"), _tables_built() as tables:
+        got = versors.sandwich_products(U, rows)
     assert got.tobytes() == _sandwiches_by_products(U, rows).tobytes()
-    planned = versors._planned_grades(versors._grade_set(U), versors._grade_set(rows))
-    assert tables == ([] if planned is not None else [1])
+    planned = versors._planned_grades(versors.grade_set(U), versors.grade_set(rows))
+    assert tables.call_count == (0 if planned is not None else 1)
 
 
 def test_single_steps_plan_their_second_product():
     # every single step but a rotation or hyperbolic rotation is sparse
     # enough to plan its product by rev U, and builds no table of rev U;
-    # those two and a fused stage are dense, and keep one table for their
-    # images and points
+    # those two and a fused stage are dense, and build one table for their
+    # images and one for their points
     u, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     perspective = PerspectiveMap(Paravector(1.0, [0.2, 0.0, 0.0]), [1.0, 0.0, 0.0], 1.0)
     sparse = [reflection_versor([0, 0, 1]), shear_versor(u, v, 0.5), scale_versor(u, 0.3),
@@ -727,9 +735,10 @@ def test_single_steps_plan_their_second_product():
              compose([shear_versor(u, v, 0.5), translation_versor([1, 2, 3])]).stages[0]]
     points = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 0.0, 2.0]])
     for stage in sparse + dense:
-        stage.images()
-        stage.apply_points(points)
-        assert ("_reverse" in vars(stage)) is (stage in dense)
+        with _tables_built() as tables:
+            stage.images()
+            stage.apply_points(points)
+        assert tables.call_count == (2 if stage in dense else 0), stage
 
 
 def test_sector_image_matches_the_per_row_sandwich():
