@@ -62,7 +62,14 @@ from .multivector import (
     tile_plan,
     tolerance,
 )
-from .versors import BOUND_SLACK, Transform, basis_images, check_finite, point_bounds
+from .versors import (
+    BOUND_SLACK,
+    Transform,
+    basis_images,
+    check_finite,
+    point_bounds,
+    sandwich_points,
+)
 
 #: Classification thresholds: residuals at or below ACCEPT_FACTOR * scale are
 #: exact-to-rounding; residuals above REJECT_FACTOR * scale^2 are genuine.
@@ -499,13 +506,13 @@ def _probe_limit(want: np.ndarray) -> np.ndarray:
 
 
 def _probe_failure(transform: Transform, want: np.ndarray, rows: np.ndarray):
-    """What fails when ``transform.apply_points(rows)`` is held to the
+    """What fails when ``sandwich_points(transform, rows)`` is held to the
     probe's bound of ``want``, the rows' images under the matrix: None when
     every row lies within it, the ValueError (the family of every error of
     this package) that the call raises, or a NotLinearError for the first
     row whose deviation is not within it, NaN included."""
     try:
-        got = transform.apply_points(rows)
+        got = sandwich_points(transform, rows)
     except ValueError as exc:
         return exc
     with np.errstate(over="ignore", invalid="ignore"):
@@ -521,7 +528,7 @@ def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool
     """Whether the a-priori bounds of the stages prove that
     ``_probe_failure(transform, want, rows)`` is None, without taking a
     point through them: ``versors.point_bounds`` shows that
-    ``apply_points`` raises nothing and bounds what it returns, and every
+    ``sandwich_points`` raises nothing and bounds what it returns, and every
     row of those bounds lies within the probe's limit of ``want`` (J. R.
     Shewchuk, *Discrete Comput. Geom.* 18, 1997: a filter that proves a
     predicate or leaves it to the exact test).  False when they do not show
@@ -549,7 +556,7 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
     keeps; the stages of ``versors`` whose values stay well inside their
     tolerances are proved so.  Otherwise (a transform of another class, a
     value that is not finite, or bounds too loose to decide) the points go
-    through ``transform.apply_points`` in one batch, and when that fails,
+    through ``sandwich_points`` in one batch, and when that fails,
     one at a time, so that the error raised is the first failing point's
     (``_probe_failure``).  Either way the matrix, the error and its text
     are the same.

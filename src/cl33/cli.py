@@ -21,16 +21,16 @@ matrix, 5 preservation-condition failure.
 
 ``apply`` compiles the pipeline to one 4x4 matrix (each stage's matrix is
 read off its versor images of the basis points, with every residue check)
-and applies it to all points as one array product.  The point file is read
-and converted in chunks, and the output is formatted and written
-``pipeline.POINT_CHUNK_ROWS`` rows at a time.
+and applies it to all points as one array product, ``apply_points``.  The
+point file is read and converted in chunks, and the output is formatted and
+written ``pipeline.POINT_CHUNK_ROWS`` rows at a time.
 
 ``matrix`` prints the same matrix once ``analysis.projective_matrix_probe``
 accepts it.  The probe's 10 points are skipped when the stages' a-priori
 rounding bounds prove that they would pass; otherwise (bounds too loose, as
-for a translation of 1e4 or more) they still go through the stages.  The output,
-error and exit code are the same either way, and ``apply`` evaluates no
-bound.
+for a translation of 1e4 or more) they go through the sandwich chain of the
+stages, ``versors.sandwich_points``.  The output, error and exit code are
+the same either way, and ``apply`` evaluates no bound and no chain.
 """
 
 from __future__ import annotations
@@ -139,14 +139,13 @@ def _perturbed_stages(pipe, perturbations) -> Composed:
 def _cmd_apply(args, write):
     pipe = pipeline.parse_pipeline(_read(args.pipeline))
     points = _read(args.points, pipeline.parse_points)
-    matrix = _perturbed_stages(pipe, _parse_perturbations(args.perturb)).matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = points @ matrix.T
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        line = _read(args.points, functools.partial(pipeline.point_line, index=bad[0]))
-        raise DomainError(f"line {line} of the point file: "
-                          "the transformed point is not finite: the arithmetic overflowed")
+    transform = _perturbed_stages(pipe, _parse_perturbations(args.perturb))
+    transform.matrix  # raises a stage's error as it is, before any point's
+    try:
+        points = transform.apply_points(points)
+    except DomainError as exc:
+        line = _read(args.points, functools.partial(pipeline.point_line, index=exc.row))
+        raise DomainError(f"line {line} of the point file: {exc}") from exc
     if args.normalize:
         finite = ~at_infinity(points[:, 0], points[:, 1:])
         np.divide(points, points[:, :1], out=points, where=finite[:, None])

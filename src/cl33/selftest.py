@@ -56,6 +56,7 @@ from .versors import (
     reflection_versor,
     rotation_generator,
     rotation_versor,
+    sandwich_points,
     sandwich_products,
     scale_versor,
     sector_image,
@@ -64,15 +65,11 @@ from .versors import (
 )
 
 
-#: The weighted points of POINT_BASIS: (1, 0), (0, e1), (0, e2), (0, e3).
-BASIS_POINTS = (Paravector(1.0), *(Paravector(0.0, axis) for axis in np.eye(3)))
-
-
 def matrix_through_apply(stage) -> np.ndarray:
-    """The 4x4 matrix of a stage read through its per-point ``apply`` on
-    BASIS_POINTS: column j is the image of basis point j."""
-    images = [stage.apply(b) for b in BASIS_POINTS]
-    return np.array([[q.weight, *q.vector] for q in images]).T
+    """The 4x4 matrix of a stage read through its sandwich chain,
+    ``sandwich_points``, on the weighted points of POINT_BASIS, the rows of
+    the identity: column j is the image of basis point j."""
+    return sandwich_points(stage, np.eye(4)).T
 
 
 def rand_unit(rng):
@@ -176,9 +173,9 @@ def check_transform_formulas():
     exponential of its rotation generator, in ``versors.sandwich_products``
     with one versor per row: the library's sandwich routine, which stage
     images and points take with one versor for every row.  The first draw
-    is also taken through each transform's own ``apply_points`` and through
-    the products of multivectors, which must give the batched rows byte for
-    byte.
+    is also taken through each transform's sandwich chain,
+    ``sandwich_points``, and through the products of multivectors, which
+    must give the batched rows byte for byte.
     """
     rng = np.random.default_rng(12)
     drafts, points, series, closed, cotranslated = [], [], [], [], []
@@ -218,7 +215,7 @@ def check_transform_formulas():
     got = got.reshape(-1, 6, 4)
     first = embed_paravector(Paravector(1.0, np.array(points[0][1:])))
     rotated = Multivector(series[0])
-    own = [tr.apply_points(points[:1]) for tr in transforms[:7]]
+    own = [sandwich_points(tr, points[:1]) for tr in transforms[:7]]
     own.append(extract_points([(rotated * first * reversion(rotated)).coeffs]))
     if np.concatenate(own).tobytes() != np.concatenate((got[0], cot[:1], ser[:1])).tobytes():
         return False, "batched sandwiches differ from the transforms' own point paths"
@@ -438,7 +435,7 @@ def check_projective_matrices():
         m = analysis.projective_matrix_probe(tr)
         # weights in +-1, vector parts in +-2, drawn row by row
         pts = rng.uniform([-1, -2, -2, -2], [1, 2, 2, 2], (n_each, 4))
-        if np.any(_row_devs(tr.apply_points(pts), pts @ m.T) > 1e-9):
+        if np.any(_row_devs(sandwich_points(tr, pts), pts @ m.T) > 1e-9):
             return False, "probe matrix disagrees with its transform"
     return True, (f"100 parameter draws; {n_each * len(pipelines)} matrix points; "
                   f"{len(stages)} stage matrices equal apply on the basis")
@@ -483,8 +480,8 @@ def check_cli_round_trip():
     fwd = pipe.composed()
     bwd = pipeline.inverse_pipeline(pipe).composed()
     pts = np.column_stack((np.ones(1000), rng.uniform(-2, 2, (1000, 3))))
-    images = fwd.apply_points(pts)
-    if np.any(_row_devs(bwd.apply_points(images), pts) > 1e-9):
+    images = sandwich_points(fwd, pts)
+    if np.any(_row_devs(sandwich_points(bwd, images), pts) > 1e-9):
         return False, "pipeline + inverse does not return the input"
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

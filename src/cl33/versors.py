@@ -135,10 +135,11 @@ def basis_images(rows) -> np.ndarray:
 
 
 #: Rows per block of ``sandwich_products``, which bounds its cached plans and
-#: its (64, block, 64) temporary: the first ``apply_points`` of 50 000
-#: points through a fused rotation and translation takes 0.69 s with 32,
-#: 0.84 s with 64, 1.09 s with 256 and 1.41 s with 1024 (116 to 174 MB
-#: peak RSS), and 7.1 s and 3.1 GB all at once (min of 3 to 5, 2-vCPU x86-64).
+#: its (64, block, 64) temporary on the sandwich chain and on selftest's one
+#: versor per row: the first ``sandwich_points`` of 50 000 points through a
+#: fused rotation and translation takes 0.69 s with 32, 0.84 s with 64,
+#: 1.09 s with 256 and 1.41 s with 1024 (116 to 174 MB peak RSS), and 7.1 s
+#: and 3.1 GB all at once (min of 3 to 5, 2-vCPU x86-64).
 _POINT_BLOCK = 32
 
 #: The most blade pairs per row for which the product of U m by rev U is
@@ -234,7 +235,7 @@ class Rounding(NamedTuple):
 
     For a point x, as (w, x, y, z) coordinates with |x|_1 below
     _REACH_LIMIT / ``reach``, every coordinate of the image that
-    ``apply_points`` computes, and of the image that the step's matrix
+    ``sandwich_points`` computes, and of the image that the step's matrix
     gives (column j is the computed image of basis point j), lies within
     ``kappa |x|_1 + floor`` of the step's exact map.  Each of ``checks``
     bounds a residue check the image of x passes: for (residues, kappa,
@@ -283,11 +284,17 @@ class Transform:
 
     def apply_points(self, rows) -> np.ndarray:
         """The images of the (w, x, y, z) rows of an (n, 4) array, as (n, 4)
-        rows.  The stages of this module take every row through each step
-        at once, and raise the error of a failing row; when several rows
-        fail, it may be another row's than the first's.  Overflow warnings
-        are off."""
-        raise NotImplementedError
+        rows: ``rows @ matrix.T``.  Raises what ``matrix`` raises, and
+        DomainError, with the index of the first such row as ``row``, when an
+        image is not finite.  The probe holds the matrix to ``sandwich_points``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(rows, dtype=np.float64).reshape(-1, 4) @ self.matrix.T
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            exc = DomainError("the transformed point is not finite: the arithmetic overflowed")
+            exc.row = int(np.argmin(finite))
+            raise exc
+        return out
 
     def images(self) -> np.ndarray:
         """The action on POINT_BASIS of each of the transform's k versors
@@ -340,9 +347,9 @@ class Versor(Transform):
     epsilon * U * (reversed U) = 1 holds for a reflection (U (reversed U) =
     -1, epsilon = -1), rotation, hyperbolic rotation, shear and scale; not
     for a translation, whose product is 1 + embed_vector(v), nor for a fused
-    stage that contains one.  As a transform it maps P to epsilon U P
-    (reversed U), for a batch of points in two batched products
-    (``apply_points``).  It keeps the grade set of U, and no table of rev
+    stage that contains one.  Its matrix is read off P -> epsilon U P
+    (reversed U), which ``sandwich_points`` takes a batch of points through
+    in two batched products.  It keeps the grade set of U, and no table of rev
     U: ``sandwich_products`` builds one per call when it needs one.
     """
 
@@ -384,10 +391,6 @@ class Versor(Transform):
         image = _compound(_gamma(min(n, 7)), _gamma(n)) * norm * norm
         residues = point_residues(self._kept("_images"))
         return _rounding(2.0 * image, _reach(norm), ((residues, 2.0 * image, 1.0),))
-
-    def apply_points(self, rows) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return extract_points(self.sandwiches(embed_points(rows)))
 
 
 def identity_versor() -> Versor:
@@ -749,11 +752,6 @@ class HodgeVersor(Transform):
                    STAR_ROW_NORM * (1.0 + g)))
         return _rounding(2.0 * image, max(1.0, STAR_NORM) ** 2 * _reach(norm), checks)
 
-    def apply_points(self, rows) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            stars = hodge_star_rows(embed_points(rows))
-            return extract_points(hodge_star_rows(self.sandwiches(stars)))
-
 
 def cotranslation_versor(v) -> HodgeVersor:
     """The translation versor of v packaged for star-sandwich application."""
@@ -860,20 +858,13 @@ class PerspectiveMap(Transform):
             object.__setattr__(stage, name, value)
         return stage
 
-    def apply_points(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-        w = rows[:, :1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.hstack((w - w * self.eye.weight, rows[:, 1:] - w * self.eye.vector))
-        return self.from_eye.apply_points(self.cotranslate.apply_points(q))
-
     def images(self) -> np.ndarray:
         """from_eye's four images, then cotranslate's four."""
         return np.concatenate((self.from_eye.images(), self.cotranslate.images()))
 
     @cached_property
     def to_eye(self) -> np.ndarray:
-        """S, the to-eye step of ``apply_points`` in closed form: weight
+        """S, the to-eye step of ``sandwich_points`` in closed form: weight
         1 - w_eye, column -eye; read-only."""
         s = np.eye(4)
         s[0, 0] -= self.eye.weight
@@ -926,17 +917,10 @@ def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
 
 @dataclass(frozen=True)
 class Composed(Transform):
-    """Stages applied in order.  ``apply_points`` takes a batch of points
-    through each stage together; ``matrix`` is the product of the stage
-    matrices, for applying the whole pipeline to many points at once."""
+    """Stages applied in order: ``matrix`` is the product of the stage
+    matrices, which ``apply_points`` applies to a batch of points at once."""
 
     stages: tuple
-
-    def apply_points(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-        for stage in self.stages:
-            rows = stage.apply_points(rows)
-        return rows
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -952,7 +936,7 @@ class Composed(Transform):
         matrices let ``point_bounds`` carry the bounds through the stages
         without building images again, so that ``cl33 matrix`` skips its
         probe points when the bounds prove they pass and takes them through
-        the stages otherwise, with the same output either way.
+        the sandwich chain otherwise, with the same output either way.
         """
         images, failure = [], None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -988,20 +972,37 @@ class Composed(Transform):
         return m
 
 
-def _steps(transform):
-    """(matrix, Rounding) of each linear step of ``apply_points``, in order;
-    None for a transform of a class not defined here, a user's subclass
-    included, whose bounds are unknown."""
-    kind = type(transform)
-    if kind is Composed:
-        steps = [_steps(stage) for stage in transform.stages]
-        return None if None in steps else [step for part in steps for step in part]
-    if kind is PerspectiveMap:
-        rest = _steps(transform.cotranslate) + _steps(transform.from_eye)
-        return [(transform.to_eye, transform.bound)] + rest
-    if kind in (Versor, HodgeVersor):
-        return [(transform.matrix, transform.bound)]
-    return None
+def _linear_steps(transform) -> list:
+    """The linear steps of ``transform``, in order: the stages of a Composed
+    in turn, and a PerspectiveMap itself (its to-eye step), then its
+    cotranslate and from_eye.  Classes match exactly; any other is one step."""
+    if type(transform) is Composed:
+        return [step for stage in transform.stages for step in _linear_steps(stage)]
+    if type(transform) is PerspectiveMap:
+        return [transform, transform.cotranslate, transform.from_eye]
+    return [transform]
+
+
+def sandwich_points(transform: Transform, rows) -> np.ndarray:
+    """The (n, 4) images of (w, x, y, z) rows through the sandwich chain of
+    the ``_linear_steps``, every row at once; a step of a class not defined
+    here is its own ``apply_points``.  The reference the probe and selftest
+    hold ``matrix`` to: it evaluates no ``matrix`` and no ``bound``, and
+    raises the error of a failing row, not always the first's."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in _linear_steps(transform):
+            if type(step) is Versor:
+                rows = extract_points(step.sandwiches(embed_points(rows)))
+            elif type(step) is HodgeVersor:
+                stars = hodge_star_rows(embed_points(rows))
+                rows = extract_points(hodge_star_rows(step.sandwiches(stars)))
+            elif type(step) is PerspectiveMap:
+                w = rows[:, :1]
+                rows = np.hstack((w - w * step.eye.weight, rows[:, 1:] - w * step.eye.vector))
+            else:
+                rows = step.apply_points(rows)
+    return rows
 
 
 _GAMMA_4 = _gamma(4)
@@ -1011,7 +1012,7 @@ _POINT_DIVISORS = np.array([1.0, 2.0, 2.0, 2.0])[:, None]
 
 
 def point_bounds(transform: Transform, rows):
-    """A-priori bounds on ``transform.apply_points(rows)``, without calling
+    """A-priori bounds on ``sandwich_points(transform, rows)``, without calling
     it: (center, radius), two (n, 4) arrays such that the call raises no
     error and returns rows within ``radius`` of ``center`` in every
     coordinate; None when the stages' Roundings cannot show this (a
@@ -1026,8 +1027,8 @@ def point_bounds(transform: Transform, rows):
     of the bounds.  Evaluates every stage's ``bound``, and the transform's
     ``matrix`` when it is not kept yet.
     """
-    steps = _steps(transform)
-    if steps is None:
+    steps = _linear_steps(transform)
+    if any(type(step) not in (Versor, HodgeVersor, PerspectiveMap) for step in steps):
         return None
     center = np.array(rows, dtype=np.float64).reshape(-1, 4).T
     radius = np.zeros_like(center)
@@ -1035,7 +1036,8 @@ def point_bounds(transform: Transform, rows):
     # turns every later one to inf or NaN, which fails its comparison
     reaches, worst, magnitudes = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, bound in steps:
+        for step in steps:
+            m, bound = step.to_eye if type(step) is PerspectiveMap else step.matrix, step.bound
             size = np.abs(center)
             upper = size + radius
             norm = upper.sum(axis=0)

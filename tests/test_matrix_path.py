@@ -343,15 +343,46 @@ _BLOCK_PIPELINE = ("perspective eye=(0,0,5) n=(0,0,1) c=1\nrotate u=(1,0,0) v=(0
 def test_apply_points_is_apply_byte_for_byte(source, rows):
     chain = parse_pipeline(source).composed()
     want = [_outcome(lambda: _point(chain, row)) for row in rows]
-    # apply and a batch of one each give the dense oracle's row, or the
-    # same error type and text
-    assert [_outcome(lambda: _point(chain, row, Composed.apply)) for row in rows] == want
-    assert [_outcome(lambda: chain.apply_points(row[None])[0]) for row in rows] == want
+    # the sandwich chain of a batch of one gives the dense oracle's row, or
+    # the same error type and text
+    assert [_outcome(lambda: versors.sandwich_points(chain, row[None])[0])
+            for row in rows] == want
     if all(isinstance(w, bytes) for w in want):
-        assert _outcome(lambda: chain.apply_points(rows)) == b"".join(want)
+        assert _outcome(lambda: versors.sandwich_points(chain, rows)) == b"".join(want)
     else:
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
-            chain.apply_points(rows)
+            versors.sandwich_points(chain, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_pipelines, odd_points())
+@example("scale u=(1,0,0) t=700\n", np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e300, 0.0, 0.0]]))
+@example("translate v=(1e300,0,0)\n", np.array([[1.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]]))
+@example("rotate u=(1,0,0) v=(0,1,0) theta=0.3\n",
+         np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1.7e308, 1.7e308, 0.0], [np.nan, 0.0, 0.0, 0.0]]))
+def test_apply_points_is_the_matrix_product(source, rows):
+    # one executor: rows @ matrix.T byte for byte, apply of a point its one
+    # row, what the matrix raises, and for an image that is not finite a
+    # DomainError naming the first such row
+    chain = parse_pipeline(source).composed()
+    try:
+        m = chain.matrix
+    except ValueError as exc:
+        assert _outcome(lambda: chain.apply_points(rows)) == (type(exc), str(exc))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = rows @ m.T
+        finite = np.isfinite(want).all(axis=1)
+        if finite.all():
+            assert chain.apply_points(rows).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(DomainError, match="^the transformed point is not finite: the "
+                               "arithmetic overflowed$") as info:
+                chain.apply_points(rows)
+            assert info.value.row == np.argmin(finite)
+    for row in rows:
+        one = _outcome(lambda: chain.apply_points(row[None])[0])
+        assert _outcome(lambda: _point(chain, row, Composed.apply)) == one
 
 
 def test_apply_points_plans_one_block_at_a_time(monkeypatch):
@@ -367,7 +398,7 @@ def test_apply_points_plans_one_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(versors, "_plan", recorded)
     block = versors._POINT_BLOCK
-    stages.apply_points(np.random.default_rng(9).uniform(-4, 4, (3 * block + 5, 4)))
+    versors.sandwich_points(stages, np.random.default_rng(9).uniform(-4, 4, (3 * block + 5, 4)))
     assert sorted(set(counts)) == [5, block]
 
 
@@ -419,8 +450,7 @@ def test_apply_points_of_one_raises_what_apply_raises():
         for row in rows:
             want = _outcome(lambda: _point(stage, row))
             assert isinstance(want, tuple)
-            assert _outcome(lambda: _point(stage, row, type(stage).apply)) == want
-            assert _outcome(lambda: stage.apply_points(row[None])[0]) == want
+            assert _outcome(lambda: versors.sandwich_points(stage, row[None])[0]) == want
 
 
 def test_stage_matrix_is_apply_on_basis():

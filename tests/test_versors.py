@@ -724,7 +724,7 @@ def test_single_steps_plan_their_second_product():
     # every single step but a rotation or hyperbolic rotation is sparse
     # enough to plan its product by rev U, and builds no table of rev U;
     # those two and a fused stage are dense, and build one table for their
-    # images and one for their points
+    # images and one for the sandwich chain of their points
     u, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     perspective = PerspectiveMap(Paravector(1.0, [0.2, 0.0, 0.0]), [1.0, 0.0, 0.0], 1.0)
     sparse = [reflection_versor([0, 0, 1]), shear_versor(u, v, 0.5), scale_versor(u, 0.3),
@@ -737,8 +737,18 @@ def test_single_steps_plan_their_second_product():
     for stage in sparse + dense:
         with _tables_built() as tables:
             stage.images()
-            stage.apply_points(points)
+            versors.sandwich_points(stage, points)
         assert tables.call_count == (2 if stage in dense else 0), stage
+
+
+def test_apply_builds_one_table_of_rev_u():
+    # apply is the matrix product: a rotation's one table of rev U is built
+    # for the images of its matrix, once, not once per point
+    stage = rotation_versor([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5)
+    with _tables_built() as tables:
+        for k in range(100):
+            stage.apply(Paravector(1.0, [k, 2.0, 3.0]))
+    assert tables.call_count == 1
 
 
 def test_sector_image_matches_the_per_row_sandwich():
