@@ -29,6 +29,12 @@ linearity.  The operators share the two planned products of the formulas,
 laid side by side, and each keeps its own results, so ``worst_residuals``,
 its case of one operator, gives every value byte for byte.
 
+Both fixed probe sets, the 12 points of ``probe_points()`` and the 10
+weighted points of ``projective_matrix_probe``, are literal tables of their
+seeded draws (``_PROBE_ROWS``, ``_MATRIX_PROBE_ROWS``), so that checking,
+classifying or probing an operator does not load ``numpy.random``.  Only
+the public ``probe_points`` and ``composed_family_report`` still draw.
+
 For finite Psi every residual is byte for byte what the same formulas give
 through ``Multivector`` products.  Psi must be finite: a non-finite operator,
 or residuals that overflow, raise DomainError instead of yielding NaN.
@@ -151,10 +157,10 @@ def _layers(m: int, parts: tuple):
     """The two layers of ``_conditions`` at m probes, for one operator
     whose nonzero grade parts are among ``parts``.
 
-    Built on first use, like ``_probe_rows``: importing the package plans
-    nothing.  A sum of parts carries those of its parts that are present,
-    and the grades of a second-layer operand are those of the first-layer
-    products it is made of.
+    Built on first use: importing the package plans nothing.  A sum of
+    parts carries those of its parts that are present, and the grades of a
+    second-layer operand are those of the first-layer products it is made
+    of.
     """
     nominal = {f"P{k}": (k,) for k in range(7)}
     nominal.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5),
@@ -356,18 +362,24 @@ def probe_points(extra=8, seed=51966):
     return pts
 
 
-@functools.cache
-def _probe_rows() -> np.ndarray:
-    """The probe paravectors 1 + p, p in probe_points(), as (12, 4)
-    coordinates on POINT_BASIS.
-
-    Built on first use: probe_points() loads numpy.random, which costs
-    memory and import time in processes that never analyse an operator.
-    """
-    probes = np.array(probe_points())
-    rows = np.column_stack((np.ones(len(probes)), probes))
-    rows.flags.writeable = False
-    return rows
+#: The probe paravectors 1 + p, p in probe_points(), as (12, 4) coordinates
+#: on POINT_BASIS.  The values are those seeded draws written out, so that a
+#: process that analyses an operator does not load numpy.random.
+_PROBE_ROWS = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [1.0, 0.7899416326398052, -0.12216019380564824, 0.2389185476495468],
+    [1.0, 0.16380455089941504, -0.7611377438139815, -0.7088377542264122],
+    [1.0, -0.5575044914349989, -0.17545048856015444, -0.05213300443011337],
+    [1.0, -0.013904674009248774, 0.9266835398743294, 0.5979339649934121],
+    [1.0, -0.38699797523065804, -0.7541533569343737, 0.555170420681576],
+    [1.0, -0.5895080202257983, -0.978626385639821, -0.28684868491463766],
+    [1.0, 0.6831694821535703, 0.653744504909084, 0.4531757336773352],
+    [1.0, -0.4746303225400961, 0.2868469017346116, -0.8489055102930554],
+])
+_PROBE_ROWS.flags.writeable = False
 
 
 def worst_residuals(psi: Multivector) -> dict:
@@ -403,13 +415,12 @@ def _residuals_and_images(psis):
     rows = np.array([check_finite("psi", psi) for psi in psis]).reshape(-1, BLADE_COUNT)
     if not len(rows):
         return [], []
-    probes = _probe_rows()
     with np.errstate(over="ignore", invalid="ignore"):
         r1, r2, r3, r4 = _conditions(_grade_rows(rows), _E_ROWS)[:4]
         # each operator's matrix products are the 2-d ones it makes alone
-        images = np.array([probes @ basis for basis in basis_images(rows)])
-        r3 = np.array([probes[:, 1:] @ r for r in r3])
-        r4 = np.array([probes[:, 1:] @ r for r in r4])
+        images = np.array([_PROBE_ROWS @ basis for basis in basis_images(rows)])
+        r3 = np.array([_PROBE_ROWS[:, 1:] @ r for r in r3])
+        r4 = np.array([_PROBE_ROWS[:, 1:] @ r for r in r4])
         covector = np.array([_covector_part(image) for image in images])
         parts = (r1, r2, r3, r4, covector, images[..., _GRADE45])
         worst = np.column_stack([np.abs(x).max(axis=(1, 2)) for x in parts])
@@ -452,7 +463,7 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     (residuals,), (images,) = _residuals_and_images([phi])
     worst = max(residuals.values())
     if worst <= ACCEPT_FACTOR * scale:
-        moved = np.max(np.abs(images - _probe_rows() @ POINT_BASIS_ROWS))
+        moved = np.max(np.abs(images - _PROBE_ROWS @ POINT_BASIS_ROWS))
         identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:
@@ -489,14 +500,22 @@ def cotranslation_matrix(v, a, b, eps) -> np.ndarray:
     return m + eps * g(a, b) * np.eye(4)
 
 
-@functools.cache
-def _matrix_probe_rows() -> np.ndarray:
-    """The 10 seeded weighted points of ``projective_matrix_probe``, as
-    (10, 4) rows (w, x, y, z); built on first use, as ``_probe_rows`` is."""
-    rng = np.random.default_rng(7151)
-    rows = np.array([[rng.uniform(-1, 1), *rng.uniform(-1, 1, 3)] for _ in range(10)])
-    rows.flags.writeable = False
-    return rows
+#: The 10 weighted points of ``projective_matrix_probe``, as (10, 4) rows
+#: (w, x, y, z): the draws of ``np.random.default_rng(7151)``, each row w
+#: then x, y, z uniform in [-1, 1], written out as ``_PROBE_ROWS`` is.
+_MATRIX_PROBE_ROWS = np.array([
+    [0.07090334629322337, -0.8763246361723551, -0.20996763161780563, 0.9596171324304203],
+    [0.85877387193221, 0.4755141748605882, 0.5446361560499529, 0.13560505613785057],
+    [-0.4023833854275334, -0.05860644686672423, -0.6110883483913465, -0.42987146377094554],
+    [0.3037649360996373, -0.37420681179160176, -0.43287499004033525, -0.09664000845908749],
+    [0.7532903899447649, -0.03461241654477054, 0.3140869465513858, -0.8777461935190403],
+    [-0.8133061477065102, -0.8465893399284878, 0.4502576206252591, -0.9249465166807365],
+    [-0.748834702847931, -0.24540730448197445, -0.9277464341346753, -0.5136599253585221],
+    [0.6703259997402398, 0.7686320174828822, -0.9585489362479529, -0.6930062534477432],
+    [-0.19896197633282653, -0.016912544790342432, 0.36832495363604245, 0.6588977113791059],
+    [-0.8937971314233808, -0.9504608832663457, -0.37209647584822947, -0.6244693075494636],
+])
+_MATRIX_PROBE_ROWS.flags.writeable = False
 
 
 def _probe_limit(want: np.ndarray) -> np.ndarray:
@@ -546,9 +565,9 @@ def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool
 
 def projective_matrix_probe(transform: Transform) -> np.ndarray:
     """The 4x4 matrix of a transform, ``transform.matrix`` (read off the
-    basis of (weight, vector) space), verified on 10 seeded random weighted
-    points to a relative 1e-9.  Raises NotLinearError on mismatch, a NaN
-    deviation included.
+    basis of (weight, vector) space), verified on the 10 fixed weighted
+    points of ``_MATRIX_PROBE_ROWS`` to a relative 1e-9.  Raises
+    NotLinearError on mismatch, a NaN deviation included.
 
     The points are skipped when the a-priori rounding bounds of the stages
     prove that the check passes (``_certified``), which costs a few 4x4
@@ -562,7 +581,7 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
     are the same.
     """
     m = transform.matrix
-    rows = _matrix_probe_rows()
+    rows = _MATRIX_PROBE_ROWS
     want = np.array([m @ row for row in rows])
     if _certified(transform, want, rows) or _probe_failure(transform, want, rows) is None:
         return m

@@ -387,7 +387,7 @@ def test_matrix_probe_rejects_nonlinear():
 
     # a user's Transform has no a-priori bound: the probe always runs
     quadratic = Quadratic()
-    rows = analysis._matrix_probe_rows()
+    rows = analysis._MATRIX_PROBE_ROWS
     assert not analysis._certified(quadratic, rows @ quadratic.matrix.T, rows)
     with pytest.raises(NotLinearError):
         projective_matrix_probe(quadratic)
@@ -397,7 +397,7 @@ def test_matrix_probe_raises_the_first_points_error():
     # point 3 fails extraction and point 1 deviates: the batch raises point
     # 3's residue, and the probe raises what checking the points one at a
     # time raises, point 1's NotLinearError
-    rows = analysis._matrix_probe_rows()
+    rows = analysis._MATRIX_PROBE_ROWS
 
     class Faulty(Transform):
         def apply_points(self, points):
@@ -587,10 +587,10 @@ def dense_worst_residuals(psi):
     parts = grade_parts(psi)
     r1, r2, _, _ = dense_operator_terms(parts)
     axes = [dense_probe_terms(parts, e) for e in E]
-    probes = analysis._probe_rows()[:, 1:]
+    probes = analysis._PROBE_ROWS[:, 1:]
     r3 = probes @ np.array([t[0].coeffs for t in axes])
     r4 = probes @ np.array([t[1].coeffs for t in axes])
-    images = analysis._probe_rows() @ versors.basis_images(psi.coeffs)[0]
+    images = analysis._PROBE_ROWS @ versors.basis_images(psi.coeffs)[0]
     cov = (images[:, [1, 2, 4]] - images[:, [8, 16, 32]]) @ np.array([e.coeffs for e in E_STAR])
     high = images[:, (GRADES == 4) | (GRADES == 5)]
     worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
@@ -749,6 +749,22 @@ def test_probe_points_deterministic():
     b = probe_points()
     assert len(a) == 12
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_probe_tables_are_their_seeded_draws():
+    # the two fixed probe sets are literal tables, so that analysis does not
+    # load numpy.random; each is the seeded draw it was written from, bit
+    # for bit
+    probes = np.array(probe_points())
+    want = np.column_stack((np.ones(len(probes)), probes))
+    assert analysis._PROBE_ROWS.shape == (12, 4)
+    assert analysis._PROBE_ROWS.tobytes() == want.tobytes()
+    rng = np.random.default_rng(7151)
+    want = np.array([[rng.uniform(-1, 1), *rng.uniform(-1, 1, 3)] for _ in range(10)])
+    assert analysis._MATRIX_PROBE_ROWS.shape == (10, 4)
+    assert analysis._MATRIX_PROBE_ROWS.tobytes() == want.tobytes()
+    assert not (analysis._PROBE_ROWS.flags.writeable
+                or analysis._MATRIX_PROBE_ROWS.flags.writeable)
 
 
 def test_conditions_report_direct_parts():

@@ -71,7 +71,7 @@ def probe_inputs(source):
     images under its matrix, computed as the probe computes them."""
     transform = parse_pipeline(source).composed()
     m = transform.matrix
-    rows = analysis._matrix_probe_rows()
+    rows = analysis._MATRIX_PROBE_ROWS
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.array([m @ row for row in rows])
     return transform, want, rows
@@ -179,7 +179,7 @@ def test_a_subclass_of_a_library_stage_is_not_certified():
 
     (stage,) = parse_pipeline("rotate u=(1,0,0) v=(0,1,0) theta=0.5\n").transforms()
     doubled = Doubled(stage.U, stage.epsilon, stage.kind)
-    rows = analysis._matrix_probe_rows()
+    rows = analysis._MATRIX_PROBE_ROWS
     assert not analysis._certified(doubled, rows @ doubled.matrix.T, rows)
     with pytest.raises(NotLinearError):
         analysis.projective_matrix_probe(doubled)

@@ -340,7 +340,7 @@ _BLOCK_PIPELINE = ("perspective eye=(0,0,5) n=(0,0,1) c=1\nrotate u=(1,0,0) v=(0
          np.array([[1.0, 1.0, 2.0, 3.0], [1.0, 1e5, -1e5, 3.0]]))
 @example("perspective eye=(0,0,5) n=(0,0,1) c=1\ncotranslate v=(1,0,0)\n",
          np.array([[np.inf, 1.0, 2.0, 3.0], [1.0, np.nan, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]]))
-def test_apply_points_is_apply_byte_for_byte(source, rows):
+def test_sandwich_points_is_apply_byte_for_byte(source, rows):
     chain = parse_pipeline(source).composed()
     want = [_outcome(lambda: _point(chain, row)) for row in rows]
     # the sandwich chain of a batch of one gives the dense oracle's row, or
@@ -385,7 +385,7 @@ def test_apply_points_is_the_matrix_product(source, rows):
         assert _outcome(lambda: _point(chain, row, Composed.apply)) == one
 
 
-def test_apply_points_plans_one_block_at_a_time(monkeypatch):
+def test_sandwich_points_plans_one_block_at_a_time(monkeypatch):
     # the rows are planned and multiplied a block at a time, so neither the
     # cached plans nor the temporaries of a call grow with its row count
     stages = parse_pipeline(_BLOCK_PIPELINE).composed()
@@ -439,7 +439,7 @@ def test_pair_plans_are_the_per_product_plans(count):
             assert (got.count, got.grades) == (want.count, want.grades)
 
 
-def test_apply_points_of_one_raises_what_apply_raises():
+def test_sandwich_points_of_one_raises_what_apply_raises():
     # a star-sandwich whose middle product carries grade > 3, and a
     # translation perturbed as --perturb 7:0.01 perturbs it
     uprime = 1.0 + 0.2 * Multivector.blade(0b001111) + 0.3 * Multivector.blade(0b010111)

@@ -52,8 +52,10 @@ def test_every_import_is_used():
 
 
 def test_import_loads_no_new_modules():
-    # numpy.random costs memory and start-up time in every process; and each
-    # module the package pulls in beyond numpy is listed here on purpose
+    # numpy.random costs memory and start-up time in every process, so
+    # neither the import nor any command but selftest loads it (the
+    # commands are held to that below); and each module the package pulls
+    # in beyond numpy is listed here on purpose
     code = ("import sys, numpy; before = set(sys.modules); import cl33; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -65,19 +67,41 @@ def test_import_loads_no_new_modules():
                                                                 "dataclasses"}
 
 
+def test_commands_load_no_numpy_random():
+    # every command but selftest, the classifier included, reads its probe
+    # points from literal tables: one interpreter runs apply, check, matrix
+    # and a parse error, and numpy.random is still not loaded
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    projective, points = golden / "projective.txt", golden / "points.txt"
+    calls = [[str(arg) for arg in argv] for argv in (
+        ["apply", "--pipeline", projective, "--points", points],
+        ["apply", "--pipeline", projective, "--points", points, "--normalize"],
+        ["check", "--pipeline", projective], ["matrix", "--pipeline", projective],
+        ["check", "--pipeline", projective, "--perturb", "7:0.01"],
+        ["check", "--pipeline", golden / "syntax-error.txt"])]
+    code = ("import sys, cl33; from cl33.cli import main\n"
+            f"codes = [main(argv, _capture=[]) for argv in {calls!r}]\n"
+            "c = cl33.classify_infinitesimal(1, cl33.embed_vector([1.0, 0.0, 0.0]))\n"
+            "print(*codes, c.verdict, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.split() == ["0", "0", "0", "0", "5", "2", "accept", "False"]
+
+
 def test_import_builds_no_residual_plan():
-    # the product plans of the condition formulas are built on first use, as
-    # the probe rows are, so that importing the package does not pay for them;
-    # a batch of S operators adds the plans laid S times side by side
+    # the product plans of the condition formulas are built on first use,
+    # so that importing the package does not pay for them; a batch of S
+    # operators adds the plans laid S times side by side
     code = ("import cl33; from cl33 import analysis as a; one = cl33.Multivector.scalar(1.0)\n"
             "def sizes(): print(a._layers.cache_info().currsize, "
-            "a._plans.cache_info().currsize, a._probe_rows.cache_info().currsize)\n"
+            "a._plans.cache_info().currsize)\n"
             "sizes(); a.worst_residuals(one); sizes(); a.worst_residuals_of([one] * 3); sizes(); "
             "a.worst_residuals_of([one, one, one]); sizes()")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:4] == ["0 0 0", "1 1 1", "1 2 1", "1 2 1"]
+    assert out.split("\n")[:4] == ["0 0", "1 1", "1 2", "1 2"]
     assert cl33.analysis._plans.cache_parameters()["maxsize"] is not None
 
 
@@ -85,26 +109,23 @@ def test_import_builds_no_construction_or_fusion_plan():
     # the plans that build versors are made on first use, as the residual
     # plans are; a parse builds the two construction plans of its step
     # count, and composing, which fuses with *, adds none.  Importing keeps
-    # no transform's bound or matrix.  The matrix probe's points are made
-    # on the first probe; the images of the one stage add their plan; its
-    # bounds certify this pipeline, so no point goes through the stage and
-    # no other plan is added, and the pipeline and its one stage keep a
-    # matrix, the stage a bound
+    # no transform's bound or matrix.  The images of the one stage add
+    # their plan; its bounds certify this pipeline, so no point goes through
+    # the stage and no other plan is added, and the pipeline and its one
+    # stage keep a matrix, the stage a bound
     code = ("import gc, cl33; from cl33 import analysis as a, versors as v\n"
             "kept = lambda: sum(1 for o in gc.get_objects() if isinstance(o, v.Transform) "
             "and {'bound', 'matrix'} & vars(o).keys())\n"
-            "print(v._plan.cache_info().currsize, a._matrix_probe_rows.cache_info().currsize, "
-            "kept()); "
+            "print(v._plan.cache_info().currsize, kept()); "
             "p = cl33.parse_pipeline('rotate u=(1,0,0) v=(0,1,0) theta=0.5\\n"
             "rotate u=(0,1,0) v=(0,0,1) theta=0.25\\n'); "
             "print(v._plan.cache_info().currsize); c = p.composed(); "
             "print(v._plan.cache_info().currsize); a.projective_matrix_probe(c); "
-            "print(v._plan.cache_info().currsize, a._matrix_probe_rows.cache_info().currsize, "
-            "kept(), 'bound' in vars(c.stages[0]))")
+            "print(v._plan.cache_info().currsize, kept(), 'bound' in vars(c.stages[0]))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:4] == ["0 0 0", "2", "2", "3 1 2 True"]
+    assert out.split("\n")[:4] == ["0 0", "2", "2", "3 2 True"]
 
 
 def test_residue_errors_share_one_base():
