@@ -43,7 +43,7 @@ or residuals that overflow, raise DomainError instead of yielding NaN.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -304,8 +304,7 @@ def _covector_part(images: np.ndarray) -> np.ndarray:
     return (images[..., PLUS_BLADES] - images[..., MINUS_BLADES]) @ _E_STAR_ROWS
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Residuals of the point-preservation analysis at one probe point.
 
     ``r1``..``r4`` are the four condition left-hand sides, which equal the
@@ -437,8 +436,7 @@ REJECT = "reject"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str
     max_residual: float
     acts_as_identity: bool
@@ -611,8 +609,7 @@ def family_two_mixed(eps, eta, u, v, a, b):
         (1.0 + eta * outer_product(embed_vector(a), embed_covector(b)))
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     family: str
     eps: float
     eta: float

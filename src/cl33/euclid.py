@@ -9,13 +9,11 @@ w + p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .blades import BLADE_COUNT, GRADES, MINUS_BLADES, PLUS_BLADES
 from .errors import CovectorResidue, DomainError, NonParavectorResidue
-from .multivector import ATOL, ONE, RTOL, GENERATORS, Multivector, tolerance
+from .multivector import ATOL, ONE, RTOL, GENERATORS, Frozen, Multivector, tolerance
 
 _HIGH_GRADE_BLADES = np.flatnonzero(GRADES >= 2)
 #: The blades a point is read from, and their factors: w is the scalar
@@ -102,21 +100,23 @@ def star_conjugate(a: Multivector) -> Multivector:
     return I_PLUS * a * _I_PLUS_INV
 
 
-@dataclass(frozen=True)
-class Paravector:
+class Paravector(Frozen):
     """A weighted point: weight w plus position 3-vector p.
 
     Affine points have w = 1.  A weight-0 paravector is the point at infinity
     in the direction of its vector part.  Negative weights flip orientation:
-    the location of (w, p) is p/w for w > 0 and p/|w| for w < 0.
+    the location of (w, p) is p/w for w > 0 and p/|w| for w < 0.  Equal
+    points have equal weights and vectors; a point is unhashable, since its
+    vector is a mutable array.
     """
 
-    weight: float
-    vector: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    def __init__(self, weight: float, vector=(0.0, 0.0, 0.0)):
+        self.__dict__.update(weight=float(weight), vector=_vec3(vector))
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "vector", _vec3(self.vector))
+    def __eq__(self, other):
+        if not isinstance(other, Paravector):
+            return NotImplemented
+        return self.weight == other.weight and np.array_equal(self.vector, other.vector)
 
     def __sub__(self, other: "Paravector") -> "Paravector":
         return Paravector(self.weight - other.weight, self.vector - other.vector)

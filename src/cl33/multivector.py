@@ -51,7 +51,27 @@ def tolerance(scale: float) -> float:
     return ATOL + RTOL * abs(scale)
 
 
-class Multivector:
+class Frozen:
+    """A base whose instances refuse attribute assignment and deletion: a
+    constructor sets attributes with ``object.__setattr__`` or in
+    ``__dict__``.  The repr reads like a constructor call with the
+    attributes named in ``_fields``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Multivector(Frozen):
     """A dense element of the algebra: 64 float64 coefficients by blade mask."""
 
     __slots__ = ("coeffs",)
@@ -63,9 +83,6 @@ class Multivector:
             arr = np.array(coeffs, dtype=np.float64, copy=True).reshape(BLADE_COUNT)
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     # -- constructors -------------------------------------------------
 

@@ -12,13 +12,13 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, PipelineError
 from .euclid import Paravector
+from .multivector import Frozen
 from .versors import (
     COTRANSLATION,
     HYPERBOLIC,
@@ -62,14 +62,14 @@ GRAMMAR = {
 _SCALARS = frozenset({"theta", "eta", "t", "c"})
 
 
-@dataclass(frozen=True)
-class PipelineStep:
+class PipelineStep(Frozen):
     """One parsed line; equal steps have the same op and parameter values,
     whatever their line."""
 
-    op: str
-    params: dict
-    line: int
+    _fields = ("op", "params", "line")
+
+    def __init__(self, op: str, params: dict, line: int):
+        self.__dict__.update(op=op, params=params, line=line)
 
     def __eq__(self, other):
         if not isinstance(other, PipelineStep):
@@ -78,12 +78,19 @@ class PipelineStep:
                 and all(np.array_equal(x, other.params[k]) for k, x in self.params.items()))
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    """Steps and, in the same order, their transforms."""
+class Pipeline(Frozen):
+    """Steps and, in the same order, their transforms; equal pipelines have
+    equal steps."""
 
-    steps: tuple
-    step_transforms: tuple = field(repr=False, compare=False)
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple, step_transforms: tuple):
+        self.__dict__.update(steps=steps, step_transforms=step_transforms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Pipeline):
+            return NotImplemented
+        return self.steps == other.steps
 
     def transforms(self) -> list:
         return list(self.step_transforms)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -42,6 +41,7 @@ from .hodge import (
 from .multivector import (
     GENERATORS,
     ONE,
+    Frozen,
     Multivector,
     ProductPlan,
     grade_set,
@@ -273,8 +273,9 @@ def _sandwich_terms(coeffs):
     return int(np.count_nonzero(coeffs)), float(np.abs(coeffs).sum())
 
 
-class Transform:
-    """A point transformation; concrete forms below."""
+class Transform(Frozen):
+    """A point transformation; concrete forms below.  A transform is
+    immutable, and equal only to itself."""
 
     def apply(self, p: Paravector) -> Paravector:
         """The image of one weighted point: ``apply_points`` of its one row,
@@ -340,7 +341,6 @@ class Transform:
             return self._assemble(extract_points(self.images()))
 
 
-@dataclass(frozen=True)
 class Versor(Transform):
     """A sandwich operator: multivector U, sign epsilon, and a kind tag.
 
@@ -353,9 +353,10 @@ class Versor(Transform):
     U: ``sandwich_products`` builds one per call when it needs one.
     """
 
-    U: Multivector
-    epsilon: int
-    kind: str
+    _fields = ("U", "epsilon", "kind")
+
+    def __init__(self, U: Multivector, epsilon: int, kind: str):
+        self.__dict__.update(U=U, epsilon=epsilon, kind=kind)
 
     @cached_property
     def _grades(self) -> tuple:
@@ -696,7 +697,6 @@ def apply_sandwich(versor: Versor, p: Paravector) -> Paravector:
 
 # -- Hodge-conjugate form ---------------------------------------------------
 
-@dataclass(frozen=True)
 class HodgeVersor(Transform):
     """A versor for star-sandwich application: P' = star^-1[U' (star P) (rev U')].
 
@@ -705,8 +705,10 @@ class HodgeVersor(Transform):
     Versor, it keeps the grade set of U' and no table of rev U'.
     """
 
-    uprime: Multivector
-    lam: float
+    _fields = ("uprime", "lam")
+
+    def __init__(self, uprime: Multivector, lam: float):
+        self.__dict__.update(uprime=uprime, lam=lam)
 
     @cached_property
     def _grades(self) -> tuple:
@@ -816,7 +818,6 @@ def pseudo_perspective(n, p: Paravector) -> Paravector:
     return pseudo_perspective_map(n).apply(p)
 
 
-@dataclass(frozen=True)
 class PerspectiveMap(Transform):
     """Perspective from the eye onto the plane x . n = c as a pipeline stage.
 
@@ -834,25 +835,19 @@ class PerspectiveMap(Transform):
     pipeline.
     """
 
-    eye: Paravector
-    n: np.ndarray
-    c: float
-    a: float = field(init=False, repr=False, compare=False)
-    cotranslate: HodgeVersor = field(init=False, repr=False, compare=False)
-    from_eye: Versor = field(init=False, repr=False, compare=False)
+    _fields = ("eye", "n", "c")
 
-    def __post_init__(self):
-        check_finite("eye", [self.eye.weight, *self.eye.vector])
-        n = _vector("n", self.n)
-        c = float(check_finite("c", self.c))
-        (built,) = build([draft(PERSPECTIVE, self.eye, n, c)])
-        for name in _PERSPECTIVE_FIELDS[1:]:
-            object.__setattr__(self, name, getattr(built, name))
+    def __init__(self, eye: Paravector, n: np.ndarray, c: float):
+        check_finite("eye", [eye.weight, *eye.vector])
+        n = _vector("n", n)
+        c = float(check_finite("c", c))
+        (built,) = build([draft(PERSPECTIVE, eye, n, c)])
+        self.__dict__.update(vars(built))
 
     @classmethod
     def _of(cls, *values) -> "PerspectiveMap":
         """The stage of checked values of _PERSPECTIVE_FIELDS, in order,
-        without __post_init__: ``build`` finishes a perspective draft so."""
+        without checking them: ``build`` finishes a perspective draft so."""
         stage = object.__new__(cls)
         for name, value in zip(_PERSPECTIVE_FIELDS, values):
             object.__setattr__(stage, name, value)
@@ -915,12 +910,14 @@ def perspective_project(eye: Paravector, n, c, p: Paravector) -> Paravector:
 
 # -- composition ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Composed(Transform):
     """Stages applied in order: ``matrix`` is the product of the stage
     matrices, which ``apply_points`` applies to a batch of points at once."""
 
-    stages: tuple
+    _fields = ("stages",)
+
+    def __init__(self, stages: tuple):
+        self.__dict__["stages"] = stages
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -1093,8 +1090,7 @@ def compose(transforms) -> Composed:
 
 # -- sector behavior ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorReport:
+class SectorReport(NamedTuple):
     """How a versor's sandwich treats points whose vector part lives in one
     generator sector: largest coefficient leaking outside each sector and the
     resulting verdicts."""

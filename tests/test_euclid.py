@@ -179,6 +179,15 @@ def test_paravector_sub():
     assert d2.weight == 1.0 and np.allclose(d2.vector, p - e)
 
 
+def test_paravectors_compare_by_value_and_are_unhashable():
+    p = Paravector(1, [1, 2, 3])
+    assert p == Paravector(1.0, np.array([1.0, 2.0, 3.0])) and not p != Paravector(1, [1, 2, 3])
+    assert p != Paravector(2, [1, 2, 3]) and p != Paravector(1, [1, 2, 4])
+    assert p != (1, [1, 2, 3]) and Paravector(np.nan) != Paravector(np.nan)
+    with pytest.raises(TypeError):
+        hash(p)
+
+
 def test_paravector_reversion_symmetry():
     from cl33 import reversion
 

@@ -6,6 +6,9 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cl33
 
 SRC = Path(cl33.__file__).resolve().parent
@@ -51,11 +54,47 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_values_are_immutable_and_built_by_position_or_keyword():
+    # the eleven value classes: each builds from its arguments by position
+    # or by keyword, with its defaults, and refuses to set or delete them
+    one = cl33.Multivector.scalar(1.0)
+    step = cl33.PipelineStep("translate", {"v": np.array([1.0, 0.0, 0.0])}, 1)
+    arguments = {
+        cl33.Paravector: {"weight": 2.0},
+        cl33.Versor: {"U": one, "epsilon": 1, "kind": "identity"},
+        cl33.HodgeVersor: {"uprime": one, "lam": 1.0},
+        cl33.PerspectiveMap: {"eye": cl33.Paravector(1.0), "n": [0.0, 0.0, 1.0], "c": 1.0},
+        cl33.Composed: {"stages": ()},
+        cl33.SectorReport: {"plus_off_sector": 0.0, "minus_off_sector": 1.0,
+                            "preserves_plus": True, "preserves_minus": False},
+        cl33.ConditionReport: dict.fromkeys(
+            ["r1", "r2", "r3", "r4", "covector_residual", "direct4", "direct5"], one),
+        cl33.Classification: {"verdict": "accept", "max_residual": 0.0,
+                              "acts_as_identity": True},
+        cl33.analysis.FamilyResult: {"family": "two-vectors", "eps": 0.1, "eta": 0.01,
+                                     "max_residual": 0.0, "threshold": 1e-12},
+        cl33.PipelineStep: {"op": "translate", "params": step.params, "line": 1},
+        cl33.Pipeline: {"steps": (step,), "step_transforms": (cl33.identity_versor(),)},
+    }
+    for cls, kwargs in arguments.items():
+        for value in (cls(*kwargs.values()), cls(**kwargs)):
+            for name, given in kwargs.items():
+                assert np.array_equal(getattr(value, name), given), (cls, name)
+                with pytest.raises(AttributeError):
+                    setattr(value, name, given)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+    assert np.array_equal(cl33.Paravector(2.0).vector, np.zeros(3))
+    assert cl33.Classification("accept", 0.0, True).detail == ""
+
+
 def test_import_loads_no_new_modules():
     # numpy.random costs memory and start-up time in every process, so
     # neither the import nor any command but selftest loads it (the
     # commands are held to that below); and each module the package pulls
-    # in beyond numpy is listed here on purpose
+    # in beyond numpy is listed here on purpose.  Start-up runs no
+    # generated code either: no value class is a dataclass, so neither
+    # dataclasses nor the copy module it imports is loaded
     code = ("import sys, numpy; before = set(sys.modules); import cl33; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -63,14 +102,14 @@ def test_import_loads_no_new_modules():
                          env=env, check=True, timeout=60).stdout
     added = set(out.split())
     assert "numpy.random" not in added
-    assert {m for m in added if m.split(".")[0] != "cl33"} <= {"__future__", "copy",
-                                                                "dataclasses"}
+    assert {m for m in added if m.split(".")[0] != "cl33"} <= {"__future__"}
 
 
 def test_commands_load_no_numpy_random():
     # every command but selftest, the classifier included, reads its probe
     # points from literal tables: one interpreter runs apply, check, matrix
-    # and a parse error, and numpy.random is still not loaded
+    # and a parse error, and numpy.random is still not loaded, nor are
+    # dataclasses and copy
     golden = Path(__file__).resolve().parent / "data" / "golden"
     projective, points = golden / "projective.txt", golden / "points.txt"
     calls = [[str(arg) for arg in argv] for argv in (
@@ -82,11 +121,11 @@ def test_commands_load_no_numpy_random():
     code = ("import sys, cl33; from cl33.cli import main\n"
             f"codes = [main(argv, _capture=[]) for argv in {calls!r}]\n"
             "c = cl33.classify_infinitesimal(1, cl33.embed_vector([1.0, 0.0, 0.0]))\n"
-            "print(*codes, c.verdict, 'numpy.random' in sys.modules)")
+            "print(*codes, c.verdict, *{'numpy.random', 'dataclasses', 'copy'} & set(sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split() == ["0", "0", "0", "0", "5", "2", "accept", "False"]
+    assert out.split() == ["0", "0", "0", "0", "5", "2", "accept"]
 
 
 def test_import_builds_no_residual_plan():

@@ -215,6 +215,8 @@ def test_steps_compare_by_op_and_values():
     assert a.line != b.line and a == b
     assert a != parse_pipeline("translate v=(1,2,4)\n").steps[0]
     assert a != parse_pipeline("cotranslate v=(1,2,3)\n").steps[0]
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_inverse_pipeline_rejects_projections():

@@ -503,6 +503,16 @@ def test_compose_flattens_nested():
     assert len(nested.stages) == 1
 
 
+def test_stages_compare_by_identity():
+    eye = Paravector(1.0, [0, 0, 0])
+    stages = [lambda: rotation_versor(E1, E2, 0.5), lambda: cotranslation_versor([1, 2, 3]),
+              lambda: PerspectiveMap(eye, [0, 0, 1], 1.0),
+              lambda: compose([rotation_versor(E1, E2, 0.5), translation_versor([1, 0, 0])])]
+    for make in stages:
+        a, b = make(), make()
+        assert a == a and a != b and a in {a} and b not in {a}
+
+
 def test_compose_rejects_non_transform():
     with pytest.raises(TypeError):
         compose([translation_versor([1, 0, 0]).U])
