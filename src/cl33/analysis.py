@@ -27,7 +27,11 @@ operator a planned product and a second one, planned when its grades make
 it sparse and tabled otherwise), and reaches the 12 probe points by
 linearity.  The operators share the two planned products of the formulas,
 laid side by side, and each keeps its own results, so ``worst_residuals``,
-its case of one operator, gives every value byte for byte.
+its case of one operator, gives every value byte for byte.  ``_layers``
+puts operands and results at fixed rows, read as slices.  Every sum is added
+left to right as written, never regrouped (as ``np.add.reduceat`` would) or
+scaled apart, which changes last bits; only the worst values, a maximum,
+come from one pass over all residuals.
 
 Both fixed probe sets, the 12 points of ``probe_points()`` and the 10
 weighted points of ``projective_matrix_probe``, are literal tables of their
@@ -55,6 +59,7 @@ from .euclid import (
     Paravector,
     embed_covector,
     embed_paravector,
+    embed_points,
     embed_vector,
     g,
 )
@@ -95,122 +100,119 @@ def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
 
 # -- the condition formulas ---------------------------------------------------
 #
-# A product is written (left, "*" or "^", right) over named operand rows.
-# The operands of the first layer are the grade parts P0..P6 of Psi, the sums
-# of them that are right factors, the grade involutions iP5 and iP6, and the
-# probe p.  Operands named in _PER_PROBE have one row per probe, and so has
-# every product with such a factor.
+# A product is written (left, "*" or "^", right) over named operand rows, with
+# "2" before the left factor when the formulas only read it doubled, and then
+# the one grade of its result that is read, if only one is.  Its result rows
+# are named left + op + right ("P1*P5", without the 2).  The probe p has one
+# row per probe, and so has every product with a factor that has.  The terms
+# of two formulas alternate, so that ``_conditions`` adds a term to both at once.
 
 #: The first layer: products whose factors are known up front.  The
 #: products of d1 and d2, and of d3 and d4 below, carry the grade each
 #: correction term reads (4 or 5); the other products are read whole.
 _FIRST = (
-    # d1 and d2
-    ("P1", "*", "P5", 4), ("P2", "*", "P4-P6", 4), ("P3", "*", "-P3+2P5", 4), ("P4", "*", "P4", 4),
-    ("P1", "*", "P4-P6", 5), ("P2", "*", "-P3+P5", 5), ("P3", "*", "P4", 5),
-    # r1 and r2, then the operator factors of r3 (r4 shares those of r1)
-    ("P0", "*", "P4"), ("P2", "^", "P2"), ("P1", "^", "P3"), ("P0", "*", "P5"),
-    ("P0", "*", "P3"), ("P1", "^", "P2"),
+    # d1 = 2 P1 P5 + 2 P2 (P4-P6) + P3 (-P3+2P5) + P4 P4 and
+    # d2 = 2 P1 (P4-P6) + 2 P2 (-P3+P5) + 2 P3 P4
+    ("2P1", "*", "P5", 4), ("2P1", "*", "P4-P6", 5), ("2P2", "*", "P4-P6", 4),
+    ("2P2", "*", "-P3+P5", 5), ("P3", "*", "-P3+2P5", 4), ("2P3", "*", "P4", 5),
+    ("P4", "*", "P4", 4),
+    # r1 = 2 P0 P4 - P2^P2 - 2 P1^P3 + d1 and r2 = 2 P0 P5 + d2, then the
+    # operator factors of r3 (r4 shares those of r1)
+    ("2P0", "*", "P4"), ("2P0", "*", "P5"), ("P2", "^", "P2"), ("2P1", "^", "P3"),
+    ("2P0", "*", "P3"), ("2P1", "^", "P2"),
     # the left products P_k p of d3 and d4, and both sides of the
     # contractions of p into P5 and P6
     ("P1", "*", "p"), ("P2", "*", "p"), ("P3", "*", "p"), ("P4", "*", "p"),
-    ("p", "*", "P5"), ("iP5", "*", "p"), ("p", "*", "P6"), ("iP6", "*", "p"),
+    ("p", "*", "P5"), ("p", "*", "P6"), ("iP5", "*", "p"), ("iP6", "*", "p"),
 )
 
-#: The second layer: everything that multiplies a first-layer result.
-#: "P1p" is P1 p, "p.P5" the contraction of p into P5, "2P0P3" is 2 (P0 P3).
+#: The second layer: everything that multiplies a first-layer result, which
+#: it reads doubled where the first layer doubles it.  "p.P5" and "p.P6" are
+#: the contractions of p into P5 and P6.
 _SECOND = (
-    # d3 and d4
-    ("P1p", "*", "P4-P6", 4), ("P2p", "*", "-P3+P5", 4), ("P3p", "*", "P4-P6", 4),
-    ("P4p", "*", "P5", 4), ("P1p", "*", "P5", 5), ("P2p", "*", "P4-P6", 5),
-    ("P3p", "*", "-P3+2P5", 5), ("P4p", "*", "P4", 5),
-    # r3 and r4
-    ("2P0P3", "^", "p"), ("2P1^P2", "^", "p"), ("P0", "*", "p.P5"),
-    ("2P0P4", "^", "p"), ("P2^P2", "^", "p"), ("2P1^P3", "^", "p"), ("P0", "*", "p.P6"),
+    # d3 = 2 (P1 p)(P4-P6) + 2 (P2 p)(-P3+P5) + 2 (P3 p)(P4-P6) + 2 (P4 p) P5
+    # and d4 = 2 (P1 p) P5 + 2 (P2 p)(P4-P6) + (P3 p)(-P3+2P5) + (P4 p) P4
+    ("2P1*p", "*", "P4-P6", 4), ("2P1*p", "*", "P5", 5), ("2P2*p", "*", "-P3+P5", 4),
+    ("2P2*p", "*", "P4-P6", 5), ("2P3*p", "*", "P4-P6", 4), ("P3*p", "*", "-P3+2P5", 5),
+    ("2P4*p", "*", "P5", 4), ("P4*p", "*", "P4", 5),
+    # r3 = (2 P0 P3)^p - (2 P1^P2)^p + 2 P0 (p.P5) + d3 and
+    # r4 = (2 P0 P4)^p - (P2^P2)^p + (2 P1^P3)^p - 2 P0 (p.P6) + d4
+    ("P0*P3", "^", "p"), ("P0*P4", "^", "p"), ("P1^P2", "^", "p"), ("P2^P2", "^", "p"),
+    ("2P0", "*", "p.P5"), ("P1^P3", "^", "p"), ("2P0", "*", "p.P6"),
 )
-
-_PER_PROBE = frozenset({"p", "P1p", "P2p", "P3p", "P4p", "p.P5", "p.P6"})
 
 #: The grade parts of an operator of every grade.
 _ALL_PARTS = tuple(range(7))
 
 
-def _layer(products, grades, m):
-    """One layer at m probes, for one operator: its product plan, its
-    operand names in row order, and the row slice of each product's results."""
-    names = list(dict.fromkeys(n for a, _, b, *_ in products for n in (a, b)))
-    sizes = [m if n in _PER_PROBE else 1 for n in names]
-    start = dict(zip(names, np.cumsum([0] + sizes).tolist()))
-    pairs, reads, slices = [], [], {}
+def _layer(products, rows, grades):
+    """The plan of one layer's products over operand rows of the given
+    grades, operand ``name`` at ``rows[name]``; each result's rows, one per
+    row of its factors; and each result row's factor, as a column."""
+    pairs, reads, made, factors = [], [], {}, []
     for a, op, b, *read in products:
-        rows = m if _PER_PROBE & {a, b} else 1
-        slices[a, op, b] = slice(len(pairs), len(pairs) + rows)
-        pairs += [(start[a] + j * (a in _PER_PROBE), start[b] + j * (b in _PER_PROBE), op == "^")
-                  for j in range(rows)]
-        reads += [read or None] * rows
-    row_grades = [grades[n] for n, size in zip(names, sizes) for _ in range(size)]
-    return product_plan(row_grades, pairs, reads), names, slices
+        factor, a = (2.0, a[1:]) if a[0] == "2" else (1.0, a)
+        n = max(len(rows[a]), len(rows[b]))
+        made[a + op + b] = np.arange(len(pairs), len(pairs) + n)
+        pairs += [(rows[a][j % len(rows[a])], rows[b][j % len(rows[b])], op == "^")
+                  for j in range(n)]
+        reads += [read or None] * n
+        factors += [factor] * n
+    return product_plan(grades, pairs, reads), made, np.array(factors)[:, None]
 
 
 @functools.lru_cache(maxsize=64)
 def _layers(m: int, parts: tuple):
     """The two layers of ``_conditions`` at m probes, for one operator
-    whose nonzero grade parts are among ``parts``.
+    whose nonzero grade parts are among ``parts``: the plans, the operand
+    rows of each, and the factors of their result rows (``_layer``).
 
     Built on first use: importing the package plans nothing.  A sum of
-    parts carries those of its parts that are present, and the grades of a
-    second-layer operand are those of the first-layer products it is made
-    of.
+    parts carries those of its parts that are present.  The second layer's
+    operand rows are the first's, its results, then p.P5 and p.P6.
     """
     nominal = {f"P{k}": (k,) for k in range(7)}
-    nominal.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5),
-                    "iP5": (5,), "iP6": (6,)})
-    grades = {name: tuple(k for k in ks if k in parts) for name, ks in nominal.items()}
-    grades["p"] = (1,)
-    first = _layer(_FIRST, grades, m)
-    made = {key: first[0].grades[rows.start] for key, rows in first[2].items()}
-    grades.update({f"P{k}p": made[f"P{k}", "*", "p"] for k in range(1, 5)})
-    grades.update({"2P0P3": made["P0", "*", "P3"], "2P1^P2": made["P1", "^", "P2"],
-                   "2P0P4": made["P0", "*", "P4"], "P2^P2": made["P2", "^", "P2"],
-                   "2P1^P3": made["P1", "^", "P3"]})
-    for k in (5, 6):
-        sides = made["p", "*", f"P{k}"] + made[f"iP{k}", "*", "p"]
-        grades[f"p.P{k}"] = tuple(sorted(set(sides)))
-    return first, _layer(_SECOND, grades, m)
+    nominal.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5), "iP5": (5,), "iP6": (6,)})
+    rows = {name: np.arange(k, k + 1) for k, name in enumerate(nominal)}
+    rows["p"] = len(nominal) + np.arange(m)
+    grades = [tuple(k for k in ks if k in parts) for ks in nominal.values()] + [(1,)] * m
+    first, made, one = _layer(_FIRST, rows, grades)
+    rows.update((name, len(grades) + at) for name, at in made.items())
+    start = len(grades) + len(first.grades)
+    rows.update({"p.P5": start + np.arange(m), "p.P6": start + m + np.arange(m)})
+    sides = zip(first.grades[-4 * m:-2 * m], first.grades[-2 * m:])
+    grades += list(first.grades) + [tuple(sorted(set(a + b))) for a, b in sides]
+    second, _, two = _layer(_SECOND, rows, grades)
+    return (first, second), (len(nominal) + m, len(grades)), (one, two)
 
 
 @functools.lru_cache(maxsize=64)
-def _plans(m: int, count: int, parts: tuple):
-    """The two layers of ``_conditions`` at m probes for ``count``
-    operators: ``_layers(m, parts)`` with each plan tiled ``count`` times
-    (``tile_plan``).  Built on first use and kept in a bounded cache, since
-    the stage count of a pipeline has no bound."""
+def _plans(m: int, count: int, parts: tuple) -> tuple:
+    """The plans of the two layers of ``_conditions`` at m probes for
+    ``count`` operators: those of ``_layers(m, parts)``, each tiled
+    ``count`` times (``tile_plan``).  Built on first use and kept in a
+    bounded cache, since the stage count of a pipeline has no bound."""
+    plans, sizes, _ = _layers(m, parts)
     if count == 1:
-        return _layers(m, parts)
-    out = []
-    for plan, names, slices in _layers(m, parts):
-        rows = sum(m if n in _PER_PROBE else 1 for n in names)
-        out.append((tile_plan(plan, rows, count), names, slices))
-    return tuple(out)
+        return plans
+    return tuple(tile_plan(plan, rows, count) for plan, rows in zip(plans, sizes))
 
 
-def _evaluate(layer, operands, parts) -> dict:
-    """Results of layer 0 or 1 of ``_conditions`` for S operators, keyed by
-    product, from its named operand rows, each of shape (S, rows, 64).
+def _evaluate(layer, rows, m, parts) -> np.ndarray:
+    """The results of layer 0 or 1 of ``_conditions`` at m probes for S
+    operators, shape (S, results, 64), from its operand rows, shape (S,
+    rows, 64).
 
     The plan is that of the grade parts ``parts``, whose products by a zero
     part it drops: a finite number times zero adds a zero.  When an operand
     row is not finite, it is the plan of all seven parts instead, which
     forms every product the formulas name, so that an overflow keeps the
-    NaN it has without the pruning; a second-layer operand made from such a
-    row is not finite either, so the second layer does the same."""
-    count, m = operands["p"].shape[:2]
-    plan, names, slices = _plans(m, count, parts)[layer]
-    rows = np.concatenate([operands[n] for n in names], axis=1)
+    NaN it has without the pruning; the operand rows of the second layer
+    hold those of the first, so the second layer does the same."""
     if not np.isfinite(rows).all():
-        plan = _plans(m, count, _ALL_PARTS)[layer][0]
-    out = planned_products(rows, plan).reshape(len(rows), -1, BLADE_COUNT)
-    return {key: out[:, index] for key, index in slices.items()}
+        parts = _ALL_PARTS
+    plan = _plans(m, len(rows), parts)[layer]
+    return planned_products(rows, plan).reshape(len(rows), -1, BLADE_COUNT)
 
 
 def _conditions(P, probes):
@@ -223,42 +225,40 @@ def _conditions(P, probes):
     (S, 1, 64), the probe terms as one row per probe, (S, m, 64).  All S
     operators share the two planned products, planned for the grade parts
     any of them carries, and each keeps its own results: they are byte for
-    byte those of the operator alone.
+    byte those of the operator alone.  Every sum is the one _FIRST and
+    _SECOND write, added left to right, two formulas side by side.
     """
-    count = P.shape[1]
+    count, m = P.shape[1], len(probes)
     parts = grade_set(P)
-    ops = {f"P{k}": P[k] for k in range(7)}
-    ops.update({"P4-P6": P[4] - P[6], "-P3+P5": -1 * P[3] + P[5],
-                "-P3+2P5": -1 * P[3] + 2 * P[5], "iP5": P[5] * INVOLUTION_SIGNS,
-                "iP6": P[6] * INVOLUTION_SIGNS,
-                "p": np.repeat(probes[None], count, axis=0)})
-    one = _evaluate(0, ops, parts)
+    factors = _layers(m, parts)[2]
+    neg3 = -1 * P[3]
+    rows = np.concatenate((*P, P[4] - P[6], neg3 + P[5], neg3 + 2 * P[5],
+                           *(P[5:] * INVOLUTION_SIGNS), np.repeat(probes[None], count, axis=0)),
+                          axis=1)
+    # rows of _FIRST's results, in order, doubled where the formulas double them
+    t = _evaluate(0, rows, m, parts) * factors[0]
     # each correction term sums the one grade its products are planned for
-    d1 = (2 * one["P1", "*", "P5"] + 2 * one["P2", "*", "P4-P6"]
-          + one["P3", "*", "-P3+2P5"] + one["P4", "*", "P4"])
-    d2 = 2 * one["P1", "*", "P4-P6"] + 2 * one["P2", "*", "-P3+P5"] + 2 * one["P3", "*", "P4"]
-    ops.update({f"P{k}p": one[f"P{k}", "*", "p"] for k in range(1, 5)})
-    ops.update({"2P0P3": 2 * one["P0", "*", "P3"], "2P1^P2": 2 * one["P1", "^", "P2"],
-                "2P0P4": 2 * one["P0", "*", "P4"], "P2^P2": one["P2", "^", "P2"],
-                "2P1^P3": 2 * one["P1", "^", "P3"]})
+    d12 = t[:, 0:2] + t[:, 2:4]
+    d12 += t[:, 4:6]
+    d12[:, :1] += t[:, 6:7]
+    r1 = t[:, 7:8] - t[:, 9:10] - t[:, 10:11] + d12[:, :1]
+    r2 = t[:, 8:9] + d12[:, 1:]
     # the vector contraction of p into a is (p a - (grade involution of a) p) / 2
-    for k in (5, 6):
-        ops[f"p.P{k}"] = (one["p", "*", f"P{k}"] - one[f"iP{k}", "*", "p"]) * 0.5
-    r1 = ops["2P0P4"] - ops["P2^P2"] - ops["2P1^P3"] + d1
-    r2 = 2 * one["P0", "*", "P5"] + d2
-    two = _evaluate(1, ops, parts)
-    d3 = (2 * two["P1p", "*", "P4-P6"] + 2 * two["P2p", "*", "-P3+P5"]
-          + 2 * two["P3p", "*", "P4-P6"] + 2 * two["P4p", "*", "P5"])
-    d4 = (2 * two["P1p", "*", "P5"] + 2 * two["P2p", "*", "P4-P6"]
-          + two["P3p", "*", "-P3+2P5"] + two["P4p", "*", "P4"])
+    dots = (t[:, -4 * m:-2 * m] - t[:, -2 * m:]) * 0.5
+    t = _evaluate(1, np.concatenate((rows, t, dots), axis=1), m, parts) * factors[1]
+    # one entry of _SECOND's results each, all of m rows
+    t = t.reshape(count, len(_SECOND), m, BLADE_COUNT)
+    d34 = t[:, 0:2] + t[:, 2:4]
+    d34 += t[:, 4:6]
+    d34 += t[:, 6:8]
     # the scalar/grade-5 cross term completes the third condition; without it
     # operators carrying both parts (e.g. rotation composed with translation)
     # would be flagged even though their images stay points
-    r3 = (two["2P0P3", "^", "p"] - two["2P1^P2", "^", "p"]
-          + 2 * two["P0", "*", "p.P5"] + d3)
-    r4 = (two["2P0P4", "^", "p"] - two["P2^P2", "^", "p"] + two["2P1^P3", "^", "p"]
-          - 2 * two["P0", "*", "p.P6"] + d4)
-    return r1, r2, r3, r4, d1, d2, d3, d4
+    r34 = t[:, 8:10] - t[:, 10:12]
+    r34 += t[:, 12:14]
+    r34[:, 1] -= t[:, 14]
+    r34 += d34
+    return r1, r2, r34[:, 0], r34[:, 1], d12[:, :1], d12[:, 1:], d34[:, 0], d34[:, 1]
 
 
 def _grade_rows(coeffs) -> np.ndarray:
@@ -296,12 +296,12 @@ def correction_terms(parts, p: Multivector):
 _GRADE_ROWS = np.array([GRADE_SELECTORS[k] for k in range(7)])
 _E_ROWS = POINT_BASIS_ROWS[1:]
 _E_STAR_ROWS = np.array([e.coeffs for e in E_STAR])
-_GRADE45 = GRADE_SELECTORS[4] | GRADE_SELECTORS[5]
+_GRADE45 = np.flatnonzero(GRADE_SELECTORS[4] | GRADE_SELECTORS[5])
 
 
 def _covector_part(images: np.ndarray) -> np.ndarray:
     """Covector components of the vector parts of (..., 64) image coefficients."""
-    return (images[..., PLUS_BLADES] - images[..., MINUS_BLADES]) @ _E_STAR_ROWS
+    return (images.take(PLUS_BLADES, axis=-1) - images.take(MINUS_BLADES, axis=-1)) @ _E_STAR_ROWS
 
 
 class ConditionReport(NamedTuple):
@@ -379,6 +379,11 @@ _PROBE_ROWS = np.array([
     [1.0, -0.4746303225400961, 0.2868469017346116, -0.8489055102930554],
 ])
 _PROBE_ROWS.flags.writeable = False
+#: The embedded probe points 1 + p; and where each value of the max pass of
+#: ``_residuals_and_images`` starts, per operator, in rows of 64: the whole
+#: image, r1, r2, and at every probe r3, r4, the covector part, grades 4, 5.
+_PROBE_POINTS = embed_points(_PROBE_ROWS)
+_WORST_STARTS = np.cumsum([0, 12, 1, 1, 12, 12, 12]) * BLADE_COUNT
 
 
 def worst_residuals(psi: Multivector) -> dict:
@@ -418,17 +423,19 @@ def _residuals_and_images(psis):
         r1, r2, r3, r4 = _conditions(_grade_rows(rows), _E_ROWS)[:4]
         # each operator's matrix products are the 2-d ones it makes alone
         images = np.array([_PROBE_ROWS @ basis for basis in basis_images(rows)])
-        r3 = np.array([_PROBE_ROWS[:, 1:] @ r for r in r3])
-        r4 = np.array([_PROBE_ROWS[:, 1:] @ r for r in r4])
+        r34 = np.array([(_PROBE_ROWS[:, 1:] @ a, _PROBE_ROWS[:, 1:] @ b) for a, b in zip(r3, r4)])
         covector = np.array([_covector_part(image) for image in images])
-        parts = (r1, r2, r3, r4, covector, images[..., _GRADE45])
-        worst = np.column_stack([np.abs(x).max(axis=(1, 2)) for x in parts])
-        finite = np.isfinite(worst).all(axis=1) & np.isfinite(images).all(axis=(1, 2))
+        # max is exact in any order: one pass over every operator's values,
+        # the whole image first, which is finite when its largest value is
+        parts = (images, r1, r2, r34, covector, images.take(_GRADE45, axis=-1))
+        values = np.abs(np.concatenate([x.reshape(len(rows), -1) for x in parts], axis=1))
+        worst = np.maximum.reduceat(values, _WORST_STARTS, axis=1)
+        finite = np.isfinite(worst).all(axis=1)
     if not finite.all():
         exc = DomainError(_OVERFLOW)
         exc.row = int(np.argmin(finite))
         raise exc
-    return [dict(zip(RESIDUALS, w)) for w in worst.tolist()], images
+    return [dict(zip(RESIDUALS, w)) for w in worst[:, 1:].tolist()], images
 
 
 ACCEPT = "accept"
@@ -461,7 +468,7 @@ def classify_infinitesimal(k: int, psi: Multivector) -> Classification:
     (residuals,), (images,) = _residuals_and_images([phi])
     worst = max(residuals.values())
     if worst <= ACCEPT_FACTOR * scale:
-        moved = np.max(np.abs(images - _PROBE_ROWS @ POINT_BASIS_ROWS))
+        moved = np.max(np.abs(images - _PROBE_POINTS))
         identity = bool(moved <= tolerance(scale ** 2))
         return Classification(ACCEPT, worst, identity)
     if worst > REJECT_FACTOR * scale * scale:

@@ -26,7 +26,9 @@ _EM = GENERATORS[3:]
 
 
 def _vec3(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(3)
+    """A read-only copy of the 3-vector ``v``."""
+    arr = np.array(v, dtype=np.float64).reshape(3)
+    arr.flags.writeable = False
     return arr
 
 
@@ -106,8 +108,9 @@ class Paravector(Frozen):
     Affine points have w = 1.  A weight-0 paravector is the point at infinity
     in the direction of its vector part.  Negative weights flip orientation:
     the location of (w, p) is p/w for w > 0 and p/|w| for w < 0.  Equal
-    points have equal weights and vectors; a point is unhashable, since its
-    vector is a mutable array.
+    points have equal weights and vectors; a point is unhashable, since it
+    compares by value.  The vector is the point's own read-only copy, so no
+    alias of the array it was made from can change the point.
     """
 
     def __init__(self, weight: float, vector=(0.0, 0.0, 0.0)):

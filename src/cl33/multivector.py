@@ -171,10 +171,20 @@ class Multivector(Frozen):
         return Multivector._raw(-self.coeffs)
 
     def __mul__(self, other):
+        """Geometric product: each nonzero a_i meets one row of the product
+        table of a finite b, summed in ascending i as ``table_products`` does
+        (a skipped ±0 would add ±0 to a sum from +0); a non-finite b takes all
+        4096 pairs, so that 0 times inf still yields its NaN."""
         if isinstance(other, Multivector):
-            prod = (self.coeffs[:, None] * other.coeffs[None, :]) * PRODUCT_SIGNS
-            return Multivector._raw(np.bincount(_FLAT_MASKS, weights=prod.ravel(),
-                                                minlength=BLADE_COUNT))
+            a, b = self.coeffs, other.coeffs
+            if not np.isfinite(b).all():
+                prod = (a[:, None] * b[None, :]) * PRODUCT_SIGNS
+                return Multivector._raw(np.bincount(_FLAT_MASKS, weights=prod.ravel(),
+                                                    minlength=BLADE_COUNT))
+            rows = np.flatnonzero(a)
+            terms = np.concatenate((b, -b)).take(_TABLE_INDEX.take(rows, axis=0))
+            terms *= a.take(rows)[:, None]
+            return Multivector._raw(np.add.reduce(terms, axis=0) + 0.0)
         if isinstance(other, numbers.Real):
             return Multivector._raw(self.coeffs * other)
         return NotImplemented
@@ -231,11 +241,12 @@ def product_tables(rows) -> np.ndarray:
     one row), as a (64, n, 64) array T with (a * b_r)_k = sum_i a_i T[i, r, k].
 
     ``table_products`` then multiplies by the table without the Cayley sign
-    and mask lookups of ``*``: a factor that meets many rows, as rev U does
-    in ``versors.sandwich_products``, is tabled once for all of them.
+    and mask lookups of the dense product: a factor that meets many rows, as
+    rev U does in ``versors.sandwich_products``, is tabled once for all of
+    them.  ``*`` gathers the rows of its nonzero left coefficients alone.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    tables = np.concatenate((rows, -rows), axis=-1)[..., _TABLE_INDEX]
+    tables = np.concatenate((rows, -rows), axis=-1).take(_TABLE_INDEX, axis=-1)
     return np.ascontiguousarray(tables.swapaxes(0, -2)).reshape(BLADE_COUNT, -1, BLADE_COUNT)
 
 
@@ -248,9 +259,10 @@ def table_products(a, tables) -> np.ndarray:
     otherwise: every term of a dense factor meets the table, while a plan
     skips the pairs that are zero by grade.
 
-    Byte-identical to ``Multivector.__mul__``: a_i times the signed
-    coefficient is the signed product, the terms are added in ascending i
-    (the reduced axis is outermost, so the sum is not pairwise), as
+    For finite right factors, byte-identical to ``Multivector.__mul__`` and
+    to the dense product of all 4096 pairs: a_i times the signed coefficient
+    is the signed product, the terms are added in ascending i (the reduced
+    axis is outermost, so the sum is not pairwise), as the dense product's
     ``bincount`` adds them, and ``+ 0.0`` gives a zero sum bincount's +0
     (numpy 2 already starts the sum from +0; earlier versions start from the
     first term, which may be -0).

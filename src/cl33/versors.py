@@ -1055,16 +1055,12 @@ def point_bounds(transform: Transform, rows):
 
 def _append(stages, stage):
     prev = stages[-1] if stages else None
-    # a fused versor that overflows keeps its non-finite coefficients, which
-    # the stage matrix and ``check`` report
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(stage, Versor) and isinstance(prev, Versor):
-            fused = Versor(stage.U * prev.U, stage.epsilon * prev.epsilon, COMPOSITE)
-        elif isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
-            fused = HodgeVersor(stage.uprime * prev.uprime, stage.lam * prev.lam)
-        else:
-            return stages + [stage]
-    return stages[:-1] + [fused]
+    if isinstance(stage, Versor) and isinstance(prev, Versor):
+        stages[-1] = Versor(stage.U * prev.U, stage.epsilon * prev.epsilon, COMPOSITE)
+    elif isinstance(stage, HodgeVersor) and isinstance(prev, HodgeVersor):
+        stages[-1] = HodgeVersor(stage.uprime * prev.uprime, stage.lam * prev.lam)
+    else:
+        stages.append(stage)
 
 
 def compose(transforms) -> Composed:
@@ -1077,14 +1073,14 @@ def compose(transforms) -> Composed:
     identity.
     """
     stages: list[Transform] = []
-    for t in transforms:
-        if isinstance(t, Composed):
-            for s in t.stages:
-                stages = _append(stages, s)
-        elif isinstance(t, Transform):
-            stages = _append(stages, t)
-        else:
-            raise TypeError(f"not a Transform: {t!r}")
+    # a fused versor that overflows keeps its non-finite coefficients, which
+    # the stage matrix and ``check`` report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in transforms:
+            if not isinstance(t, Transform):
+                raise TypeError(f"not a Transform: {t!r}")
+            for s in t.stages if isinstance(t, Composed) else (t,):
+                _append(stages, s)
     return Composed(tuple(stages))
 
 

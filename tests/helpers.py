@@ -16,7 +16,7 @@ from cl33 import (
     hodge_star,
     reversion,
 )
-from cl33.blades import BLADE_COUNT
+from cl33.blades import BLADE_COUNT, PRODUCT_MASKS, PRODUCT_SIGNS
 from cl33.selftest import naive_blade_product
 
 
@@ -32,6 +32,16 @@ def naive_geometric_product(x, y):
             sign, mask = naive_blade_product(a, b)
             out[mask] += sign * x[a] * y[b]
     return out
+
+
+def dense_product(x, y):
+    """The geometric product of two rows of 64 coefficients through every
+    one of the 4096 signed pairs (x_i y_j) s(i, j), which bincount adds
+    into blade i ^ j in ascending i, starting from +0: the reference of
+    ``Multivector.__mul__`` and the table products, NaN and overflow
+    included."""
+    prod = (np.asarray(x)[:, None] * np.asarray(y)[None, :]) * PRODUCT_SIGNS
+    return np.bincount(PRODUCT_MASKS.ravel(), weights=prod.ravel(), minlength=BLADE_COUNT)
 
 
 def dense_sandwich(stage, m):

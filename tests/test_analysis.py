@@ -637,8 +637,25 @@ def _oracle_operators():
     return ops + generators
 
 
+def _rounding_operators():
+    """Operators whose sums round in the subnormal range, or end in signed
+    zeros, or add terms of many binades: a sum added in another order, or
+    with its terms scaled apart ((a - b) 0.5 as 0.5 a - 0.5 b), then rounds
+    differently.  1 plus subnormal multiples of 2^-1074 in each grade, and
+    in all of them; ±0 mixed with such multiples; and coefficients 2^-60
+    to 2^10 in size."""
+    rng = np.random.default_rng(65)
+    tiny = lambda: rng.integers(-7, 8, 64) * 5e-324
+    rows = [np.where(GRADES == k, tiny(), 0.0) for k in range(1, 7)] + [tiny()]
+    rows.append(np.where(rng.random(64) < 0.5, -0.0, tiny()))
+    rows.append(rng.normal(size=64) * 2.0 ** rng.integers(-60, 11, 64))
+    for row in rows:
+        row[0] = 1.0
+    return [Multivector(row) for row in rows]
+
+
 def test_residuals_are_the_dense_formulas_byte_for_byte():
-    ops = _oracle_operators() + _worst_residual_operators()
+    ops = _oracle_operators() + _worst_residual_operators() + _rounding_operators()
     for psi in ops:
         got, want = worst_residuals(psi), dense_worst_residuals(psi)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
@@ -658,8 +675,8 @@ def test_residuals_are_the_dense_formulas_byte_for_byte():
                        for x, y in zip(got, (d1, d2, d3, d4)))
     # the plans keep only the read coefficients: an operator of every grade
     # takes at most 8000 pairs at the three axes (15 555 with every one)
-    first, second = analysis._layers(3, analysis._ALL_PARTS)
-    assert len(first[0].left) + len(second[0].left) <= 8000
+    first, second = analysis._layers(3, analysis._ALL_PARTS)[0]
+    assert len(first.left) + len(second.left) <= 8000
 
 
 def _overflowing_operators():
@@ -685,8 +702,8 @@ def test_pruned_plans_are_the_plans_of_every_part(monkeypatch):
             P = analysis._grade_rows(np.array(rows))
             got = analysis._conditions(P, analysis._E_ROWS)
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_evaluate", lambda layer, operands, parts:
-                              evaluate(layer, operands, analysis._ALL_PARTS))
+                patch.setattr(analysis, "_evaluate", lambda layer, rows, m, parts:
+                              evaluate(layer, rows, m, analysis._ALL_PARTS))
                 want = analysis._conditions(P, analysis._E_ROWS)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 

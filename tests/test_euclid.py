@@ -23,6 +23,7 @@ from cl33 import (
     normalize_point,
     sector_vector,
     star_conjugate,
+    translation_versor,
 )
 from cl33.euclid import extract_points
 
@@ -186,6 +187,20 @@ def test_paravectors_compare_by_value_and_are_unhashable():
     assert p != (1, [1, 2, 3]) and Paravector(np.nan) != Paravector(np.nan)
     with pytest.raises(TypeError):
         hash(p)
+
+
+def test_a_point_keeps_its_own_vector():
+    # changing the array a point was made from leaves the point as it was,
+    # and neither it nor an image of Transform.apply can be written
+    v = np.array([1.0, 2, 3])
+    p = Paravector(1, v)
+    v[0] = 9
+    assert p == Paravector(1, [1, 2, 3])
+    image = translation_versor([0.5, 0, 0]).apply(p)
+    for point in (p, image):
+        with pytest.raises(ValueError):
+            point.vector[0] = 9
+    assert image == Paravector(1, [1.5, 2, 3])
 
 
 def test_paravector_reversion_symmetry():

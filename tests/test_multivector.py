@@ -22,7 +22,7 @@ from cl33 import (
 from cl33.blades import GRADES, PRODUCT_SIGNS
 from cl33.multivector import planned_products, product_plan, product_tables, table_products
 from cl33.euclid import E, OMEGA_V, embed_vector, sector_vector
-from helpers import naive_geometric_product
+from helpers import dense_product, naive_geometric_product
 
 EP1, EP2, EP3, EM1, EM2, EM3 = GENERATORS
 
@@ -252,7 +252,7 @@ def _random_rows(rng, n):
 
 def test_table_products_are_the_product_byte_for_byte():
     rng = np.random.default_rng(29)
-    rows = lambda a, b: np.array([(Multivector(x) * Multivector(y)).coeffs for x, y in zip(a, b)])
+    rows = lambda a, b: np.array([dense_product(x, y) for x, y in zip(a, b)])
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for _ in range(200):
             n = int(rng.integers(1, 8))
@@ -267,7 +267,7 @@ def test_table_products_are_the_product_byte_for_byte():
     # for the blades squaring to +1 and +0 for the rest; the sum is +0
     a = np.where(np.diagonal(PRODUCT_SIGNS) > 0, -0.0, 0.0)
     out = table_products(a, product_tables(np.zeros(64)))
-    assert out.tobytes() == (Multivector(a) * Multivector(np.zeros(64))).coeffs.tobytes()
+    assert out.tobytes() == dense_product(a, np.zeros(64)).tobytes()
     assert not np.signbit(out[0, 0])
 
 
@@ -291,6 +291,47 @@ def planned_batches(draw):
     return grades, rows, products
 
 
+@st.composite
+def odd_rows(draw, n):
+    """n rows of 64 ``odd_floats``, each with a drawn share of them ±0 and
+    up to two of them inf, -inf or NaN."""
+    rows = []
+    for _ in range(n):
+        kept = draw(st.sets(st.integers(0, 63)))
+        row = [draw(odd_floats) if k in kept else draw(st.sampled_from([0.0, -0.0]))
+               for k in range(64)]
+        for k in draw(st.sets(st.integers(0, 63), max_size=2)):
+            row[k] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        rows.append(row)
+    return np.array(rows)
+
+
+def _same(got, want):
+    """Byte for byte outside NaN, and NaN at the same places: a table holds
+    -b, so the sign of a NaN that b carries may differ."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(odd_rows(n), odd_rows(n))))
+def test_products_and_tables_are_the_dense_product(operands):
+    # the row-skipping product and the table products against every pair
+    # formed and added by bincount: signed zeros, subnormals, overflow, and
+    # inf or NaN in either factor
+    a, b = operands
+    with np.errstate(all="ignore"):
+        want = np.array([dense_product(x, y) for x, y in zip(a, b)])
+        got = np.array([(Multivector(x) * Multivector(y)).coeffs for x, y in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+        _same(table_products(a, product_tables(b)), want)
+        _same(table_products(a, product_tables(b[0])),
+              np.array([dense_product(x, b[0]) for x in a]))
+        _same(table_products(a[0], product_tables(b)),
+              np.array([dense_product(a[0], y) for y in b]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(planned_batches())
 def test_planned_products_are_the_products_byte_for_byte(batch):
@@ -299,4 +340,5 @@ def test_planned_products_are_the_products_byte_for_byte(batch):
         got = planned_products(rows, product_plan(grades, products))
         for out, (a, b, outer) in zip(got, products):
             x, y = Multivector(rows[a]), Multivector(rows[b])
-            assert out.tobytes() == ((x ^ y) if outer else (x * y)).coeffs.tobytes()
+            want = (x ^ y).coeffs if outer else dense_product(rows[a], rows[b])
+            assert out.tobytes() == want.tobytes()
