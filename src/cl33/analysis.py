@@ -549,14 +549,15 @@ def _probe_failure(transform: Transform, want: np.ndarray, rows: np.ndarray):
 
 
 def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the a-priori bounds of the stages prove that
+    """Whether the componentwise rounding radii of the steps prove that
     ``_probe_failure(transform, want, rows)`` is None, without taking a
     point through them: ``versors.point_bounds`` shows that
     ``sandwich_points`` raises nothing and bounds what it returns, and every
     row of those bounds lies within the probe's limit of ``want`` (J. R.
     Shewchuk, *Discrete Comput. Geom.* 18, 1997: a filter that proves a
     predicate or leaves it to the exact test).  False when they do not show
-    it, or ``want`` is not finite."""
+    it, a radius is not finite (a value that could overflow), or ``want``
+    is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(want).all():
             return False
@@ -574,16 +575,16 @@ def projective_matrix_probe(transform: Transform) -> np.ndarray:
     points of ``_MATRIX_PROBE_ROWS`` to a relative 1e-9.  Raises
     NotLinearError on mismatch, a NaN deviation included.
 
-    The points are skipped when the a-priori rounding bounds of the stages
-    prove that the check passes (``_certified``), which costs a few 4x4
-    products per stage over the stage matrices that ``transform.matrix``
-    keeps; the stages of ``versors`` whose values stay well inside their
-    tolerances are proved so.  Otherwise (a transform of another class, a
-    value that is not finite, or bounds too loose to decide) the points go
-    through ``sandwich_points`` in one batch, and when that fails,
-    one at a time, so that the error raised is the first failing point's
-    (``_probe_failure``).  Either way the matrix, the error and its text
-    are the same.
+    The points are skipped when the componentwise rounding radii of the
+    steps prove that the check passes (``_certified``), which costs two
+    unsigned 64x64 table products per step and a few 4x4 products over the
+    stage matrices that ``transform.matrix`` keeps; the steps of ``versors``
+    whose values stay well inside their tolerances are proved so.
+    Otherwise (a transform of another class, a value that is not finite, or
+    radii too loose to decide) the points go through ``sandwich_points`` in
+    one batch, and when that fails, one at a time, so that the error raised
+    is the first failing point's (``_probe_failure``).  Either way the
+    matrix, the error and its text are the same.
     """
     m = transform.matrix
     rows = _MATRIX_PROBE_ROWS

@@ -18,8 +18,8 @@ from .multivector import ATOL, ONE, RTOL, GENERATORS, Frozen, Multivector, toler
 _HIGH_GRADE_BLADES = np.flatnonzero(GRADES >= 2)
 #: The blades a point is read from, and their factors: w is the scalar
 #: part and p_i twice the e_i+ coefficient.
-_POINT_BLADES = np.array([0, *PLUS_BLADES])
-_POINT_SCALES = np.array([1.0, 2.0, 2.0, 2.0])
+POINT_BLADES = np.array([0, *PLUS_BLADES])
+POINT_SCALES = np.array([1.0, 2.0, 2.0, 2.0])
 
 _EP = GENERATORS[:3]
 _EM = GENERATORS[3:]
@@ -233,7 +233,7 @@ def extract_points(rows) -> np.ndarray:
                 residual=float(covector[i]))
         exc.row = i
         raise exc
-    return rows.take(_POINT_BLADES, 1) * _POINT_SCALES
+    return rows.take(POINT_BLADES, 1) * POINT_SCALES
 
 
 def normalize_point(p: Paravector) -> Paravector:

@@ -45,16 +45,9 @@ def _star_table() -> np.ndarray:
     return star
 
 
-_STAR = _star_table()
-_STAR.setflags(write=False)
-
-#: What a rounding bound needs of the star, read off its table: the largest
-#: coefficient 1-norm of the star of a blade, the most nonzero terms in a
-#: coefficient of a star, and the largest coefficient of the star of a
-#: multivector whose coefficients are at most 1 in magnitude.
-STAR_NORM = float(np.abs(_STAR).sum(axis=0).max())
-STAR_TERMS = int(np.count_nonzero(_STAR, axis=1).max())
-STAR_ROW_NORM = float(np.abs(_STAR).sum(axis=1).max())
+#: The star of every blade, read-only: column m is the star of blade m.
+STAR = _star_table()
+STAR.setflags(write=False)
 
 _ABOVE_3 = GRADES > 3
 
@@ -85,7 +78,7 @@ def hodge_star_rows(rows: np.ndarray) -> np.ndarray:
     if over.size:
         raise DomainError(
             f"hodge star is defined on grades 0..3; grade > 3 residue {over[0]:.3e}")
-    return np.matmul(_STAR, rows[:, :, None])[:, :, 0]
+    return np.matmul(STAR, rows[:, :, None])[:, :, 0]
 
 
 def star_residues(rows: np.ndarray) -> np.ndarray:

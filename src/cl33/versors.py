@@ -15,12 +15,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blades import BLADE_COUNT, MINUS_BLADES, PLUS_BLADES, REVERSION_SIGNS
+from .blades import BLADE_COUNT, MINUS_BLADES, PLUS_BLADES, PRODUCT_MASKS, REVERSION_SIGNS
 from .errors import DegenerateConfigurationError, DomainError, NotHodgeCompatible
 from .euclid import (
     OMEGA_V,
     POINT_BASIS,
     POINT_BASIS_ROWS,
+    POINT_BLADES,
+    POINT_SCALES,
     Paravector,
     embed_points,
     embed_vector,
@@ -30,14 +32,7 @@ from .euclid import (
     sector_vector,
     star_conjugate,
 )
-from .hodge import (
-    STAR_NORM,
-    STAR_ROW_NORM,
-    STAR_TERMS,
-    hodge_star,
-    hodge_star_rows,
-    star_residues,
-)
+from .hodge import STAR, hodge_star, hodge_star_rows, star_residues
 from .multivector import (
     GENERATORS,
     ONE,
@@ -197,23 +192,24 @@ def sandwich_products(U, rows, grades=None) -> np.ndarray:
     return out
 
 
-# -- a-priori rounding bounds ------------------------------------------------
+# -- componentwise rounding radii --------------------------------------------
 #
 # A sum of n products, in any order, is within gamma_n = n u / (1 - n u) of
 # exact, relative to the sum of their magnitudes, with u = 2^-53 (N. J.
 # Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-# section 3.1).  The Cayley table of Cl(3,3) is a signed permutation, so in
-# the coefficient 1-norm |a b|_1 <= |a|_1 |b|_1, and a product whose
-# coefficients each sum at most n nonzero terms is within gamma_n |a|_1
-# |b|_1 of exact.
+# section 3).  Coefficient k of a product a b sums +-a_i b_(i^k) over i, so
+# it is within gamma_n (|a| (*) |b|)_k of exact, with n its nonzero terms and
+# (*) the Cayley product with every sign +1: |a| @ |b|.take(PRODUCT_MASKS).
+# That product commutes and associates, so a sandwich U m (rev U) whose two
+# products sum at most k1 and k2 nonzero terms per coefficient is within
+# (gamma_k1 + gamma_k2 + gamma_k1 gamma_k2) |m| (*) |U| (*) |U| of exact.
 
 #: Relative allowance, on every bound, for the rounding of its own arithmetic.
 BOUND_SLACK = 1.0 + 2.0 ** -30
-#: While |x|_1 times a stage's ``reach`` stays below this, no value that
-#: stage computes from x overflows.
-_REACH_LIMIT = 2.0 ** 1000
-#: The floor of a bound per unit of reach: it covers underflow.
-_FLOOR = 2.0 ** -1000
+#: The floor of a radius per unit of a step's size and of |x|_1: it covers
+#: underflow, with 2^25 to spare, and it is inf when a value that the step
+#: computes could overflow.
+_FLOOR = 2.0 ** -1020
 
 
 def _gamma(n) -> float:
@@ -230,47 +226,93 @@ def _compound(*gammas) -> float:
     return total
 
 
-class Rounding(NamedTuple):
-    """An a-priori bound on the rounding of one linear step of a stage.
+_STAR_ABS = np.abs(STAR)
+#: The rounding of a star, whose coefficients each sum at most 8 nonzero
+#: terms, and the most by which the largest coefficient of a star exceeds
+#: that of its argument, rounding included.
+_STAR_GAMMA = _gamma(int(np.count_nonzero(STAR, axis=1).max()))
+_STAR_DIVISOR = (1.0 + _STAR_GAMMA) * float(_STAR_ABS.sum(axis=1).max())
+#: |POINT_BASIS_ROWS| and |STAR| |POINT_BASIS_ROWS|: the magnitudes of the
+#: coefficients of an embedded point, and of its star, per unit of each of
+#: its coordinates; and the blades each can hold, which bound the nonzero
+#: terms of a coefficient of a first product, 7 and 20.
+_POINT_MAGNITUDES = np.abs(POINT_BASIS_ROWS)
+_STAR_POINT_MAGNITUDES = _POINT_MAGNITUDES @ _STAR_ABS.T
+_POINT_TERMS = int(np.count_nonzero(_POINT_MAGNITUDES.any(axis=0)))
+_STAR_POINT_TERMS = int(np.count_nonzero(_STAR_POINT_MAGNITUDES.any(axis=0)))
+#: -1 on the minus generators, else +1: ``point_residues`` of radius rows
+#: times these reads the e_i+ radius plus the e_i- one as the covector part.
+_MINUS_NEGATED = np.where(np.isin(np.arange(BLADE_COUNT), MINUS_BLADES), -1.0, 1.0)
 
-    For a point x, as (w, x, y, z) coordinates with |x|_1 below
-    _REACH_LIMIT / ``reach``, every coordinate of the image that
-    ``sandwich_points`` computes, and of the image that the step's matrix
-    gives (column j is the computed image of basis point j), lies within
-    ``kappa |x|_1 + floor`` of the step's exact map.  Each of ``checks``
-    bounds a residue check the image of x passes: for (residues, kappa,
-    divisor), its residue is at most ``residues @ |x| + kappa |x|_1 +
-    floor``, with ``residues`` that of the computed images of the four
-    basis points, and its tolerance at least ``tolerance(L / divisor)``,
-    where L = max(|w'|, |x'|/2, |y'|/2, |z'|/2) of the image point.  The
-    floor covers underflow; every kappa includes it once more, for the
-    images of the basis points, whose |x|_1 is 1.
+
+def _radius(U, images, prestar=None) -> list:
+    """The componentwise rounding radius of each sandwich step with versor
+    coefficients a row of the (S, 64) ``U`` and kept images of POINT_BASIS
+    the matching (4, 64) block of ``images``, or of each star-sandwich step
+    with the kept images ``prestar`` before their last star too, as one
+    (matrix, checks, size) per step, all steps in one array computation.
+
+    Its (4, 64) rows, row j for POINT_BASIS[j], bound, coefficient by
+    coefficient, how far the computed image of POINT_BASIS[j] lies from its
+    exact image under this U, and |x| @ rows how far the image of a point x
+    = (w, x, y, z) that ``sandwich_points`` computes does.  A sandwich's
+    products sum at most k1 = min(nnz U, 7) and k2 = nnz U nonzero terms per
+    coefficient; a star-sandwich's first product at most min(nnz U, 20), and
+    each star, rounded by _STAR_GAMMA, widens the bound by |STAR|.
+
+    ``matrix`` reads the rows at the point blades: its entry (i, j) bounds
+    how far entry (i, j) of the step's matrix lies from exact, up to the
+    floor that ``point_bounds`` adds for underflow.  ``checks``
+    holds (r, divisor) for each residue check of the chain's image of x:
+    the residue is at most r @ |x|, the residues of the images plus twice
+    the rows' on the same blades, and its tolerance at least that of L /
+    divisor.  ``size``, 4 _STAR_DIVISOR (1 + |U|_1)^2, is at least four
+    times every value the step computes per unit of |x|_1: a product of a
+    with b is at most |a|_1 max |b|, and a star at most _STAR_DIVISOR times
+    its argument.  Overflow leaves inf or NaN in them.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.abs(U)
+        norm = 1.0 + U.sum(axis=1)
+        tables = U.take(PRODUCT_MASKS, axis=1)
+        point, width = ((_POINT_MAGNITUDES, _POINT_TERMS) if prestar is None
+                        else (_STAR_POINT_MAGNITUDES, _STAR_POINT_TERMS))
+        before = point @ tables @ tables
+        sandwich = [_compound(_gamma(min(n, width)), _gamma(n)) for n in map(np.count_nonzero, U)]
+        if prestar is None:
+            rows, checks = np.array(sandwich)[:, None, None] * before, []
+        else:
+            both = np.concatenate((prestar, before))
+            res = star_residues(both.reshape(-1, BLADE_COUNT)).reshape(2, -1, 4)
+            pre = np.array([_compound(_STAR_GAMMA, g) for g in sandwich])[:, None]
+            checks = [(res[0] + 2.0 * pre * res[1], _STAR_DIVISOR)]
+            image = np.array([_compound(_STAR_GAMMA, g, _STAR_GAMMA) for g in sandwich])
+            rows = image[:, None, None] * (before @ _STAR_ABS.T)
+        both = np.concatenate((images, rows * _MINUS_NEGATED))
+        res = point_residues(both.reshape(-1, BLADE_COUNT)).reshape(2, -1, 4)
+        checks.append((res[0] + 2.0 * res[1], 1.0))
+        sizes = 4.0 * _STAR_DIVISOR * norm * norm
+    matrices = rows.take(POINT_BLADES, axis=2).transpose(0, 2, 1) * POINT_SCALES[:, None]
+    return [(m, [(r[s], divisor) for r, divisor in checks], size)
+            for s, (m, size) in enumerate(zip(matrices, sizes))]
 
-    kappa: float
-    floor: float
-    reach: float
-    checks: tuple = ()
 
-
-def _rounding(kappa, reach, checks=()) -> Rounding:
-    """The Rounding of a step, with every kappa widened by BOUND_SLACK and
-    the floor."""
-    floor = _FLOOR * reach
-    return Rounding(kappa * BOUND_SLACK + floor, floor, reach,
-                    tuple((res, k * BOUND_SLACK + floor, div) for res, k, div in checks))
-
-
-def _reach(norm) -> float:
-    """max(1, norm)^2, taken as a product: inf, not an OverflowError, when
-    it overflows, so that a stage too large to bound is not certified."""
-    r = max(1.0, norm)
-    return r * r
-
-
-def _sandwich_terms(coeffs):
-    """The nonzero coefficient count and the coefficient 1-norm of a versor."""
-    return int(np.count_nonzero(coeffs)), float(np.abs(coeffs).sum())
+def _step_radii(steps) -> list:
+    """``_radius`` of each Versor and HodgeVersor of ``steps``, in order, and
+    None for a step of any other class: one ``_radius`` call for the
+    sandwiches and one for the star-sandwiches."""
+    radii = [None] * len(steps)
+    for kind in (Versor, HodgeVersor):
+        chosen = [i for i, step in enumerate(steps) if type(step) is kind]
+        if not chosen:
+            continue
+        star = kind is HodgeVersor
+        U = np.array([(steps[i].uprime if star else steps[i].U).coeffs for i in chosen])
+        images = np.array([steps[i]._kept("_images") for i in chosen])
+        prestar = np.array([steps[i]._kept("_prestar") for i in chosen]) if star else None
+        for i, radius in zip(chosen, _radius(U, images, prestar)):
+            radii[i] = radius
+    return radii
 
 
 class Transform(Frozen):
@@ -371,28 +413,10 @@ class Versor(Transform):
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
-        """Read-only, and kept as ``_images`` for ``bound``."""
+        """Read-only, and kept as ``_images`` for ``point_bounds``."""
         out = self.__dict__["_images"] = self.sandwiches(POINT_BASIS_ROWS)
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def bound(self) -> Rounding:
-        """The a-priori Rounding of the sandwich, computed on first use.
-
-        An embedded point m has |m|_1 = |x|_1 and 7 nonzero blades, so each
-        coefficient of U m sums at most k1 = min(nnz U, 7) nonzero terms and
-        each of (U m)(rev U) at most k2 = nnz U: the image is within
-        (gamma_k1 + gamma_k2 + gamma_k1 gamma_k2) |U|_1^2 |x|_1 of exact,
-        and extraction doubles a vector coordinate.  Its residue check
-        reads the residues of the images of the basis points, off by as
-        much again.
-        """
-        n, norm = _sandwich_terms(self.U.coeffs)
-        image = _compound(_gamma(min(n, 7)), _gamma(n)) * norm * norm
-        residues = point_residues(self._kept("_images"))
-        return _rounding(2.0 * image, _reach(norm), ((residues, 2.0 * image, 1.0),))
-
 
 def identity_versor() -> Versor:
     return Versor(Multivector.scalar(1.0), +1, IDENTITY)
@@ -722,38 +746,14 @@ class HodgeVersor(Transform):
         return sandwich_products(self.uprime.coeffs, rows, (self._grades, _STAR_BASIS_GRADES))
 
     def images(self) -> np.ndarray:
-        """Read-only, and kept as ``_images`` for ``bound``, with the
-        images before their star, U' (star b) (rev U') for each b of
+        """Read-only, and kept as ``_images`` for ``point_bounds``, with
+        the images before their star, U' (star b) (rev U') for each b of
         POINT_BASIS, as ``_prestar``."""
         before = self.__dict__["_prestar"] = self.sandwiches(_STAR_BASIS_ROWS)
         before.flags.writeable = False
         out = self.__dict__["_images"] = hodge_star_rows(before)
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def bound(self) -> Rounding:
-        """The a-priori Rounding of the star-sandwich, computed on first use.
-
-        The star of a point, the sandwich and the star of its image each
-        round: with s = STAR_NORM, a sandwich whose products sum at most
-        n = nnz U' terms, and g the gamma of STAR_TERMS terms, the
-        image before its star is within s |U'|_1^2 ((1 + g) (1 + gamma_n)^2
-        - 1) |x|_1 of exact, and after it within s^2 |U'|_1^2 ((1 + g)^2 (1 +
-        gamma_n)^2 - 1) |x|_1.  Two residue checks: extraction's, of the
-        image, and the star's grade > 3 check of the image before its star,
-        whose tolerance is of a magnitude at least the image's over
-        STAR_ROW_NORM (1 + g).
-        """
-        n, norm = _sandwich_terms(self.uprime.coeffs)
-        g = _gamma(STAR_TERMS)
-        before = STAR_NORM * _compound(g, _gamma(n), _gamma(n)) * norm * norm
-        image = STAR_NORM ** 2 * _compound(g, _gamma(n), _gamma(n), g) * norm * norm
-        checks = ((point_residues(self._kept("_images")), 2.0 * image, 1.0),
-                  (star_residues(self._kept("_prestar")), 2.0 * before,
-                   STAR_ROW_NORM * (1.0 + g)))
-        return _rounding(2.0 * image, max(1.0, STAR_NORM) ** 2 * _reach(norm), checks)
-
 
 def cotranslation_versor(v) -> HodgeVersor:
     """The translation versor of v packaged for star-sandwich application."""
@@ -867,14 +867,6 @@ class PerspectiveMap(Transform):
         s.flags.writeable = False
         return s
 
-    @cached_property
-    def bound(self) -> Rounding:
-        """The a-priori Rounding of the to-eye step, computed on first use:
-        w - w w_eye and p_i - w e_i are within gamma_2 (1 + |eye|_max)
-        |x|_1 of exact.  Its two versors carry their own."""
-        size = 1.0 + max(abs(self.eye.weight), float(np.abs(self.eye.vector).max()))
-        return _rounding(_gamma(2) * size, size)
-
     def _assemble(self, points):
         """from_eye's matrix @ cotranslate's @ ``to_eye``, read-only; the
         two versors keep theirs.  Raises DomainError when the arithmetic
@@ -929,11 +921,12 @@ class Composed(Transform):
         assembled, each keeping its matrix as its ``matrix`` (a
         perspective keeps its two versors' too); then its error is raised:
         a DomainError (overflow) prefixed with the stage number, any other
-        error unchanged.  No stage's ``bound`` is evaluated here.  The kept
-        matrices let ``point_bounds`` carry the bounds through the stages
-        without building images again, so that ``cl33 matrix`` skips its
-        probe points when the bounds prove they pass and takes them through
-        the sandwich chain otherwise, with the same output either way.
+        error unchanged.  No step's radius is computed here.  The kept
+        matrices let ``point_bounds`` carry the steps' radii through the
+        stages without building images again, so that ``cl33 matrix`` skips
+        its probe points when the radii prove they pass and takes them
+        through the sandwich chain otherwise, with the same output either
+        way.
         """
         images, failure = [], None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -984,7 +977,7 @@ def sandwich_points(transform: Transform, rows) -> np.ndarray:
     """The (n, 4) images of (w, x, y, z) rows through the sandwich chain of
     the ``_linear_steps``, every row at once; a step of a class not defined
     here is its own ``apply_points``.  The reference the probe and selftest
-    hold ``matrix`` to: it evaluates no ``matrix`` and no ``bound``, and
+    hold ``matrix`` to: it evaluates no ``matrix`` and no radius, and
     raises the error of a failing row, not always the first's."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1002,7 +995,8 @@ def sandwich_points(transform: Transform, rows) -> np.ndarray:
     return rows
 
 
-_GAMMA_4 = _gamma(4)
+_GAMMA_2, _GAMMA_4 = _gamma(2), _gamma(4)
+_IDENTITY = np.eye(4)
 #: The largest coefficient of an image is at least L of its point's
 #: coordinates divided by these: a vector coordinate is twice its blade's.
 _POINT_DIVISORS = np.array([1.0, 2.0, 2.0, 2.0])[:, None]
@@ -1012,43 +1006,49 @@ def point_bounds(transform: Transform, rows):
     """A-priori bounds on ``sandwich_points(transform, rows)``, without calling
     it: (center, radius), two (n, 4) arrays such that the call raises no
     error and returns rows within ``radius`` of ``center`` in every
-    coordinate; None when the stages' Roundings cannot show this (a
-    transform of another class, a value too large, or a residue too close
-    to its tolerance).
+    coordinate; None when the steps' radii cannot show this (a transform of
+    another class, or a residue too close to its tolerance), and a radius
+    that is not finite (a value that could overflow) fails every comparison.
 
     The center goes through the step matrices, which ``transform.matrix``
-    keeps; the radius takes in, at each step, what the step's matrix does
-    to the radius so far, the rounding of the center's product, and twice
-    the step's kappa: once for its matrix's columns and once for its
-    point.  Each residue check is held to its tolerance on the worst point
-    of the bounds.  Evaluates every stage's ``bound``, and the transform's
-    ``matrix`` when it is not kept yet.
+    keeps.  At each step the radius takes in what the step's matrix does to
+    the radius so far, the rounding of the center's product, the matrix of
+    the step's radius (``_step_radii``) twice, once for its matrix's columns
+    and once for the chain's own image, and a floor of _FLOOR per unit of
+    the step's size and of 1 + |x|_1.  A perspective's to-eye step has an
+    exact matrix, and the chain rounds its two operations by gamma_2.  Each
+    residue check of the step's radius is held to its tolerance on the
+    worst point of the bounds.  Computes the steps' radii, which nothing
+    keeps, and the transform's ``matrix`` when it is not kept yet.
     """
     steps = _linear_steps(transform)
     if any(type(step) not in (Versor, HodgeVersor, PerspectiveMap) for step in steps):
         return None
     center = np.array(rows, dtype=np.float64).reshape(-1, 4).T
     radius = np.zeros_like(center)
-    # every condition is checked once, at the end: a value that overflows
-    # turns every later one to inf or NaN, which fails its comparison
-    reaches, worst, magnitudes = [], [], []
+    # every check is made once, at the end: a value that overflows turns
+    # every later one to inf or NaN, which fails its comparison
+    worst, magnitudes = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in steps:
-            m, bound = step.to_eye if type(step) is PerspectiveMap else step.matrix, step.bound
-            size = np.abs(center)
-            upper = size + radius
-            norm = upper.sum(axis=0)
-            reaches.append(bound.reach * norm)
+        for step, step_radius in zip(steps, _step_radii(steps)):
+            if type(step) is PerspectiveMap:
+                m, checks = step.to_eye, ()
+                shift = np.abs(m - _IDENTITY)
+                chain, size = _GAMMA_2 * (_IDENTITY + shift), 4.0 * (1.0 + shift.max())
+            else:
+                m, (chain, checks, size) = step.matrix, step_radius
+                chain = 2.0 * chain
+            magnitude = np.abs(center)
+            upper = magnitude + radius
+            floor = (1.0 + upper.sum(axis=0)) * size * _FLOOR
             center = m @ center
-            radius = (np.abs(m) @ (radius + _GAMMA_4 * size)
-                      + 2.0 * (bound.kappa * norm + bound.floor)) * BOUND_SLACK
-            if bound.checks:
-                low = np.max(np.maximum(np.abs(center) - radius, 0.0) / _POINT_DIVISORS, axis=0)
-                for residues, kappa, divisor in bound.checks:
-                    worst.append(residues @ upper + (kappa * norm + bound.floor))
-                    magnitudes.append(low / divisor)
-        if not (np.all(np.array(reaches) <= _REACH_LIMIT) and
-                np.all(np.array(worst) * BOUND_SLACK <= tolerance(np.array(magnitudes)))):
+            radius = (np.abs(m) @ (radius + _GAMMA_4 * magnitude) + chain @ upper
+                      + floor) * BOUND_SLACK
+            low = np.max(np.maximum(np.abs(center) - radius, 0.0) / _POINT_DIVISORS, axis=0)
+            for residues, divisor in checks:
+                worst.append(residues @ upper + floor)
+                magnitudes.append(low / divisor)
+        if not np.all(np.array(worst) * BOUND_SLACK <= tolerance(np.array(magnitudes))):
             return None
     return center.T, radius.T
 

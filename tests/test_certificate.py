@@ -1,12 +1,14 @@
-"""The a-priori certificate of ``cl33 matrix``: the stages' rounding bounds
-(``versors.point_bounds``) skip the 10-point probe only when it would pass.
+"""The a-priori certificate of ``cl33 matrix``: the steps' componentwise
+rounding radii (``versors.point_bounds``) skip the 10-point probe only when
+it would pass.
 
 ``_certified`` is a filter in front of ``_probe_failure``: whenever it
 holds, the probe must find no failure, and the probe, with its errors, runs
-whenever it does not.  A pipeline that no stage bound decides costs what it
-cost before the certificate; one that is certified returns the same matrix.
+whenever it does not.  A pipeline that no radius decides costs what it cost
+before the certificate; one that is certified returns the same matrix.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from cl33 import analysis, cli, versors
 from cl33.errors import NotLinearError
 from cl33.pipeline import parse_pipeline
+from exact import exact_matrix
 from helpers import orthonormal_pairs, render, unit_vectors
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -35,7 +38,7 @@ def magnitudes(low, high):
 #: Translations and eyes of 1e-3..1e12, where the probe passes or fails by
 #: rounding.
 MODERATE = magnitudes(-3, 12)
-#: Those, or, in half the draws, 1e150..1e156, where a stage's ``reach``
+#: Those, or, in half the draws, 1e150..1e156, where a stage's radius
 #: overflows.
 WIDE = st.one_of(MODERATE, magnitudes(150, 156))
 
@@ -100,15 +103,16 @@ def test_a_certified_probe_passes(steps_):
 
 
 def test_the_soundness_property_bites(monkeypatch):
-    # with every kappa of the stage bounds shrunk by 1e6, a translation of
-    # 1e8 is certified, yet its points deviate from its matrix, and the
-    # property finds such a pipeline
-    rounding = versors._rounding
+    # with every step's radius shrunk by 1e6, a translation of 1e8 is
+    # certified, yet its points deviate from its matrix, and the property
+    # finds such a pipeline
+    radius = versors._radius
 
-    def shrunk(kappa, reach, checks=()):
-        return rounding(kappa / 1e6, reach, tuple((r, k / 1e6, d) for r, k, d in checks))
+    def shrunk(*args):
+        return [(matrix / 1e6, [(r / 1e6, divisor) for r, divisor in checks], size)
+                for matrix, checks, size in radius(*args)]
 
-    monkeypatch.setattr(versors, "_rounding", shrunk)
+    monkeypatch.setattr(versors, "_radius", shrunk)
     assert unsound("translate v=(1e8,0,0)\n")
 
     # 150 draws find one in about 19 runs of 20; 600 leave about one run in
@@ -148,8 +152,8 @@ def test_pipelines_the_probe_rejects_are_not_certified(source, dev):
     assert str(info.value) == f"transform deviates from its probe matrix by {dev} at a random point"
 
 
-#: Stages whose ``reach`` overflows, with the ``cl33 matrix`` error the
-#: probe gives them.
+#: Stages whose radius overflows, with the ``cl33 matrix`` error the probe
+#: gives them.
 TOO_LARGE_TO_BOUND = {
     "translate 1e154": ("translate v=(1e154,-3e154,2e154)\n",
                         "error: residue: grade >= 2 residue 2.495e+291 exceeds tolerance 2.495e+282"),
@@ -163,13 +167,49 @@ TOO_LARGE_TO_BOUND = {
                          ids=list(TOO_LARGE_TO_BOUND))
 def test_stages_too_large_to_bound_are_not_certified(source, error, tmp_path):
     transform, want, rows = probe_inputs(source)
-    assert np.isinf(transform.stages[0].bound.reach)
+    # the size of the stage's radius, 4 _STAR_DIVISOR (1 + |U|_1)^2,
+    # overflows to inf, and so does every floor the stage adds to a point's
+    # radius
+    (radius,) = versors._step_radii(transform.stages)
+    assert np.isinf(radius[2])
     assert not analysis._certified(transform, want, rows)
     pipe = tmp_path / "pipe.txt"
     pipe.write_text(source, encoding="utf-8")
     out = []
     assert cli.main(["matrix", "--pipeline", str(pipe)], _capture=out) == cli.EXIT_RESIDUE
     assert out == [error]
+
+
+#: Pipelines the componentwise radii certify, all of which the probe passes.
+#: The parent's 1-norm bounds certified the perspectives with the eye on the
+#: normal's axis and the scales, but not the translations and
+#: cotranslations of 5e3 to 1e4 off an axis, the perspective whose eye is
+#: 100 off the normal, or the golden projective pipeline with its first
+#: translation set to 1000 (1, 0.2, -0.3).
+#: Translations of 1e5 and 1e6 stay uncertified: the radius of their
+#: images' grade >= 2 residue grows as |v|^2, past extraction's tolerance.
+CERTIFIED = {
+    "translate 1e4": "translate v=(1e4,5e3,-2e3)\n",
+    "translate 8e3": "translate v=(5e3,-8e3,2e3)\n",
+    "cotranslate 1e4": "cotranslate v=(1e4,0,0)\n",
+    "cotranslate 8e3": "cotranslate v=(5e3,-8e3,2e3)\n",
+    "perspective eye 30": "perspective eye=(30,0,0) n=(1,0,0) c=1\n",
+    "perspective eye 100": "perspective eye=(100,0,0) n=(1,0,0) c=1\n",
+    "perspective eye 100 off the normal": "perspective eye=(60,-80,0) n=(0,0.6,0.8) c=1\n",
+    "scale 10": "scale u=(1,0,0) t=10\n",
+    "scale 20": "scale u=(0,0,1) t=20\n",
+    "scale 30": "scale u=(0,1,0) t=30\n",
+    "projective with a translation of 1000": golden("projective").replace(
+        "translate v=(2.95080379614053,0.36847893918269525,2.1007832558200814)",
+        "translate v=(1000,200,-300)"),
+}
+
+
+@pytest.mark.parametrize("source", CERTIFIED.values(), ids=list(CERTIFIED))
+def test_the_radius_certifies_what_the_probe_passes(source):
+    transform, want, rows = probe_inputs(source)
+    assert analysis._certified(transform, want, rows)
+    assert analysis._probe_failure(transform, want, rows) is None
 
 
 def test_a_subclass_of_a_library_stage_is_not_certified():
@@ -187,13 +227,13 @@ def test_a_subclass_of_a_library_stage_is_not_certified():
 
 def test_apply_evaluates_no_bound_and_matrix_does(monkeypatch):
     calls = []
-    rounding = versors._rounding
+    radius = versors._radius
 
     def counted(*args):
         calls.append(args)
-        return rounding(*args)
+        return radius(*args)
 
-    monkeypatch.setattr(versors, "_rounding", counted)
+    monkeypatch.setattr(versors, "_radius", counted)
     pipe, points = str(GOLDEN / "projective.txt"), str(GOLDEN / "points.txt")
     for flags in ([], ["--normalize"]):
         assert cli.main(["apply", "--pipeline", pipe, "--points", points, *flags],
@@ -201,3 +241,49 @@ def test_apply_evaluates_no_bound_and_matrix_does(monkeypatch):
     assert calls == []
     assert cli.main(["matrix", "--pipeline", pipe], _capture=[]) == cli.EXIT_OK
     assert calls
+
+
+def radius_holds(source) -> bool:
+    """Whether every entry of the matrix of every Versor and HodgeVersor
+    step of a pipeline lies within that step's radius of the exact matrix
+    of its computed versor: the matrix of its ``radius``, plus the floor of
+    a basis point (|x|_1 = 1), widened by BOUND_SLACK.  A step
+    whose matrix raises makes no claim, nor does an entry whose radius is
+    not finite."""
+    for transform in parse_pipeline(source).transforms():
+        steps = versors._linear_steps(transform)
+        for step, radius in zip(steps, versors._step_radii(steps)):
+            if radius is None:
+                continue
+            try:
+                m = step.matrix
+            except ValueError:
+                continue
+            matrix, _, size = radius
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = (matrix + 2.0 * size * versors._FLOOR) * versors.BOUND_SLACK
+            exact = exact_matrix(step)
+            for i, j in zip(*np.nonzero(np.isfinite(bound))):
+                if abs(Fraction(float(m[i, j])) - exact[i][j]) > Fraction(float(bound[i, j])):
+                    return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(steps(magnitudes(0, 150)))
+def test_every_step_matrix_entry_lies_within_its_radius(step):
+    assert radius_holds(render([step]))
+
+
+def test_the_radius_property_bites(monkeypatch):
+    # the matrix of this translation errs by 1.9e-6, a twentieth of its
+    # radius, which a radius shrunk by 1e6 no longer covers
+    source = "translate v=(123456.7,-234567.1,345678.9)\n"
+    assert radius_holds(source)
+    radius = versors._radius
+
+    def shrunk(*args):
+        return [(matrix / 1e6, checks, size) for matrix, checks, size in radius(*args)]
+
+    monkeypatch.setattr(versors, "_radius", shrunk)
+    assert not radius_holds(source)

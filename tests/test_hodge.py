@@ -20,7 +20,7 @@ from cl33 import (
 )
 
 from cl33.blades import BLADE_COUNT, GRADES, blade_factors
-from cl33.hodge import _STAR, hodge_star_rows
+from cl33.hodge import STAR, hodge_star_rows
 
 W = outer_product
 
@@ -42,8 +42,8 @@ def test_star_table_matches_blade_loop():
     for m in range(BLADE_COUNT):
         if GRADES[m] <= 3:
             want[:, m] = star_of_blade(m).coeffs
-    assert np.array_equal(_STAR, want)
-    assert _STAR.tobytes() == want.tobytes()  # signed zeros included
+    assert np.array_equal(STAR, want)
+    assert STAR.tobytes() == want.tobytes()  # signed zeros included
 
 
 def lambda_v3_basis():
@@ -151,7 +151,7 @@ def test_star_rows_are_the_star_of_each_row():
     rows = rng.normal(size=(6, 64)) * 10.0 ** rng.integers(-150, 151, size=(6, 64))
     rows[:, GRADES > 3] = 0.0
     rows[rng.random((6, 64)) < 0.3] = -0.0
-    want = np.array([_STAR @ row for row in rows])
+    want = np.array([STAR @ row for row in rows])
     assert hodge_star_rows(rows).tobytes() == want.tobytes()  # signed zeros included
     # the error names the first row over its tolerance, not the worst one
     bad = np.zeros((3, 64))

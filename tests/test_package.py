@@ -148,23 +148,23 @@ def test_import_builds_no_construction_or_fusion_plan():
     # the plans that build versors are made on first use, as the residual
     # plans are; a parse builds the two construction plans of its step
     # count, and composing, which fuses with *, adds none.  Importing keeps
-    # no transform's bound or matrix.  The images of the one stage add
-    # their plan; its bounds certify this pipeline, so no point goes through
-    # the stage and no other plan is added, and the pipeline and its one
-    # stage keep a matrix, the stage a bound
+    # no transform's matrix.  The images of the one stage add their plan;
+    # its radius certifies this pipeline, so no point goes through the stage
+    # and no other plan is added, and the pipeline and its one stage keep a
+    # matrix
     code = ("import gc, cl33; from cl33 import analysis as a, versors as v\n"
             "kept = lambda: sum(1 for o in gc.get_objects() if isinstance(o, v.Transform) "
-            "and {'bound', 'matrix'} & vars(o).keys())\n"
+            "and 'matrix' in vars(o))\n"
             "print(v._plan.cache_info().currsize, kept()); "
             "p = cl33.parse_pipeline('rotate u=(1,0,0) v=(0,1,0) theta=0.5\\n"
             "rotate u=(0,1,0) v=(0,0,1) theta=0.25\\n'); "
             "print(v._plan.cache_info().currsize); c = p.composed(); "
             "print(v._plan.cache_info().currsize); a.projective_matrix_probe(c); "
-            "print(v._plan.cache_info().currsize, kept(), 'bound' in vars(c.stages[0]))")
+            "print(v._plan.cache_info().currsize, kept())")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split("\n")[:4] == ["0 0", "2", "2", "3 2 True"]
+    assert out.split("\n")[:4] == ["0 0", "2", "2", "3 2"]
 
 
 def test_residue_errors_share_one_base():
