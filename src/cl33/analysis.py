@@ -74,11 +74,10 @@ from .multivector import (
     tolerance,
 )
 from .versors import (
-    BOUND_SLACK,
     Transform,
     basis_images,
+    certifies,
     check_finite,
-    point_bounds,
     sandwich_points,
 )
 
@@ -548,48 +547,30 @@ def _probe_failure(transform: Transform, want: np.ndarray, rows: np.ndarray):
                           f"{dev[np.argmax(failed)]:.3e} at a random point")
 
 
-def _certified(transform: Transform, want: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the componentwise rounding radii of the steps prove that
-    ``_probe_failure(transform, want, rows)`` is None, without taking a
-    point through them: ``versors.point_bounds`` shows that
-    ``sandwich_points`` raises nothing and bounds what it returns, and every
-    row of those bounds lies within the probe's limit of ``want`` (J. R.
-    Shewchuk, *Discrete Comput. Geom.* 18, 1997: a filter that proves a
-    predicate or leaves it to the exact test).  False when they do not show
-    it, a radius is not finite (a value that could overflow), or ``want``
-    is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(want).all():
-            return False
-        bounds = point_bounds(transform, rows)
-        if bounds is None:
-            return False
-        center, radius = bounds
-        dev = np.max(np.abs(center - want) + radius, axis=1) * BOUND_SLACK
-        return bool(np.all(dev <= _probe_limit(want)))
-
-
 def projective_matrix_probe(transform: Transform) -> np.ndarray:
     """The 4x4 matrix of a transform, ``transform.matrix`` (read off the
     basis of (weight, vector) space), verified on the 10 fixed weighted
     points of ``_MATRIX_PROBE_ROWS`` to a relative 1e-9.  Raises
     NotLinearError on mismatch, a NaN deviation included.
 
-    The points are skipped when the componentwise rounding radii of the
-    steps prove that the check passes (``_certified``), which costs two
-    unsigned 64x64 table products per step and a few 4x4 products over the
-    stage matrices that ``transform.matrix`` keeps; the steps of ``versors``
-    whose values stay well inside their tolerances are proved so.
-    Otherwise (a transform of another class, a value that is not finite, or
-    radii too loose to decide) the points go through ``sandwich_points`` in
-    one batch, and when that fails, one at a time, so that the error raised
-    is the first failing point's (``_probe_failure``).  Either way the
-    matrix, the error and its text are the same.
+    The points are skipped when ``versors.certifies`` proves, from the
+    componentwise rounding radii of the steps, that each lands within the
+    probe's limit (``_probe_limit``) of its image under the matrix.  That
+    costs two unsigned 64x64 table products per step and a few 4x4
+    products over the stage matrices that ``transform.matrix`` keeps; the
+    steps of ``versors`` whose values stay well inside their tolerances are
+    proved so.  Otherwise (a transform of another class, a value that is
+    not finite, or radii too loose to decide) the points go through
+    ``sandwich_points`` in one batch, and when that fails, one at a time,
+    so that the error raised is the first failing point's
+    (``_probe_failure``).  Either way the matrix, the error and its text
+    are the same.
     """
     m = transform.matrix
     rows = _MATRIX_PROBE_ROWS
     want = np.array([m @ row for row in rows])
-    if _certified(transform, want, rows) or _probe_failure(transform, want, rows) is None:
+    if (certifies(transform, rows, want, _probe_limit(want))
+            or _probe_failure(transform, want, rows) is None):
         return m
     for i in range(len(rows)):
         failure = _probe_failure(transform, want[i:i + 1], rows[i:i + 1])

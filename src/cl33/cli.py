@@ -26,10 +26,10 @@ point file is read and converted in chunks, and the output is formatted and
 written ``pipeline.POINT_CHUNK_ROWS`` rows at a time.
 
 ``matrix`` prints the same matrix once ``analysis.projective_matrix_probe``
-accepts it.  The probe's 10 points are skipped when the steps'
-componentwise rounding radii prove that they would pass; otherwise (radii
-too loose, as for a translation of 1e5 or more, whose exact terms cancel)
-they go through the sandwich chain of the stages,
+accepts it.  The probe's 10 points are skipped when ``versors.certifies``
+proves from the steps' componentwise rounding radii that they would pass;
+otherwise (radii too loose, as for a translation of 1e5 or more, whose
+exact terms cancel) they go through the sandwich chain of the stages,
 ``versors.sandwich_points``.  The output, error and exit code are the same
 either way, and ``apply`` computes no radius and no chain.
 """

@@ -65,7 +65,7 @@ from .versors import (
 )
 
 
-def matrix_through_apply(stage) -> np.ndarray:
+def matrix_through_chain(stage) -> np.ndarray:
     """The 4x4 matrix of a stage read through its sandwich chain,
     ``sandwich_points``, on the weighted points of POINT_BASIS, the rows of
     the identity: column j is the image of basis point j."""
@@ -86,15 +86,10 @@ def rand_orthonormal(rng):
     return a, b / np.linalg.norm(b)
 
 
-def _rel_dev(got: Paravector, want_w, want_p) -> float:
-    num = max(abs(got.weight - want_w), float(np.max(np.abs(got.vector - want_p))))
-    scale = max(1.0, abs(want_w), float(np.max(np.abs(want_p))))
-    return num / scale
-
-
 def _row_devs(got, want) -> np.ndarray:
-    """``_rel_dev`` of each (w, x, y, z) row of ``got`` against the same row
-    of ``want``."""
+    """The deviation of each (w, x, y, z) row of ``got`` from the same row of
+    ``want``: its largest coordinate difference, relative to the row's
+    largest coordinate of ``want`` or to 1 when that is smaller."""
     return np.max(np.abs(got - want), axis=1) / np.maximum(1.0, np.max(np.abs(want), axis=1))
 
 
@@ -299,7 +294,7 @@ def check_perspective():
         m = np.eye(4)
         m[0, 1:] = n
         hom = m @ np.concatenate(([1.0], p))
-        if _rel_dev(out, hom[0], hom[1:]) > 1e-9:
+        if _row_devs(np.array([[out.weight, *out.vector]]), hom[None])[0] > 1e-9:
             return False, "pseudo-perspective disagrees with its matrix"
     return True, "100 configurations per projection"
 
@@ -329,7 +324,8 @@ def check_hodge_equivalence():
             p = Paravector(rng.uniform(-1, 1), rng.uniform(-2, 2, 3))
             a1 = apply_sandwich(versor, p)
             a2 = apply_hodge_sandwich(h, p)
-            if _rel_dev(a2, a1.weight, a1.vector) > 1e-9:
+            if _row_devs(np.array([[a2.weight, *a2.vector]]),
+                         np.array([[a1.weight, *a1.vector]]))[0] > 1e-9:
                 return False, f"{name}: forms disagree"
     return True, "5 kinds x 100 points; lam = (1, 1, 1, 1, e^(t/2))"
 
@@ -427,9 +423,9 @@ def check_projective_matrices():
     ]
     stages = [stage for tr in pipelines for stage in tr.stages]
     for stage in stages:
-        if stage.matrix.tobytes() != matrix_through_apply(stage).tobytes():
+        if stage.matrix.tobytes() != matrix_through_chain(stage).tobytes():
             return False, (f"{type(stage).__name__} matrix differs from its basis "
-                           "points read through apply")
+                           "points read through its sandwich chain")
     n_each = -(-1000 // len(pipelines))
     for tr in pipelines:
         m = analysis.projective_matrix_probe(tr)

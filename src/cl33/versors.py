@@ -205,7 +205,7 @@ def sandwich_products(U, rows, grades=None) -> np.ndarray:
 # (gamma_k1 + gamma_k2 + gamma_k1 gamma_k2) |m| (*) |U| (*) |U| of exact.
 
 #: Relative allowance, on every bound, for the rounding of its own arithmetic.
-BOUND_SLACK = 1.0 + 2.0 ** -30
+_BOUND_SLACK = 1.0 + 2.0 ** -30
 #: The floor of a radius per unit of a step's size and of |x|_1: it covers
 #: underflow, with 2^25 to spare, and it is inf when a value that the step
 #: computes could overflow.
@@ -262,7 +262,7 @@ def _radius(U, images, prestar=None) -> list:
 
     ``matrix`` reads the rows at the point blades: its entry (i, j) bounds
     how far entry (i, j) of the step's matrix lies from exact, up to the
-    floor that ``point_bounds`` adds for underflow.  ``checks``
+    floor that ``certifies`` adds for underflow.  ``checks``
     holds (r, divisor) for each residue check of the chain's image of x:
     the residue is at most r @ |x|, the residues of the images plus twice
     the rows' on the same blades, and its tolerance at least that of L /
@@ -300,7 +300,9 @@ def _radius(U, images, prestar=None) -> list:
 def _step_radii(steps) -> list:
     """``_radius`` of each Versor and HodgeVersor of ``steps``, in order, and
     None for a step of any other class: one ``_radius`` call for the
-    sandwiches and one for the star-sandwiches."""
+    sandwiches and one for the star-sandwiches.  It reads the images that
+    each step's ``images`` keeps, so its callers read the ``matrix`` of the
+    steps' transform first."""
     radii = [None] * len(steps)
     for kind in (Versor, HodgeVersor):
         chosen = [i for i, step in enumerate(steps) if type(step) is kind]
@@ -308,8 +310,8 @@ def _step_radii(steps) -> list:
             continue
         star = kind is HodgeVersor
         U = np.array([(steps[i].uprime if star else steps[i].U).coeffs for i in chosen])
-        images = np.array([steps[i]._kept("_images") for i in chosen])
-        prestar = np.array([steps[i]._kept("_prestar") for i in chosen]) if star else None
+        images = np.array([steps[i]._images for i in chosen])
+        prestar = np.array([steps[i]._prestar for i in chosen]) if star else None
         for i, radius in zip(chosen, _radius(U, images, prestar)):
             radii[i] = radius
     return radii
@@ -360,13 +362,6 @@ class Transform(Frozen):
         m = self.__dict__["matrix"] = self._assemble(points)
         return m
 
-    def _kept(self, name) -> np.ndarray:
-        """The rows ``images`` keeps under ``name``, from its last call, or
-        from a first one made now."""
-        if name not in self.__dict__:
-            self.images()
-        return self.__dict__[name]
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """The 4x4 matrix of the transform on columns (w, x, y, z), read-only.
@@ -413,7 +408,7 @@ class Versor(Transform):
         return -out if self.epsilon < 0 else out
 
     def images(self) -> np.ndarray:
-        """Read-only, and kept as ``_images`` for ``point_bounds``."""
+        """Read-only, and kept as ``_images`` for ``certifies``."""
         out = self.__dict__["_images"] = self.sandwiches(POINT_BASIS_ROWS)
         out.flags.writeable = False
         return out
@@ -746,7 +741,7 @@ class HodgeVersor(Transform):
         return sandwich_products(self.uprime.coeffs, rows, (self._grades, _STAR_BASIS_GRADES))
 
     def images(self) -> np.ndarray:
-        """Read-only, and kept as ``_images`` for ``point_bounds``, with
+        """Read-only, and kept as ``_images`` for ``certifies``, with
         the images before their star, U' (star b) (rev U') for each b of
         POINT_BASIS, as ``_prestar``."""
         before = self.__dict__["_prestar"] = self.sandwiches(_STAR_BASIS_ROWS)
@@ -922,7 +917,7 @@ class Composed(Transform):
         perspective keeps its two versors' too); then its error is raised:
         a DomainError (overflow) prefixed with the stage number, any other
         error unchanged.  No step's radius is computed here.  The kept
-        matrices let ``point_bounds`` carry the steps' radii through the
+        matrices let ``certifies`` carry the steps' radii through the
         stages without building images again, so that ``cl33 matrix`` skips
         its probe points when the radii prove they pass and takes them
         through the sandwich chain otherwise, with the same output either
@@ -1002,28 +997,35 @@ _IDENTITY = np.eye(4)
 _POINT_DIVISORS = np.array([1.0, 2.0, 2.0, 2.0])[:, None]
 
 
-def point_bounds(transform: Transform, rows):
-    """A-priori bounds on ``sandwich_points(transform, rows)``, without calling
-    it: (center, radius), two (n, 4) arrays such that the call raises no
-    error and returns rows within ``radius`` of ``center`` in every
-    coordinate; None when the steps' radii cannot show this (a transform of
-    another class, or a residue too close to its tolerance), and a radius
-    that is not finite (a value that could overflow) fails every comparison.
+def certifies(transform: Transform, rows, want, limit) -> bool:
+    """Whether the componentwise rounding radii of the steps prove, without
+    taking a point through them, that ``sandwich_points(transform, rows)``
+    raises nothing and returns rows each within its ``limit`` of the same
+    row of ``want`` in every coordinate (J. R. Shewchuk, *Discrete Comput.
+    Geom.* 18, 1997: a filter that proves a predicate or leaves it to the
+    exact test).  False for a step of a class not defined here, a ``want``
+    that is not finite, a residue too close to its tolerance, or a radius
+    that is not finite (a value that could overflow), which fails every
+    comparison.
 
-    The center goes through the step matrices, which ``transform.matrix``
-    keeps.  At each step the radius takes in what the step's matrix does to
-    the radius so far, the rounding of the center's product, the matrix of
-    the step's radius (``_step_radii``) twice, once for its matrix's columns
-    and once for the chain's own image, and a floor of _FLOOR per unit of
-    the step's size and of 1 + |x|_1.  A perspective's to-eye step has an
-    exact matrix, and the chain rounds its two operations by gamma_2.  Each
-    residue check of the step's radius is held to its tolerance on the
-    worst point of the bounds.  Computes the steps' radii, which nothing
-    keeps, and the transform's ``matrix`` when it is not kept yet.
+    It reads ``transform.matrix`` first, raising what that raises, so that
+    every step keeps its matrix and images.  A center goes through the step
+    matrices, and at each step a radius takes in what the step's matrix
+    does to the radius so far, the rounding of the center's product, the
+    matrix of the step's radius (``_step_radii``) twice, once for its
+    matrix's columns and once for the chain's own image, and a floor of
+    _FLOOR per unit of the step's size and of 1 + |x|_1.  A perspective's
+    to-eye step has an exact matrix, and the chain rounds its two
+    operations by gamma_2.  Each residue check of the step's radius is held
+    to its tolerance on the worst point of the bounds.  Then |center -
+    want| + radius, widened by _BOUND_SLACK, must lie within ``limit`` row
+    by row.  Computes the steps' radii, which nothing keeps.
     """
     steps = _linear_steps(transform)
-    if any(type(step) not in (Versor, HodgeVersor, PerspectiveMap) for step in steps):
-        return None
+    if (any(type(step) not in (Versor, HodgeVersor, PerspectiveMap) for step in steps)
+            or not np.isfinite(want).all()):
+        return False
+    transform.matrix  # every step keeps its matrix and images
     center = np.array(rows, dtype=np.float64).reshape(-1, 4).T
     radius = np.zeros_like(center)
     # every check is made once, at the end: a value that overflows turns
@@ -1043,14 +1045,15 @@ def point_bounds(transform: Transform, rows):
             floor = (1.0 + upper.sum(axis=0)) * size * _FLOOR
             center = m @ center
             radius = (np.abs(m) @ (radius + _GAMMA_4 * magnitude) + chain @ upper
-                      + floor) * BOUND_SLACK
+                      + floor) * _BOUND_SLACK
             low = np.max(np.maximum(np.abs(center) - radius, 0.0) / _POINT_DIVISORS, axis=0)
             for residues, divisor in checks:
                 worst.append(residues @ upper + floor)
                 magnitudes.append(low / divisor)
-        if not np.all(np.array(worst) * BOUND_SLACK <= tolerance(np.array(magnitudes))):
-            return None
-    return center.T, radius.T
+        if not np.all(np.array(worst) * _BOUND_SLACK <= tolerance(np.array(magnitudes))):
+            return False
+        dev = np.max(np.abs(center.T - want) + radius.T, axis=1) * _BOUND_SLACK
+        return bool(np.all(dev <= limit))
 
 
 def _append(stages, stage):

@@ -1,5 +1,5 @@
-"""An exact reference in ``fractions.Fraction``: the 4x4 map of a step's
-computed versor.
+"""Two exact references in ``fractions.Fraction``: the 4x4 map of a step's
+computed versor, and the 4x4 map of a step's parameters.
 
 Every coefficient of a computed versor is a finite float, so a rational, and
 so is every entry of the star's table.  The sandwich of the computed U over
@@ -7,6 +7,13 @@ so is every entry of the star's table.  The sandwich of the computed U over
 star-sandwich), in Fraction, is therefore the exact map that the stage's
 float matrix rounds: it isolates the rounding of the images and products
 from the rounding of the versor's own construction.
+
+Every DSL number is a finite float too, so the closed forms of a step (those
+of ``perfbench/oracle.py``) evaluated in Fraction give the map the
+parameters ask for, wherever it is rational in them: ``translate``,
+``cotranslate``, ``pseudo``, ``reflect``, ``shear`` and ``perspective``.  A
+result can lie near the computed versors' map and far from this one when the
+versor's construction rounds.
 """
 
 import functools
@@ -17,7 +24,7 @@ import numpy as np
 from cl33.blades import PRODUCT_SIGNS, REVERSION_SIGNS
 from cl33.euclid import POINT_BASIS_ROWS, POINT_BLADES, POINT_SCALES
 from cl33.hodge import STAR
-from cl33.versors import HodgeVersor, Versor
+from cl33.versors import HodgeVersor, PerspectiveMap, Versor, _linear_steps
 
 _SIGNS = PRODUCT_SIGNS.astype(int).tolist()
 #: For each blade m, the nonzero entries of the star of m: {blade: entry}.
@@ -79,3 +86,76 @@ def exact_matrix(step) -> tuple:
     if type(step) is HodgeVersor:
         return _exact_matrix("star-sandwich", step.uprime.coeffs.tobytes(), 1)
     raise TypeError(f"not a Versor or HodgeVersor: {step!r}")
+
+
+_IDENTITY = tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
+
+
+def _fractions(values) -> list:
+    return [Fraction(float(x)) for x in values]
+
+
+def matmul(a, b) -> tuple:
+    """The product of two 4x4 matrices of Fractions, exactly."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                 for i in range(4))
+
+
+def computed_map(transform) -> tuple:
+    """The exact 4x4 map of a transform's computed versors: ``exact_matrix``
+    of each Versor and HodgeVersor step, and a perspective's to-eye step,
+    whose entries are floats, multiplied in Fraction, the first step
+    rightmost."""
+    m = _IDENTITY
+    for step in _linear_steps(transform):
+        if type(step) is PerspectiveMap:
+            step_matrix = tuple(tuple(_fractions(row)) for row in step.to_eye)
+        else:
+            step_matrix = exact_matrix(step)
+        m = matmul(step_matrix, m)
+    return m
+
+
+def parameter_matrix(op, params) -> tuple:
+    """The exact 4x4 matrix, as rows of Fractions, that one DSL step's
+    parameters give: the closed forms of ``perfbench/oracle.py`` in
+    Fraction.  Raises ValueError for ``rotate``, ``hrotate`` and ``scale``,
+    whose maps are not rational in their parameters."""
+    m = [list(row) for row in _IDENTITY]
+    if op == "translate":
+        for i, x in enumerate(_fractions(params["v"]), start=1):
+            m[i][0] = x
+    elif op in ("cotranslate", "pseudo"):
+        m[0][1:] = _fractions(params["v" if op == "cotranslate" else "n"])
+    elif op in ("reflect", "shear"):
+        # p -> p - 2 g(p, n) n, and p -> p + t g(p, v) u
+        if op == "reflect":
+            n = _fractions(params["n"])
+            u, v, t = n, n, -2
+        else:
+            u, v, t = _fractions(params["u"]), _fractions(params["v"]), Fraction(params["t"])
+        for i in range(3):
+            for j in range(3):
+                m[i + 1][j + 1] += t * u[i] * v[j]
+    elif op == "perspective":
+        # (w, p) -> (g(p - w e, n)/a, p - w e + e g(p - w e, n)/a), a = c - g(n, e)
+        e, n, c = _fractions(params["eye"]), _fractions(params["n"]), Fraction(params["c"])
+        ne = sum(x * y for x, y in zip(n, e))
+        a = c - ne
+        m[0] = [-ne / a, *(x / a for x in n)]
+        for i in range(3):
+            m[i + 1][0] = -e[i] * c / a
+            for j in range(3):
+                m[i + 1][j + 1] += e[i] * n[j] / a
+    else:
+        raise ValueError(f"the map of {op!r} is not rational in its parameters")
+    return tuple(map(tuple, m))
+
+
+def parameter_map(steps) -> tuple:
+    """The product of ``parameter_matrix`` over a pipeline's steps, the
+    first step rightmost."""
+    m = _IDENTITY
+    for step in steps:
+        m = matmul(parameter_matrix(step.op, step.params), m)
+    return m

@@ -388,7 +388,8 @@ def test_matrix_probe_rejects_nonlinear():
     # a user's Transform has no a-priori bound: the probe always runs
     quadratic = Quadratic()
     rows = analysis._MATRIX_PROBE_ROWS
-    assert not analysis._certified(quadratic, rows @ quadratic.matrix.T, rows)
+    want = rows @ quadratic.matrix.T
+    assert not versors.certifies(quadratic, rows, want, analysis._probe_limit(want))
     with pytest.raises(NotLinearError):
         projective_matrix_probe(quadratic)
 
@@ -416,7 +417,8 @@ def test_matrix_probe_raises_the_first_points_error():
 
     with pytest.raises(NonParavectorResidue):
         Faulty().apply_points(rows)
-    assert not analysis._certified(Faulty(), rows @ Faulty().matrix.T, rows)
+    want = rows @ Faulty().matrix.T
+    assert not versors.certifies(Faulty(), rows, want, analysis._probe_limit(want))
     with pytest.raises(NotLinearError, match="deviates from its probe matrix by 1.0"):
         projective_matrix_probe(Faulty())
 

@@ -1,8 +1,8 @@
 """The a-priori certificate of ``cl33 matrix``: the steps' componentwise
-rounding radii (``versors.point_bounds``) skip the 10-point probe only when
+rounding radii (``versors.certifies``) skip the 10-point probe only when
 it would pass.
 
-``_certified`` is a filter in front of ``_probe_failure``: whenever it
+``certifies`` is a filter in front of ``_probe_failure``: whenever it
 holds, the probe must find no failure, and the probe, with its errors, runs
 whenever it does not.  A pipeline that no radius decides costs what it cost
 before the certificate; one that is certified returns the same matrix.
@@ -80,6 +80,11 @@ def probe_inputs(source):
     return transform, want, rows
 
 
+def certifies(transform, want, rows) -> bool:
+    """``versors.certifies`` with the probe's limit, as the probe calls it."""
+    return versors.certifies(transform, rows, want, analysis._probe_limit(want))
+
+
 def unsound(source) -> bool:
     """Whether the certificate accepts a pipeline that the probe rejects;
     False for a pipeline whose parse or matrix raises, which never reaches
@@ -88,7 +93,7 @@ def unsound(source) -> bool:
         transform, want, rows = probe_inputs(source)
     except ValueError:
         return False
-    return (analysis._certified(transform, want, rows)
+    return (certifies(transform, want, rows)
             and analysis._probe_failure(transform, want, rows) is not None)
 
 
@@ -130,7 +135,7 @@ def test_the_soundness_property_bites(monkeypatch):
                                   "perspective", "projective", "pseudo", "signed-zero"])
 def test_the_golden_pipelines_that_pass_the_probe_are_certified(name):
     transform, want, rows = probe_inputs(golden(name))
-    assert analysis._certified(transform, want, rows)
+    assert certifies(transform, want, rows)
     assert analysis.projective_matrix_probe(transform) is transform.matrix
 
 
@@ -146,10 +151,37 @@ UNCERTIFIED = {
 @pytest.mark.parametrize("source, dev", UNCERTIFIED.values(), ids=list(UNCERTIFIED))
 def test_pipelines_the_probe_rejects_are_not_certified(source, dev):
     transform, want, rows = probe_inputs(source)
-    assert not analysis._certified(transform, want, rows)
+    assert not certifies(transform, want, rows)
     with pytest.raises(NotLinearError) as info:
         analysis.projective_matrix_probe(transform)
     assert str(info.value) == f"transform deviates from its probe matrix by {dev} at a random point"
+
+
+FRESH = {"affine": golden("affine"), "projective": golden("projective"),
+         **{name: source for name, (source, _) in UNCERTIFIED.items()}}
+
+
+@pytest.mark.parametrize("source", FRESH.values(), ids=list(FRESH))
+def test_a_transform_whose_matrix_was_never_read_is_certified_alike(source, monkeypatch):
+    # certifies reads the matrix itself, which builds each step's images
+    # once; reading it again, or the radii, builds none
+    transform, want, rows = probe_inputs(source)
+    verdict = certifies(transform, want, rows)
+    built = []
+    for kind in (versors.Versor, versors.HodgeVersor):
+        def counted(self, images=kind.images):
+            built.append(self)
+            return images(self)
+
+        monkeypatch.setattr(kind, "images", counted)
+    fresh = parse_pipeline(source).composed()
+    assert "matrix" not in vars(fresh)
+    assert certifies(fresh, want, rows) == verdict
+    steps = [s for s in versors._linear_steps(fresh) if type(s) is not versors.PerspectiveMap]
+    assert sorted(map(id, built)) == sorted(map(id, steps))
+    fresh.matrix
+    assert certifies(fresh, want, rows) == verdict
+    assert len(built) == len(steps)
 
 
 #: Stages whose radius overflows, with the ``cl33 matrix`` error the probe
@@ -172,7 +204,7 @@ def test_stages_too_large_to_bound_are_not_certified(source, error, tmp_path):
     # radius
     (radius,) = versors._step_radii(transform.stages)
     assert np.isinf(radius[2])
-    assert not analysis._certified(transform, want, rows)
+    assert not certifies(transform, want, rows)
     pipe = tmp_path / "pipe.txt"
     pipe.write_text(source, encoding="utf-8")
     out = []
@@ -208,7 +240,7 @@ CERTIFIED = {
 @pytest.mark.parametrize("source", CERTIFIED.values(), ids=list(CERTIFIED))
 def test_the_radius_certifies_what_the_probe_passes(source):
     transform, want, rows = probe_inputs(source)
-    assert analysis._certified(transform, want, rows)
+    assert certifies(transform, want, rows)
     assert analysis._probe_failure(transform, want, rows) is None
 
 
@@ -220,7 +252,7 @@ def test_a_subclass_of_a_library_stage_is_not_certified():
     (stage,) = parse_pipeline("rotate u=(1,0,0) v=(0,1,0) theta=0.5\n").transforms()
     doubled = Doubled(stage.U, stage.epsilon, stage.kind)
     rows = analysis._MATRIX_PROBE_ROWS
-    assert not analysis._certified(doubled, rows @ doubled.matrix.T, rows)
+    assert not certifies(doubled, rows @ doubled.matrix.T, rows)
     with pytest.raises(NotLinearError):
         analysis.projective_matrix_probe(doubled)
 
@@ -247,21 +279,25 @@ def radius_holds(source) -> bool:
     """Whether every entry of the matrix of every Versor and HodgeVersor
     step of a pipeline lies within that step's radius of the exact matrix
     of its computed versor: the matrix of its ``radius``, plus the floor of
-    a basis point (|x|_1 = 1), widened by BOUND_SLACK.  A step
+    a basis point (|x|_1 = 1), widened by _BOUND_SLACK.  A step
     whose matrix raises makes no claim, nor does an entry whose radius is
-    not finite."""
+    not finite.  Each step's matrix is read first: it keeps the images
+    that ``_step_radii`` reads."""
     for transform in parse_pipeline(source).transforms():
-        steps = versors._linear_steps(transform)
+        steps = []
+        for step in versors._linear_steps(transform):
+            try:
+                step.matrix
+            except ValueError:
+                continue
+            steps.append(step)
         for step, radius in zip(steps, versors._step_radii(steps)):
             if radius is None:
                 continue
-            try:
-                m = step.matrix
-            except ValueError:
-                continue
+            m = step.matrix
             matrix, _, size = radius
             with np.errstate(over="ignore", invalid="ignore"):
-                bound = (matrix + 2.0 * size * versors._FLOOR) * versors.BOUND_SLACK
+                bound = (matrix + 2.0 * size * versors._FLOOR) * versors._BOUND_SLACK
             exact = exact_matrix(step)
             for i, j in zip(*np.nonzero(np.isfinite(bound))):
                 if abs(Fraction(float(m[i, j])) - exact[i][j]) > Fraction(float(bound[i, j])):

@@ -37,7 +37,7 @@ from cl33 import (
     versors,
 )
 from cl33.cli import main
-from cl33.selftest import matrix_through_apply, rand_orthonormal, rand_unit
+from cl33.selftest import matrix_through_chain, rand_orthonormal, rand_unit
 from helpers import dense_apply, dense_sandwich
 
 COORD = st.integers(-16, 16).map(lambda k: k / 8)
@@ -470,7 +470,7 @@ def test_stage_matrix_is_apply_on_basis():
     ]
     for stage in stages:
         assert stage.images().shape == (4, 64)
-        assert stage.matrix.tobytes() == matrix_through_apply(stage).tobytes(), stage
+        assert stage.matrix.tobytes() == matrix_through_chain(stage).tobytes(), stage
 
 
 def test_perspective_matrix_matches_apply():
@@ -480,10 +480,10 @@ def test_perspective_matrix_matches_apply():
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         stage = PerspectiveMap(Paravector(1.0, eye), n, float(n @ eye) + rng.uniform(0.5, 2.0))
-        want = matrix_through_apply(stage)
+        want = matrix_through_chain(stage)
         assert np.max(np.abs(stage.matrix - want)) <= 1e-14 * np.max(np.abs(want))
     stage = PerspectiveMap(Paravector(1.0, [0, 0, 5]), [0, 0, 1], 1.0)
-    assert np.array_equal(stage.matrix, matrix_through_apply(stage))
+    assert np.array_equal(stage.matrix, matrix_through_chain(stage))
 
 
 # -- batched basis images ----------------------------------------------------------
@@ -534,7 +534,7 @@ def test_images_are_the_sandwiches_byte_for_byte():
         for stage in _versor_stages("\n".join(lines) + "\n"):
             want = np.array([dense_sandwich(stage, b).coeffs for b in POINT_BASIS])
             assert stage.images().tobytes() == want.tobytes(), stage
-            assert stage.matrix.tobytes() == matrix_through_apply(stage).tobytes(), stage
+            assert stage.matrix.tobytes() == matrix_through_chain(stage).tobytes(), stage
             kinds[type(stage)] += 1
     assert kinds[Versor] >= 100 and kinds[HodgeVersor] >= 20
 
