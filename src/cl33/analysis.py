@@ -8,30 +8,30 @@ of covector components.  The checker below evaluates all of these as explicit
 residual multivectors.
 
 The condition formulas are written once, over coefficient rows, in
-``_conditions``.  Operator terms (r1, r2 and their corrections d1, d2)
-depend on Psi only; probe terms (r3, r4, d3, d4) are linear in the embedded
-probe p, as is the image Psi (1 + p) (reversed Psi).  Every product in them
-goes through one of two batched calls of ``planned_products``: the first
-holds the operator products and the products of a grade part with p, the
-second everything that multiplies a result of the first.  Each call's plan
-keeps only the blade pairs of the result coefficients that are read (the
-correction terms read grade 4 or 5 of their products), and skips those in
-which a factor is zero by grade, and the products of a grade part that no
-operator of the call carries.  It is built on first use for each set of
-grade parts; a call whose operand rows are not all finite takes the plan of
-all seven parts.  ``paravector_conditions`` evaluates the formulas at one
-probe; ``worst_residuals_of`` evaluates them for several operators at
-once, at the three axes E[0..2], reads their images at POINT_BASIS
-(``versors.basis_images``: the package's one sandwich routine, for each
-operator a planned product and a second one, planned when its grades make
-it sparse and tabled otherwise), and reaches the 12 probe points by
-linearity.  The operators share the two planned products of the formulas,
-laid side by side, and each keeps its own results, so ``worst_residuals``,
-its case of one operator, gives every value byte for byte.  ``_layers``
-puts operands and results at fixed rows, read as slices.  Every sum is added
-left to right as written, never regrouped (as ``np.add.reduceat`` would) or
-scaled apart, which changes last bits; only the worst values, a maximum,
-come from one pass over all residuals.
+``_conditions``, and their operands once, in ``_OPERANDS``.  Operator terms
+(r1, r2 and their corrections d1, d2) depend on Psi only; probe terms (r3,
+r4, d3, d4) are linear in the embedded probe p, as is the image Psi (1 + p)
+(reversed Psi).  Every product in them goes through one of two batched
+calls of ``planned_products``: the first holds the operator products and
+the products of a grade part with p, the second everything that multiplies
+a result of the first.  Each call's plan keeps only the blade pairs of the
+result coefficients that are read (the correction terms read grade 4 or 5
+of their products), and skips those in which a factor is zero by grade, and
+the products of a grade part that no operator of the call carries.  It is
+built on first use for each set of grade parts; a call whose operand rows
+are not all finite takes the plan of all seven parts.
+``paravector_conditions`` evaluates the formulas at one probe;
+``worst_residuals_of`` evaluates them for several operators at once, at the
+three axes E[0..2], reads their images at POINT_BASIS (``Versor(Psi, +1,
+COMPOSITE).images()``, the sandwich routine of every stage), and reaches
+the 12 probe points by linearity.  The operators share the two planned
+products of the formulas, laid side by side, and each keeps its own
+results, so ``worst_residuals``, its case of one operator, gives every
+value byte for byte.  ``_layers`` puts operands and results at fixed rows,
+read as slices.  Every sum is added left to right as written, never
+regrouped (as ``np.add.reduceat`` would) or scaled apart, which changes
+last bits; only the worst values, a maximum, come from one pass over all
+residuals.
 
 Both fixed probe sets, the 12 points of ``probe_points()`` and the 10
 weighted points of ``projective_matrix_probe``, are literal tables of their
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blades import BLADE_COUNT, GRADE_SELECTORS, INVOLUTION_SIGNS, MINUS_BLADES, PLUS_BLADES
+from .blades import BLADE_COUNT, GRADE_SELECTORS, GRADES, MINUS_BLADES, PLUS_BLADES
 from .errors import DomainError, NotLinearError
 from .euclid import (
     E_STAR,
@@ -74,8 +74,9 @@ from .multivector import (
     tolerance,
 )
 from .versors import (
+    COMPOSITE,
     Transform,
-    basis_images,
+    Versor,
     certifies,
     check_finite,
     sandwich_points,
@@ -105,6 +106,16 @@ def grade_parts(psi: Multivector) -> tuple[Multivector, ...]:
 # are named left + op + right ("P1*P5", without the 2).  The probe p has one
 # row per probe, and so has every product with a factor that has.  The terms
 # of two formulas alternate, so that ``_conditions`` adds a term to both at once.
+
+#: Each operand besides p, in the order of its rows, as the signed factor it
+#: takes of each grade part P_k of Psi: a part, a sum of parts, or the grade
+#: involution iP_k of a part.
+_OPERANDS = {**{f"P{k}": {k: 1.0} for k in range(7)}, "P4-P6": {4: 1.0, 6: -1.0},
+             "-P3+P5": {3: -1.0, 5: 1.0}, "-P3+2P5": {3: -1.0, 5: 2.0},
+             "iP5": {5: -1.0}, "iP6": {6: 1.0}}
+#: The factor of each operand on each blade, (12, 64), nonzero on _BLADES.
+_FACTORS = np.array([[ks.get(k, 0.0) for k in range(7)] for ks in _OPERANDS.values()])[:, GRADES]
+_BLADES = _FACTORS != 0.0
 
 #: The first layer: products whose factors are known up front.  The
 #: products of d1 and d2, and of d3 and d4 below, carry the grade each
@@ -170,11 +181,9 @@ def _layers(m: int, parts: tuple):
     parts carries those of its parts that are present.  The second layer's
     operand rows are the first's, its results, then p.P5 and p.P6.
     """
-    nominal = {f"P{k}": (k,) for k in range(7)}
-    nominal.update({"P4-P6": (4, 6), "-P3+P5": (3, 5), "-P3+2P5": (3, 5), "iP5": (5,), "iP6": (6,)})
-    rows = {name: np.arange(k, k + 1) for k, name in enumerate(nominal)}
-    rows["p"] = len(nominal) + np.arange(m)
-    grades = [tuple(k for k in ks if k in parts) for ks in nominal.values()] + [(1,)] * m
+    rows = {name: np.arange(k, k + 1) for k, name in enumerate(_OPERANDS)}
+    rows["p"] = len(_OPERANDS) + np.arange(m)
+    grades = [tuple(k for k in ks if k in parts) for ks in _OPERANDS.values()] + [(1,)] * m
     first, made, one = _layer(_FIRST, rows, grades)
     rows.update((name, len(grades) + at) for name, at in made.items())
     start = len(grades) + len(first.grades)
@@ -182,7 +191,7 @@ def _layers(m: int, parts: tuple):
     sides = zip(first.grades[-4 * m:-2 * m], first.grades[-2 * m:])
     grades += list(first.grades) + [tuple(sorted(set(a + b))) for a, b in sides]
     second, _, two = _layer(_SECOND, rows, grades)
-    return (first, second), (len(nominal) + m, len(grades)), (one, two)
+    return (first, second), (len(_OPERANDS) + m, len(grades)), (one, two)
 
 
 @functools.lru_cache(maxsize=64)
@@ -214,11 +223,12 @@ def _evaluate(layer, rows, m, parts) -> np.ndarray:
     return planned_products(rows, plan).reshape(len(rows), -1, BLADE_COUNT)
 
 
-def _conditions(P, probes):
+def _conditions(psis, probes):
     """The condition left-hand sides r1, r2, r3, r4 and their correction
     terms d1, d2, d3, d4 of S operators, as coefficient rows.
 
-    ``P`` holds the grade parts of each Psi, shape (7, S, 1, 64);
+    ``psis`` holds the coefficients of each Psi, shape (S, 64), whose
+    operand rows are those of ``_OPERANDS``, zero off their grades;
     ``probes`` the embedded grade-1 probes, shape (m, 64).  For each
     operator the operator terms r1, r2, d1, d2 come out as one row, shape
     (S, 1, 64), the probe terms as one row per probe, (S, m, 64).  All S
@@ -227,13 +237,11 @@ def _conditions(P, probes):
     byte those of the operator alone.  Every sum is the one _FIRST and
     _SECOND write, added left to right, two formulas side by side.
     """
-    count, m = P.shape[1], len(probes)
-    parts = grade_set(P)
+    count, m = len(psis), len(probes)
+    parts = grade_set(psis)
     factors = _layers(m, parts)[2]
-    neg3 = -1 * P[3]
-    rows = np.concatenate((*P, P[4] - P[6], neg3 + P[5], neg3 + 2 * P[5],
-                           *(P[5:] * INVOLUTION_SIGNS), np.repeat(probes[None], count, axis=0)),
-                          axis=1)
+    operands = np.where(_BLADES, psis[:, None] * _FACTORS, 0.0)
+    rows = np.concatenate((operands, np.repeat(probes[None], count, axis=0)), axis=1)
     # rows of _FIRST's results, in order, doubled where the formulas double them
     t = _evaluate(0, rows, m, parts) * factors[0]
     # each correction term sums the one grade its products are planned for
@@ -260,13 +268,6 @@ def _conditions(P, probes):
     return r1, r2, r34[:, 0], r34[:, 1], d12[:, :1], d12[:, 1:], d34[:, 0], d34[:, 1]
 
 
-def _grade_rows(coeffs) -> np.ndarray:
-    """The grade parts of S operators as (7, S, 1, 64) coefficient rows:
-    grade k of each of the (S, 64) rows of ``coeffs``, or grade k of row k
-    of (7, 1, 64) rows, the seven parts of one operator."""
-    return np.where(_GRADE_ROWS[:, None], coeffs, 0.0)[:, :, None]
-
-
 _OVERFLOW = ("the preservation residuals of psi overflow: its coefficients are too large "
              "in magnitude")
 
@@ -280,19 +281,19 @@ def correction_terms(parts, p: Multivector):
     """The four higher-grade cross terms d1..d4 entering the preservation
     conditions, as multivectors.
 
-    ``parts`` are the grade parts of Psi and ``p`` is an embedded grade-1
-    probe (ignored by the first two terms).
+    ``parts`` are the seven grade parts of Psi, of which part k is read at
+    grade k only, and ``p`` is an embedded grade-1 probe (ignored by the
+    first two terms).
     """
     if not p.is_homogeneous(1, tol=tolerance(p.max_abs())):
         raise DomainError("the probe p must be of grade 1")
-    rows = np.array([part.coeffs for part in parts])[:, None]
-    d = _conditions(_grade_rows(rows), p.grade(1).coeffs[None])[4:]
+    psi = np.choose(GRADES, [part.coeffs for part in parts])
+    d = _conditions(psi[None], p.grade(1).coeffs[None])[4:]
     return tuple(Multivector._raw(x) for x in d)
 
 
-#: Grade selectors as (7, 64) rows; coefficient rows of the axes E[0..2]
-#: and of the covectors e_i*; the blades of grades 4 and 5.
-_GRADE_ROWS = np.array([GRADE_SELECTORS[k] for k in range(7)])
+#: Coefficient rows of the axes E[0..2] and of the covectors e_i*; the
+#: blades of grades 4 and 5.
 _E_ROWS = POINT_BASIS_ROWS[1:]
 _E_STAR_ROWS = np.array([e.coeffs for e in E_STAR])
 _GRADE45 = np.flatnonzero(GRADE_SELECTORS[4] | GRADE_SELECTORS[5])
@@ -342,7 +343,7 @@ def paravector_conditions(psi: Multivector, p) -> ConditionReport:
     check_finite("p", p)
     pm = embed_vector(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2, r3, r4 = _conditions(_grade_rows(psi.coeffs[None]), pm.coeffs[None])[:4]
+        r1, r2, r3, r4 = _conditions(psi.coeffs[None], pm.coeffs[None])[:4]
         image = psi * embed_paravector(Paravector(1.0, p)) * reversion(psi)
         cov = Multivector._raw(_covector_part(image.coeffs))
     report = ConditionReport(*(Multivector._raw(x) for x in (r1, r2, r3, r4)),
@@ -401,9 +402,9 @@ def worst_residuals_of(psis) -> list:
     """``worst_residuals`` of each operator of ``psis``, in order.
 
     The condition formulas of all operators share the two planned products,
-    and the images of POINT_BASIS are ``versors.basis_images``, two
-    products for each operator; each operator keeps its own
-    results: every value is byte for byte the one of the operator alone.
+    and the images of POINT_BASIS are ``Versor(psi, +1, COMPOSITE).images()``,
+    two products for each operator; each operator keeps its own results:
+    every value is byte for byte the one of the operator alone.
     Raises DomainError when an operator is not finite, before any product,
     or when the residuals of one overflow; the error of the first such
     operator carries its index as ``row``.
@@ -419,14 +420,13 @@ def _residuals_and_images(psis):
     if not len(rows):
         return [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2, r3, r4 = _conditions(_grade_rows(rows), _E_ROWS)[:4]
-        # each operator's matrix products are the 2-d ones it makes alone
-        images = np.array([_PROBE_ROWS @ basis for basis in basis_images(rows)])
-        r34 = np.array([(_PROBE_ROWS[:, 1:] @ a, _PROBE_ROWS[:, 1:] @ b) for a, b in zip(r3, r4)])
-        covector = np.array([_covector_part(image) for image in images])
+        r1, r2, r3, r4 = _conditions(rows, _E_ROWS)[:4]
+        basis = [Versor(Multivector._raw(U), +1, COMPOSITE).images() for U in rows]
+        images = _PROBE_ROWS @ np.array(basis)
+        r34 = _PROBE_ROWS[:, 1:] @ np.stack((r3, r4), axis=1)
         # max is exact in any order: one pass over every operator's values,
         # the whole image first, which is finite when its largest value is
-        parts = (images, r1, r2, r34, covector, images.take(_GRADE45, axis=-1))
+        parts = (images, r1, r2, r34, _covector_part(images), images.take(_GRADE45, axis=-1))
         values = np.abs(np.concatenate([x.reshape(len(rows), -1) for x in parts], axis=1))
         worst = np.maximum.reduceat(values, _WORST_STARTS, axis=1)
         finite = np.isfinite(worst).all(axis=1)

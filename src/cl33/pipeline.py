@@ -263,24 +263,24 @@ def _line_chunks(pieces):
 
 
 def _numbered_chunks(source):
-    """(first line number, chunk of whole lines) of a point file's text or open file,
-    read POINT_CHUNK_CHARS characters at a time.  Every chunk but the last ends in a
-    newline, so the chunks' ``splitlines`` counts add up to the whole text's."""
+    """(first line number, chunk of whole lines, its lines) of a point file's text
+    or open file, read POINT_CHUNK_CHARS characters at a time.  Every chunk but the
+    last ends in a newline, so the chunks' line counts add up to the whole text's."""
     if isinstance(source, str):
         source = io.StringIO(source)
     first = 1
     for chunk in _line_chunks(iter(partial(source.read, POINT_CHUNK_CHARS), "")):
-        yield first, chunk
-        first += len(chunk.splitlines())
+        lines = chunk.splitlines()
+        yield first, chunk, lines
+        first += len(lines)
 
 
-def _chunk_rows(chunk: str):
-    """The (n, 4) rows of a chunk of whole lines, or None when the chunk
-    needs the line-by-line parser: it holds a comment, a line of other
-    than 0 or 4 fields, a token ``float`` rejects or a non-finite value."""
-    if "#" in chunk:
-        return None
-    fields = list(map(str.split, chunk.splitlines()))
+def _chunk_rows(lines):
+    """The (n, 4) rows of a chunk's lines, or None when the chunk needs the
+    line-by-line parser: it holds a line of other than 0 or 4 fields, a
+    token ``float`` rejects (every token with a comment's ``#`` is one) or
+    a non-finite value."""
+    fields = list(map(str.split, lines))
     if not set(map(len, fields)) <= {0, 4}:
         return None
     tokens = list(itertools.chain.from_iterable(fields))
@@ -306,8 +306,8 @@ def parse_points(source) -> np.ndarray:
     first line, which reads its rows or names its first bad line.
     """
     blocks = [np.empty((0, 4))]
-    for first, chunk in _numbered_chunks(source):
-        rows = _chunk_rows(chunk)
+    for first, chunk, lines in _numbered_chunks(source):
+        rows = _chunk_rows(lines)
         blocks.append(_parse_points_by_line(chunk, first) if rows is None else rows)
     return np.concatenate(blocks)
 
@@ -316,7 +316,7 @@ def point_line(source, index: int) -> int:
     """Line number of the point file holding row ``index`` of
     ``parse_points(source)``; ``source`` is the file's text or a text file
     open for reading, read a chunk at a time."""
-    lines = (line for first, chunk in _numbered_chunks(source)
+    lines = (line for first, chunk, _ in _numbered_chunks(source)
              for line in _data_lines(chunk, first))
     return next(itertools.islice(lines, index, None))[0]
 

@@ -434,7 +434,7 @@ def check_projective_matrices():
         if np.any(_row_devs(sandwich_points(tr, pts), pts @ m.T) > 1e-9):
             return False, "probe matrix disagrees with its transform"
     return True, (f"100 parameter draws; {n_each * len(pipelines)} matrix points; "
-                  f"{len(stages)} stage matrices equal apply on the basis")
+                  f"{len(stages)} stage matrices equal their sandwich chain on the basis")
 
 
 def check_sector_behavior():

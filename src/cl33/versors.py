@@ -119,16 +119,6 @@ _BASIS_GRADES = grade_set(POINT_BASIS_ROWS)
 _STAR_BASIS_GRADES = grade_set(_STAR_BASIS_ROWS)
 
 
-def basis_images(rows) -> np.ndarray:
-    """U b (rev U) for each of the (S, 64) coefficient rows U and each b of
-    POINT_BASIS, as (S, 4, 64): ``Versor(U, +1, kind).images()`` of every
-    row, byte for byte, by ``sandwich_products`` of one operator at a time,
-    each planned or tabled as its grades decide."""
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, BLADE_COUNT)
-    images = [sandwich_products(U, POINT_BASIS_ROWS, (grade_set(U), _BASIS_GRADES)) for U in rows]
-    return np.array(images).reshape(-1, len(POINT_BASIS_ROWS), BLADE_COUNT)
-
-
 #: Rows per block of ``sandwich_products``, which bounds its cached plans and
 #: its (64, block, 64) temporary on the sandwich chain and on selftest's one
 #: versor per row: the first ``sandwich_points`` of 50 000 points through a

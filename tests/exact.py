@@ -11,12 +11,16 @@ from the rounding of the versor's own construction.
 Every DSL number is a finite float too, so the closed forms of a step (those
 of ``perfbench/oracle.py``) evaluated in Fraction give the map the
 parameters ask for, wherever it is rational in them: ``translate``,
-``cotranslate``, ``pseudo``, ``reflect``, ``shear`` and ``perspective``.  A
+``cotranslate``, ``pseudo``, ``reflect``, ``shear`` and ``perspective``.
+``rotate``, ``hrotate`` and ``scale`` take cos and sin, or cosh and sinh, of
+half the parameter, each rounded once, and every other operation in
+Fraction, so their maps are within a few units of rounding of exact.  A
 result can lie near the computed versors' map and far from this one when the
 versor's construction rounds.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -116,11 +120,23 @@ def computed_map(transform) -> tuple:
     return m
 
 
+def _half_angle(x, hyperbolic):
+    """(cos x, sin x), or (cosh x, sinh x), in Fraction, from the cos and
+    sin, or cosh and sinh, of x/2, each rounded once: c^2 - s^2 and 2 c s,
+    or c^2 + s^2 and 2 c s."""
+    half = x / 2.0
+    if not hyperbolic:
+        c, s = Fraction(math.cos(half)), Fraction(math.sin(half))
+        return c * c - s * s, 2 * c * s
+    c, s = Fraction(math.cosh(half)), Fraction(math.sinh(half))
+    return c * c + s * s, 2 * c * s
+
+
 def parameter_matrix(op, params) -> tuple:
-    """The exact 4x4 matrix, as rows of Fractions, that one DSL step's
-    parameters give: the closed forms of ``perfbench/oracle.py`` in
-    Fraction.  Raises ValueError for ``rotate``, ``hrotate`` and ``scale``,
-    whose maps are not rational in their parameters."""
+    """The 4x4 matrix, as rows of Fractions, that one DSL step's parameters
+    give: the closed forms of ``perfbench/oracle.py`` in Fraction, exact
+    but for the rounding of the half-angle functions of ``rotate``,
+    ``hrotate`` and ``scale`` (``_half_angle``)."""
     m = [list(row) for row in _IDENTITY]
     if op == "translate":
         for i, x in enumerate(_fractions(params["v"]), start=1):
@@ -137,6 +153,24 @@ def parameter_matrix(op, params) -> tuple:
         for i in range(3):
             for j in range(3):
                 m[i + 1][j + 1] += t * u[i] * v[j]
+    elif op in ("rotate", "hrotate"):
+        # I + (cos - 1)(u u^T + v v^T) + sin (u v^T - v u^T), and the same
+        # with cosh, sinh and u v^T + v u^T
+        u, v = _fractions(params["u"]), _fractions(params["v"])
+        hyperbolic = op == "hrotate"
+        cos, sin = _half_angle(params["eta" if hyperbolic else "theta"], hyperbolic)
+        sign = 1 if hyperbolic else -1
+        for i in range(3):
+            for j in range(3):
+                m[i + 1][j + 1] += ((cos - 1) * (u[i] * u[j] + v[i] * v[j])
+                                    + sin * (u[i] * v[j] + sign * v[i] * u[j]))
+    elif op == "scale":
+        # I + (e^t - 1) u u^T, with e^t = (cosh(t/2) + sinh(t/2))^2
+        u = _fractions(params["u"])
+        cosh, sinh = _half_angle(params["t"], True)
+        for i in range(3):
+            for j in range(3):
+                m[i + 1][j + 1] += (cosh + sinh - 1) * u[i] * u[j]
     elif op == "perspective":
         # (w, p) -> (g(p - w e, n)/a, p - w e + e g(p - w e, n)/a), a = c - g(n, e)
         e, n, c = _fractions(params["eye"]), _fractions(params["n"]), Fraction(params["c"])
@@ -148,7 +182,7 @@ def parameter_matrix(op, params) -> tuple:
             for j in range(3):
                 m[i + 1][j + 1] += e[i] * n[j] / a
     else:
-        raise ValueError(f"the map of {op!r} is not rational in its parameters")
+        raise ValueError(f"unknown operation {op!r}")
     return tuple(map(tuple, m))
 
 

@@ -56,7 +56,7 @@ from cl33.analysis import (
 from cl33.blades import GRADES
 from cl33.pipeline import parse_pipeline
 from cl33.selftest import rand_orthonormal, rand_unit
-from cl33.versors import PerspectiveMap
+from cl33.versors import COMPOSITE, PerspectiveMap, Versor
 from helpers import perspective_oracle_matrix
 
 W = outer_product
@@ -592,7 +592,7 @@ def dense_worst_residuals(psi):
     probes = analysis._PROBE_ROWS[:, 1:]
     r3 = probes @ np.array([t[0].coeffs for t in axes])
     r4 = probes @ np.array([t[1].coeffs for t in axes])
-    images = analysis._PROBE_ROWS @ versors.basis_images(psi.coeffs)[0]
+    images = analysis._PROBE_ROWS @ Versor(psi, +1, COMPOSITE).images()
     cov = (images[:, [1, 2, 4]] - images[:, [8, 16, 32]]) @ np.array([e.coeffs for e in E_STAR])
     high = images[:, (GRADES == 4) | (GRADES == 5)]
     worst = (r1.max_abs(), r2.max_abs(), np.max(np.abs(r3)), np.max(np.abs(r4)),
@@ -701,7 +701,7 @@ def test_pruned_plans_are_the_plans_of_every_part(monkeypatch):
     evaluate = analysis._evaluate
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in [[psi.coeffs] for psi in ops] + [[psi.coeffs for psi in ops]]:
-            P = analysis._grade_rows(np.array(rows))
+            P = np.array(rows)
             got = analysis._conditions(P, analysis._E_ROWS)
             with monkeypatch.context() as patch:
                 patch.setattr(analysis, "_evaluate", lambda layer, rows, m, parts:

@@ -1,15 +1,18 @@
 """The precision table: ``cl33 apply --normalize`` of the point 1 1 2 3
 through the large translations, cotranslations and far eyes of ROADMAP item
-4, held to both exact references of ``exact.py``.
+3, and through rotations, hyperbolic rotations and scales, held to both
+exact references of ``exact.py``.
 
 A printed row passes when it lies within 1e-9 max(1, |row|) of the row that
 the parameters give, |row| the largest coordinate of that row, and of the
 row that the computed versors give.  The rows that exit 0 with a wrong
 answer are strict xfails until ROADMAP item 3 computes them exactly.  Two
-wrong answers of item 4 stay inside this normwise limit at 1 1 2 3, and
+wrong answers of item 3 stay inside this normwise limit at 1 1 2 3, and
 pass: ``deviation.txt`` (translate 1e12) misses by 3 against a limit of
 1000, and fails at its golden point 0.5 1e-3 -2e3 7 instead; ``cotranslate
-v=(1e9,0,0)`` misses x by 1/(1e9 + 1) against 1e-9.
+v=(1e9,0,0)`` misses x by 1/(1e9 + 1) against 1e-9.  ``scale u=(1,0,0)
+t=38`` prints weight -3, the rounding of its versor's construction; the
+computed versors' exact map puts the point's weight at about -2.66.
 """
 
 from fractions import Fraction
@@ -41,6 +44,13 @@ CASES = {
     "perspective eye 1e4": ("perspective eye=(1e4,0,0) n=(1,0,0) c=1\n", POINT),
     "perspective eye 1e9": pytest.param("perspective eye=(1e9,0,0) n=(1,0,0) c=1\n", POINT,
                                         marks=ITEM_3),
+    "rotate": ("rotate u=(0.6,0.8,0) v=(0,0,1) theta=0.7\n", POINT),
+    "rotate on the axes": ("rotate u=(1,0,0) v=(0,1,0) theta=-2.5\n", POINT),
+    "hrotate": ("hrotate u=(1,0,0) v=(0,0.6,0.8) eta=1.3\n", POINT),
+    "scale": ("scale u=(0,0.6,0.8) t=0.3\n", POINT),
+    "scale t=-3": ("scale u=(1,0,0) t=-3\n", FAR),
+    # the build error of the versor: apply prints weight -3
+    "scale t=38": pytest.param("scale u=(1,0,0) t=38\n", POINT, marks=ITEM_3),
 }
 
 
